@@ -59,6 +59,7 @@ from .trees import (
     enumerate_decreasing_trees,
     format_tree,
     is_decreasing,
+    iter_decreasing_trees,
     leaning_tree,
     max_degree,
     node_count,
@@ -106,6 +107,7 @@ __all__ = [
     "format_walk",
     "gk_series",
     "is_decreasing",
+    "iter_decreasing_trees",
     "lambda1_power_iteration",
     "lambda1_trace_estimate",
     "leaning_eigen_bound",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import asymptotics, bijection, series, spectral, trees, ulam_harris, verify
 from .errors import LimitError, TreeParseError, WalkError
+from .intstr import int_to_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -210,8 +211,8 @@ def cmd_count(args, config: RunConfig) -> int:
     methods = {
         "series": lambda: series.count_trees(args.n, args.k),
         "compositions": lambda: series.count_trees_by_compositions(args.n, args.k),
-        "enumerate": lambda: len(
-            trees.enumerate_decreasing_trees(args.n, args.k, **config.enumeration_guards())
+        "enumerate": lambda: sum(
+            1 for _ in trees.iter_decreasing_trees(args.n, args.k, **config.enumeration_guards())
         ),
     }
     if args.all_methods:
@@ -227,14 +228,14 @@ def cmd_count(args, config: RunConfig) -> int:
             else:
                 value = fn()
             numbers.add(value)
-            values.append((name, str(value)))
+            values.append((name, int_to_str(value)))
         emit_object(config, values)
         return EXIT_OK if len(numbers) == 1 else EXIT_VERIFY_FAILED
     value = methods[args.method]()
     if config.format in ("json", "csv"):
-        emit_object(config, [("n", str(args.n)), ("k", str(args.k)), ("count", str(value))])
+        emit_object(config, [("n", str(args.n)), ("k", str(args.k)), ("count", int_to_str(value))])
     else:
-        print(value)
+        print(int_to_str(value))
     return EXIT_OK
 
 
@@ -246,7 +247,7 @@ def cmd_table(args, config: RunConfig) -> int:
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
     rows = []
     for n in range(1, max_n + 1):
-        rows.append([str(n)] + [str(series.count_trees(n, k)) for k in range(1, max_k + 1)])
+        rows.append([str(n)] + [int_to_str(series.count_trees(n, k)) for k in range(1, max_k + 1)])
     emit_table(config, columns, rows)
     return EXIT_OK
 
@@ -254,7 +255,7 @@ def cmd_table(args, config: RunConfig) -> int:
 def cmd_series(args, config: RunConfig) -> int:
     s = series.gk_series(args.k, args.order)
     if config.format == "csv":
-        print(",".join(str(c) for c in s.coeffs))
+        print(",".join(int_to_str(c) for c in s.coeffs))
     else:
         # the canonical exchange format: a JSON array of decimal strings
         print(series.series_to_json(s))
@@ -314,7 +315,7 @@ def cmd_walks(args, config: RunConfig) -> int:
     tree = trees.leaning_tree(args.k)
     table = spectral.walk_count_table(tree, args.max_len)
     columns = ["length", "count"]
-    rows = [[str(length), str(table[length])] for length in sorted(table)]
+    rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]
     emit_table(config, columns, rows)
     return EXIT_OK
 

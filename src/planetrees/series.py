@@ -10,8 +10,8 @@ numbers live here:
   top label, a root followed by an arbitrary sequence of subtrees with
   smaller labels;
 * ``count_trees_by_compositions`` runs the scalar recurrence over
-  compositions of n-1 (memoised convolution by default, literal composition
-  enumeration behind a flag for small n).
+  compositions of n-1 (a bottom-up convolution by default, literal
+  composition enumeration behind a flag for small n).
 
 A third route, brute-force enumeration, lives in ``planetrees.trees``.
 All coefficients are plain Python ints; the counts grow like (2k)^n and
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import LimitError
+from .intstr import int_to_str, str_to_int
 
 #: largest n for which the literal composition sweep (2^(n-2) terms) is allowed
 LITERAL_COMPOSITION_LIMIT = 12
@@ -162,55 +163,52 @@ def count_trees_by_compositions(n: int, k: int, *, literal: bool = False) -> int
     the counts with k-1 labels (top label at the root, parts are the child
     subtree sizes; the empty composition of 0 contributes product 1).
 
-    By default the composition sum is evaluated as the memoised convolution
-    of the sequence-of-subtrees series, which gives identical values at
-    polynomial cost.  With ``literal=True`` every composition of n-1 is
-    enumerated explicitly; that route is a third oracle and is guarded at
-    n <= LITERAL_COMPOSITION_LIMIT.
+    By default the composition sum is evaluated bottom up, label by label,
+    as the convolution of the sequence-of-subtrees counts, which gives
+    identical values at polynomial cost without recursion.  With
+    ``literal=True`` every composition of n-1 is enumerated explicitly; that
+    route is a third oracle and is guarded at n <= LITERAL_COMPOSITION_LIMIT.
     """
     _require_positive(n=n, k=k)
-    if literal and n > LITERAL_COMPOSITION_LIMIT:
-        raise LimitError(
-            f"literal composition enumeration is limited to n <= {LITERAL_COMPOSITION_LIMIT}"
-        )
-    g_memo: dict[tuple[int, int], int] = {}
-    w_memo: dict[tuple[int, int], int] = {}
+    if literal:
+        if n > LITERAL_COMPOSITION_LIMIT:
+            raise LimitError(
+                f"literal composition enumeration is limited to n <= {LITERAL_COMPOSITION_LIMIT}"
+            )
+        return _count_by_literal_compositions(n, k)
+    # counts[m] = count(m, j) for the current label bound j, starting at j = 1
+    counts = [0, 1] + [0] * (n - 1)
+    for _ in range(k - 1):
+        # seq[m]: sequences of trees with labels <= j totalling m nodes
+        seq = [1] + [0] * (n - 1)
+        for m in range(1, n):
+            total = 0
+            for s in range(1, m + 1):
+                total += counts[s] * seq[m - s]
+            seq[m] = total
+        counts = [0] + [counts[m] + seq[m - 1] for m in range(1, n + 1)]
+    return counts[n]
+
+
+def _count_by_literal_compositions(n: int, k: int) -> int:
+    memo: dict[tuple[int, int], int] = {}
 
     def count(n: int, k: int) -> int:
         if k == 1:
             return 1 if n == 1 else 0
         key = (n, k)
-        cached = g_memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        if literal:
-            total = count(n, k - 1)
-            for parts in compositions(n - 1):
-                prod = 1
-                for s in parts:
-                    prod *= count(s, k - 1)
-                    if prod == 0:
-                        break
-                total += prod
-        else:
-            total = count(n, k - 1) + seq(n - 1, k - 1)
-        g_memo[key] = total
-        return total
-
-    def seq(m: int, j: int) -> int:
-        # number of sequences of decreasing trees with labels <= j totalling m nodes
-        if m == 0:
-            return 1
-        key = (m, j)
-        cached = w_memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for s in range(1, m + 1):
-            c = count(s, j)
-            if c:
-                total += c * seq(m - s, j)
-        w_memo[key] = total
+        total = count(n, k - 1)
+        for parts in compositions(n - 1):
+            prod = 1
+            for s in parts:
+                prod *= count(s, k - 1)
+                if prod == 0:
+                    break
+            total += prod
+        memo[key] = total
         return total
 
     return count(n, k)
@@ -241,14 +239,14 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 
 def series_to_json(s: TruncatedSeries) -> str:
     """Serialise as a JSON array of decimal strings, preserving big integers."""
-    return json.dumps([str(c) for c in s.coeffs], separators=(",", ":"))
+    return json.dumps([int_to_str(c) for c in s.coeffs], separators=(",", ":"))
 
 
 def series_from_json(text: str) -> TruncatedSeries:
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of decimal strings")
-    return TruncatedSeries(tuple(int(item) for item in data))
+    return TruncatedSeries(tuple(str_to_int(item) for item in data))
 
 
 def _require_positive(**named: int) -> None:

@@ -10,14 +10,21 @@ children carrying, left to right, the leaning trees of orders k-1 down to 0.
 It has 2^k nodes.  Instances built here share subtree objects (the structure
 is immutable), so construction is cheap even though traversals remain
 proportional to the full node count.
+
+``iter_decreasing_trees(n, k)`` streams every n-node decreasing tree with
+labels in {1..k} in canonical order: lexicographic by bracket text, so
+``"1" < "10" < "2"`` and a label whose digits prefix another's comes first.
+It builds each tree as it is yielded and holds only memoised pools of
+smaller subtrees, never the whole family; ``root_label=r`` generates just
+the trees with root label r.  ``enumerate_decreasing_trees`` is the same
+stream as a list.  Size guards are checked when either is called.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import LimitError, TreeParseError
 
@@ -175,6 +182,37 @@ def leaning_tree(k: int, *, max_order: int = LEANING_ORDER_LIMIT) -> PlaneTree:
     return levels[k]
 
 
+def iter_decreasing_trees(
+    n: int,
+    k: int,
+    *,
+    root_label: int | None = None,
+    max_nodes: int = ENUMERATION_NODE_LIMIT,
+    max_labels: int = ENUMERATION_LABEL_LIMIT,
+) -> Iterator[PlaneTree]:
+    """Every n-node decreasing tree with labels in {1..k}, each exactly once,
+    streamed in canonical order (lexicographic by bracket text).
+
+    With ``root_label`` only the trees with that root label are generated.
+    Arguments and guards are checked on the call itself; the trees are then
+    built one at a time, so memory is bounded by the pools of subtrees (at
+    most n-1 nodes, labels below k), not by the number of trees.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    if root_label is not None and (not isinstance(root_label, int) or root_label < 1):
+        raise ValueError(f"root_label must be a positive integer, got {root_label!r}")
+    if n > max_nodes or k > max_labels:
+        raise LimitError(
+            f"enumeration limited to n <= {max_nodes}, k <= {max_labels} (got n={n}, k={k})"
+        )
+    if root_label is None:
+        labels = sorted(range(1, k + 1), key=str)
+    else:
+        labels = [root_label] if root_label <= k else []
+    return _DecreasingTrees(n).stream(labels)
+
+
 def enumerate_decreasing_trees(
     n: int,
     k: int,
@@ -182,79 +220,106 @@ def enumerate_decreasing_trees(
     max_nodes: int = ENUMERATION_NODE_LIMIT,
     max_labels: int = ENUMERATION_LABEL_LIMIT,
 ) -> list[PlaneTree]:
-    """Every n-node decreasing tree with labels in {1..k}, each exactly once.
+    """Every n-node decreasing tree with labels in {1..k}, as a list in the
+    canonical order of ``iter_decreasing_trees``."""
+    return list(iter_decreasing_trees(n, k, max_nodes=max_nodes, max_labels=max_labels))
 
-    Plane-tree shapes are enumerated as preorder child-count structures,
-    then labels are assigned top-down with per-edge strictness.  The result
-    is sorted lexicographically by bracket serialisation, which fixes a
-    deterministic canonical order.
+
+class _DecreasingTrees:
+    """Memoised subtree pools behind ``iter_decreasing_trees``.
+
+    The canonical order splits into pieces.  Trees sort first by the text of
+    their root label (a label whose digits are a prefix of another's sorts
+    first, because '(' and the end of text precede every digit), then by the
+    text of their child list.  Child lists of a fixed total size sort by the
+    text of their first child, then by the rest: where one possible first
+    child's text is a prefix of another's, the shorter is a leaf, and the
+    separator after it sorts before what continues the longer (' ' precedes
+    '(' and every digit; ')' follows a leaf only in a one-node list, where
+    the longer is a leaf too and continues with a digit).  So sorting the
+    small pool of possible first children and recursing on the remaining
+    size yields child lists in order, without holding or sorting the whole
+    family.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if n > max_nodes or k > max_labels:
-        raise LimitError(
-            f"enumeration limited to n <= {max_nodes}, k <= {max_labels} (got n={n}, k={k})"
-        )
 
-    forest_memo: dict[int, list[tuple]] = {}
+    def __init__(self, n: int):
+        self._n = n
+        self._pools: dict[tuple[int, int], list[PlaneTree]] = {}
+        self._firsts: dict[tuple[int, int], list[tuple[PlaneTree, int]]] = {}
+        self._lists: dict[tuple[int, int], list[tuple[PlaneTree, ...]]] = {}
+        self._text: dict[int, str] = {}
+        # child lists this small are kept once built: they number about as
+        # many as the subtree pools, and replaying a list is about twice as
+        # fast as generating it again
+        self._kept = n - 3
 
-    def forests(m: int) -> list[tuple]:
-        # all tuples of shapes totalling m nodes; a shape is its tuple of child shapes
-        cached = forest_memo.get(m)
-        if cached is not None:
-            return cached
-        if m == 0:
-            result: list[tuple] = [()]
-        else:
-            result = []
-            for first_size in range(1, m + 1):
-                for head in forests(first_size - 1):  # shapes with first_size nodes
-                    for tail in forests(m - first_size):
-                        result.append((head,) + tail)
-        forest_memo[m] = result
-        return result
+    def stream(self, labels: list[int]) -> Iterator[PlaneTree]:
+        n = self._n
+        # _fast_tree inlined: a call per tree costs about a tenth of the stream
+        new = PlaneTree.__new__
+        for label in labels:
+            for children in self._forests(n - 1, label - 1) if n > 1 else [()]:
+                tree = new(PlaneTree)
+                tree.label = label
+                tree.children = children
+                tree._hash = None
+                yield tree
 
-    labelled_memo: dict[tuple, list[tuple[str, PlaneTree]]] = {}
-    upto_memo: dict[tuple, list[tuple[str, PlaneTree]]] = {}
-    make = _fast_tree
+    def _forests(self, m: int, bound: int) -> Iterator[tuple[PlaneTree, ...]]:
+        # child lists of m nodes in total with labels <= bound, in text order
+        for tree, size in self._first_children(m, bound):
+            if size == m:
+                yield (tree,)
+            else:
+                head = (tree,)
+                for rest in self._forest_list(m - size, bound):
+                    yield head + rest
 
-    def labelled(shape: tuple, root_label: int) -> list[tuple[str, PlaneTree]]:
-        key = (shape, root_label)
-        cached = labelled_memo.get(key)
-        if cached is not None:
-            return cached
-        if not shape:
-            result = [(str(root_label), make(root_label, ()))]
-        else:
-            pools = [upto(child, root_label - 1) for child in shape]
-            result = []
-            if all(pools):
-                head = "%d(" % root_label
-                join = " ".join
-                append = result.append
-                for combo in product(*pools):
-                    texts, subtrees = zip(*combo)
-                    append((head + join(texts) + ")", make(root_label, subtrees)))
-        labelled_memo[key] = result
-        return result
+    def _forest_list(self, m: int, bound: int) -> Iterable[tuple[PlaneTree, ...]]:
+        if m > self._kept:
+            return self._forests(m, bound)
+        key = (m, bound)
+        cached = self._lists.get(key)
+        if cached is None:
+            cached = self._lists[key] = list(self._forests(m, bound))
+        return cached
 
-    def upto(shape: tuple, bound: int) -> list[tuple[str, PlaneTree]]:
-        if bound <= 0:
-            return []
-        key = (shape, bound)
-        cached = upto_memo.get(key)
-        if cached is not None:
-            return cached
-        result = upto(shape, bound - 1) + labelled(shape, bound)
-        upto_memo[key] = result
-        return result
+    def _first_children(self, m: int, bound: int) -> list[tuple[PlaneTree, int]]:
+        # (subtree, size) for every subtree of at most m nodes with labels
+        # <= bound, sorted by text
+        key = (m, bound)
+        cached = self._firsts.get(key)
+        if cached is None:
+            text = self._text
+            entries = [
+                (text[id(tree)], tree, size)
+                for size in range(1, m + 1)
+                for label in range(1, bound + 1)
+                for tree in self._pool(size, label)
+            ]
+            entries.sort(key=itemgetter(0))
+            cached = self._firsts[key] = [(tree, size) for _, tree, size in entries]
+        return cached
 
-    entries: list[tuple[str, PlaneTree]] = []
-    for shape in forests(n - 1):
-        for root_label in range(1, k + 1):
-            entries.extend(labelled(shape, root_label))
-    entries.sort(key=itemgetter(0))
-    return [tree for _, tree in entries]
+    def _pool(self, size: int, label: int) -> list[PlaneTree]:
+        # every tree of ``size`` nodes with root label ``label``; their texts
+        # are recorded by id (pool trees stay alive with the pool)
+        key = (size, label)
+        cached = self._pools.get(key)
+        if cached is None:
+            text = self._text
+            if size == 1:
+                cached = [_fast_tree(label, ())]
+                text[id(cached[0])] = str(label)
+            else:
+                cached = []
+                head = "%d(" % label
+                for children in self._forests(size - 1, label - 1):
+                    tree = _fast_tree(label, children)
+                    text[id(tree)] = head + " ".join([text[id(c)] for c in children]) + ")"
+                    cached.append(tree)
+            self._pools[key] = cached
+        return cached
 
 
 def _fast_tree(label: int, children: tuple[PlaneTree, ...]) -> PlaneTree:

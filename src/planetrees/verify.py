@@ -98,7 +98,7 @@ def check_count_triple_agreement() -> CheckResult:
         for k in range(1, 7):
             a = series.count_trees(n, k)
             b = series.count_trees_by_compositions(n, k)
-            c = len(trees.enumerate_decreasing_trees(n, k))
+            c = sum(1 for _ in trees.iter_decreasing_trees(n, k))
             if not a == b == c:
                 return CheckResult(
                     "count-triple-agreement",
@@ -222,9 +222,7 @@ def check_roundtrip_trees() -> CheckResult:
     total = 0
     for k in range(1, 6):
         for n in range(1, 8):
-            for t in trees.enumerate_decreasing_trees(n, k + 1):
-                if t.label != k + 1:
-                    continue
+            for t in trees.iter_decreasing_trees(n, k + 1, root_label=k + 1):
                 again = bijection.build_tree_from_walk(bijection.build_walk_from_tree(t))
                 if again != t:
                     return CheckResult(
@@ -252,8 +250,7 @@ def check_image_match() -> CheckResult:
                 )
             family = {
                 trees.format_tree(t)
-                for t in trees.enumerate_decreasing_trees(n + 1, k + 1)
-                if t.label == k + 1
+                for t in trees.iter_decreasing_trees(n + 1, k + 1, root_label=k + 1)
             }
             if image_keys != family:
                 return CheckResult(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planetrees import cli
+from planetrees import cli, leaning_tree, walk_count_table
 from planetrees.series import TruncatedSeries
 
 
@@ -175,3 +175,16 @@ def test_verify_text_report_shape(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "verify uh: OK"
     assert all("[      pass]" in line for line in lines[:-1])
+
+
+def test_walk_counts_past_the_int_string_limit(capsys):
+    code, out, _ = run_cli(capsys, "walks", "3", "--max-len", "14000", "--format", "csv")
+    assert code == 0
+    last = out.strip().splitlines()[-1]
+    length, count = last.split(",")
+    assert length == "14000" and len(count) > 4300
+    expected = walk_count_table(leaning_tree(3), 14000)[14000]
+    # checked in pieces under the limit: the leading digits, the trailing
+    # digits and the length together pin the decimal text
+    assert int(count[-4000:]) == expected % 10**4000
+    assert int(count[:100]) == expected // 10 ** (len(count) - 100)

@@ -162,3 +162,17 @@ def test_series_json_preserves_big_integers():
     s = gk_series(4, 61)
     assert s.coeffs[60] > 10**30  # far beyond any fixed-width integer
     assert series_from_json(series_to_json(s)) == s
+
+
+def test_count_by_compositions_needs_no_recursion():
+    # the default route is a bottom-up loop, so a thousand nodes do not
+    # reach the interpreter's recursion limit
+    assert count_trees_by_compositions(1000, 3) == count_trees(1000, 3)
+
+
+def test_series_json_roundtrip_past_the_int_string_limit():
+    big = 7 ** 6000  # 5071 decimal digits, over CPython's default 4300
+    s = TruncatedSeries((1, big, -big))
+    text = series_to_json(s)
+    assert len(text) > 2 * 5000
+    assert series_from_json(text) == s

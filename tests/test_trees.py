@@ -1,6 +1,8 @@
 """Plane tree representation, text format, leaning trees, enumeration."""
 
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from planetrees import (
     enumerate_decreasing_trees,
     format_tree,
     is_decreasing,
+    iter_decreasing_trees,
     leaning_tree,
     max_degree,
     node_count,
@@ -159,3 +162,43 @@ def test_labels_must_be_positive():
         PlaneTree(0)
     with pytest.raises(ValueError):
         PlaneTree(-3)
+
+
+def test_stream_order_is_sorted_text_with_multidigit_labels():
+    for n in range(1, 5):
+        for k in range(1, 13):
+            texts = [format_tree(t) for t in iter_decreasing_trees(n, k, max_labels=12)]
+            assert texts == sorted(texts)
+            assert len(texts) == count_trees(n, k)
+
+
+def test_stream_root_label_is_the_filtered_stream():
+    for n, k in [(1, 1), (1, 11), (3, 11), (4, 11), (5, 1), (5, 3), (6, 5)]:
+        full = [(t.label, format_tree(t)) for t in iter_decreasing_trees(n, k, max_labels=11)]
+        for r in range(1, k + 2):
+            only = iter_decreasing_trees(n, k, root_label=r, max_labels=11)
+            assert [format_tree(t) for t in only] == [text for label, text in full if label == r]
+
+
+def test_stream_guards_raise_on_the_call():
+    with pytest.raises(LimitError):
+        iter_decreasing_trees(10, 3)
+    with pytest.raises(LimitError):
+        iter_decreasing_trees(3, 8)
+    with pytest.raises(ValueError):
+        iter_decreasing_trees(0, 3)
+    with pytest.raises(ValueError):
+        iter_decreasing_trees(3, 3, root_label=0)
+
+
+def test_stream_is_lazy():
+    # the full (8, 6) family is 1,261,070 trees; the first thousand must not
+    # wait for, or hold, the rest
+    tracemalloc.start()
+    try:
+        first = list(islice(iter_decreasing_trees(8, 6), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 1000
+    assert peak < 8 * 2**20
