@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Largest adjacency eigenvalues of leaning trees, three ways.
+"""Largest adjacency eigenvalues of leaning trees, two independent ways.
 
-Power iteration on the explicit tree, exact closed-walk growth (the count of
-closed 2n-walks to the power 1/2n), and, for leaning trees, bisection on a
-pivot recursion that costs O(order) per evaluation point and therefore
-reaches orders whose explicit trees would have 2^order vertices.
+Bisection on the pivots of xI - A (all positive exactly when x is above the
+largest eigenvalue), and exact closed-walk growth (the count of closed
+2n-walks to the power 1/2n).  The pivot bisection runs on any tree; on
+leaning trees it costs O(order) per evaluation point, so it reaches orders
+whose explicit trees would have 2^order vertices.
 """
 
 import math
 
 from planetrees import (
-    lambda1_power_iteration,
+    lambda1,
     lambda1_trace_estimate,
     leaning_lambda1,
     leaning_tree,
@@ -22,9 +23,9 @@ from planetrees import (
 
 def main():
     print("Order-2 leaning tree (the 4-vertex path): eigenvalue is the golden ratio")
-    print("  power iteration:", lambda1_power_iteration(leaning_tree(2)))
-    print("  pivot bisection:", leaning_lambda1(2))
-    print("  (1+sqrt(5))/2  :", (1 + math.sqrt(5)) / 2)
+    print("  pivot bisection, explicit tree:", lambda1(leaning_tree(2), 1e-12))
+    print("  pivot bisection, order chain  :", leaning_lambda1(2))
+    print("  (1+sqrt(5))/2                 :", (1 + math.sqrt(5)) / 2)
     print()
 
     print("The degree sandwich sqrt(d) <= lambda1 <= 2 sqrt(d-1), d scanned:")
@@ -32,7 +33,7 @@ def main():
     for k in range(2, 13):
         t = leaning_tree(k)
         d = max_degree(t)
-        lam = lambda1_power_iteration(t)
+        lam = lambda1(t)
         lo, hi = stevanovic_bounds(d)
         print(f"  {k:2d}   {d:4d}     {lo:.4f}    {lam:.6f}   {hi:.4f}        {lam*lam/(2*k):.4f}")
     print("  (the last column drifts toward 1: the eigenvalue behaves like sqrt(2k))")
@@ -40,7 +41,7 @@ def main():
 
     print("Walk growth converges to the eigenvalue (order 6, 64 vertices):")
     t6 = leaning_tree(6)
-    lam6 = lambda1_power_iteration(t6)
+    lam6 = lambda1(t6)
     for half in (5, 10, 20):
         low, high = lambda1_trace_estimate(t6, half)
         root = walk_growth_estimate(t6, half)

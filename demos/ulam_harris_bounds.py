@@ -13,7 +13,7 @@ import random
 
 from planetrees import (
     format_tree,
-    lambda1_power_iteration,
+    lambda1,
     leaning_eigen_bound,
     leaning_tree,
     max_degree,
@@ -50,7 +50,7 @@ def main():
         t = random_plane_tree(30, rng)
         d = max_degree(t)
         u = uh_min(t).uh
-        lam = lambda1_power_iteration(t)
+        lam = lambda1(t)
         degree_bound = stevanovic_bounds(d)[1]
         uh_bound = leaning_eigen_bound(u)
         winner = "uh" if uh_bound < degree_bound else "degree"
@@ -64,7 +64,7 @@ def main():
     print("The bound is sharp on leaning trees: order k has uh = k + 1 and")
     print("embeds into itself; e.g. order 5:",
           uh_min(leaning_tree(5)).uh, "=",
-          f"{lambda1_power_iteration(leaning_tree(5)):.6f} bound "
+          f"{lambda1(leaning_tree(5)):.6f} bound "
           f"{leaning_eigen_bound(6):.6f}")
 
 

@@ -13,13 +13,13 @@ from planetrees import (
     Walk,
     build_tree_from_walk,
     build_walk_from_tree,
-    closed_walk_count,
     count_trees,
     enumerate_closed_walks,
     format_tree,
     format_walk,
     leaning_tree,
     parse_tree,
+    walk_count_table,
 )
 
 
@@ -46,9 +46,9 @@ def main():
 
     print("Walk counts are differences of tree counts:")
     print("  2n   walks(order 3)   count(n+1,4) - count(n+1,3)")
-    t3 = leaning_tree(3)
+    table = walk_count_table(leaning_tree(3), 12)
     for n in range(0, 7):
-        walks = closed_walk_count(t3, 2 * n)
+        walks = table[2 * n]
         diff = count_trees(n + 1, 4) - count_trees(n + 1, 3)
         print(f"  {2*n:2d}   {walks:>12d}   {diff:>12d}")
 

@@ -45,8 +45,7 @@ from .series import (
     sk_series,
 )
 from .spectral import (
-    closed_walk_count,
-    lambda1_power_iteration,
+    lambda1,
     lambda1_trace_estimate,
     leaning_eigen_bound,
     leaning_lambda1,
@@ -93,7 +92,6 @@ __all__ = [
     "build_tree_from_walk",
     "build_walk_from_tree",
     "ck",
-    "closed_walk_count",
     "count_trees",
     "count_trees_by_compositions",
     "count_with_root_label",
@@ -108,7 +106,7 @@ __all__ = [
     "gk_series",
     "is_decreasing",
     "iter_decreasing_trees",
-    "lambda1_power_iteration",
+    "lambda1",
     "lambda1_trace_estimate",
     "leaning_eigen_bound",
     "leaning_lambda1",

@@ -40,7 +40,6 @@ class RunConfig:
     max_n: int | None = None
     max_k: int | None = None
     unsafe_limits: bool = False
-    order: int | None = None
 
     def enumeration_guards(self) -> dict[str, int]:
         """Effective guards for brute-force tree enumeration."""
@@ -339,7 +338,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
         source = trees.format_tree(tree)
     size = trees.node_count(tree)
     delta = trees.max_degree(tree)
-    lam = spectral.lambda1_power_iteration(tree, config.tol) if size > 1 else 0.0
+    lam = spectral.lambda1(tree, config.tol)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     uh = ulam_harris.uh_min(tree).uh
     leaning_bound = spectral.leaning_eigen_bound(uh, config.tol)
@@ -380,10 +379,9 @@ def cmd_uh(args, config: RunConfig) -> int:
 
 def cmd_bijection(args, config: RunConfig) -> int:
     if args.direction == "p":
-        order = args.order if args.order is not None else config.order
-        if order is None:
+        if args.order is None:
             raise ValueError("direction p requires --order")
-        walk = bijection.parse_walk(args.input, order)
+        walk = bijection.parse_walk(args.input, args.order)
         tree = bijection.build_tree_from_walk(walk)
         if config.format == "text":
             print(trees.format_tree(tree))
@@ -404,21 +402,19 @@ def cmd_bijection(args, config: RunConfig) -> int:
 
 def cmd_verify(args, config: RunConfig) -> int:
     results = verify.run_checks(args.scope)
-    columns = ["status", "scope", "check", "detail"]
-    rows = []
-    for r in results:
-        status = "pass" if r.passed else ("known-fail" if r.advisory else "FAIL")
-        rows.append([status, r.scope, r.name, r.detail])
+    passed = verify.overall_passed(results)
     if config.format == "text":
         for r in results:
-            status = "pass" if r.passed else ("known-fail" if r.advisory else "FAIL")
-            print(f"[{status:>10s}] {r.scope:9s} {r.name:30s} {r.elapsed:7.2f}s  {r.detail}")
-        verdict = "OK" if verify.overall_passed(results) else "FAILED"
-        print(f"verify {args.scope}: {verdict}")
+            detail = r.detail
+            if r.budget is not None:
+                detail += f"; elapsed {r.elapsed:.2f}s (budget {r.budget:.0f}s)"
+            print(f"[{r.status:>10s}] {r.scope:9s} {r.name:30s} {r.elapsed:7.2f}s  {detail}")
+        print(f"verify {args.scope}: {'OK' if passed else 'FAILED'}")
     else:
         # machine formats stay byte-deterministic: no elapsed times
-        emit_table(config, columns, rows)
-    return EXIT_OK if verify.overall_passed(results) else EXIT_VERIFY_FAILED
+        rows = [[r.status, r.scope, r.name, r.detail] for r in results]
+        emit_table(config, ["status", "scope", "check", "detail"], rows)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 _HANDLERS = {
@@ -444,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         max_n=args.max_n,
         max_k=args.max_k,
         unsafe_limits=args.unsafe_limits,
-        order=getattr(args, "order", None),
     )
     if config.tol <= 0:
         parser.error("--tol must be positive")

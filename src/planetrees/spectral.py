@@ -5,13 +5,18 @@ eigenvalue to the walk length, so floats would drop digits quickly);
 eigenvalue estimates are floats.  Vertices are addressed by preorder index,
 root = 0.
 
-Three independent routes to the largest adjacency eigenvalue appear here:
+The largest adjacency eigenvalue has one engine: bisection on whether every
+pivot of xI - A is positive, the pivots computed leaves upward by
+d(v) = x - sum over children c of 1/d(c) (Jacobs and Trevisan, "Locating the
+eigenvalues of trees", Linear Algebra Appl. 434 (2011) 81-88).  All pivots
+are positive exactly when x is above the largest eigenvalue.  On any tree
+each distinct subtree object is eliminated once per point, so trees built
+with shared children cost their distinct nodes, not their logical size.  For
+leaning trees every vertex of order j has the same pivot, which gives an
+O(order) test per point and reaches orders no tree can be built for.
 
-* power iteration on an explicit tree (general-purpose),
-* walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts,
-* for leaning trees only, bisection on a pivot recursion that exploits the
-  fact that every vertex of the order-k leaning tree is the root of a
-  smaller leaning tree, giving an O(k)-per-point positivity test.
+Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
+second, independent route to the same eigenvalue.
 """
 
 from __future__ import annotations
@@ -21,14 +26,12 @@ import math
 import numpy as np
 
 from .errors import LimitError
-from .trees import PlaneTree, leaning_tree
+from .trees import PlaneTree, node_count
 
 #: default work cap for single-vertex walk counts (node count times half-length)
 WALK_WORK_LIMIT = 5_000_000
 #: default work cap for all-vertex profiles (node count squared times half-length)
 PROFILE_WORK_LIMIT = 30_000_000
-#: orders up to which leaning-tree eigenvalues use the explicit tree
-EXPLICIT_LEANING_ORDER = 12
 
 
 def adjacency_lists(t: PlaneTree) -> list[list[int]]:
@@ -47,32 +50,6 @@ def adjacency_lists(t: PlaneTree) -> list[list[int]]:
     return adj
 
 
-def closed_walk_count(
-    t: PlaneTree,
-    length: int,
-    vertex: int = 0,
-    *,
-    max_work: int = WALK_WORK_LIMIT,
-) -> int:
-    """Exact number of closed walks of even ``length`` from ``vertex``.
-
-    Computed by repeatedly applying the adjacency operator to the indicator
-    vector of the vertex, in integer arithmetic.
-    """
-    if length < 0 or length % 2:
-        raise ValueError("walk length must be even and nonnegative")
-    adj = adjacency_lists(t)
-    if not 0 <= vertex < len(adj):
-        raise ValueError(f"vertex {vertex} out of range")
-    if len(adj) * (length // 2) > max_work:
-        raise LimitError("walk-count budget exceeded (node count times half-length)")
-    x = [0] * len(adj)
-    x[vertex] = 1
-    for _ in range(length):
-        x = [sum(x[w] for w in nbrs) for nbrs in adj]
-    return x[vertex]
-
-
 def walk_count_table(
     t: PlaneTree,
     max_length: int,
@@ -88,11 +65,12 @@ def walk_count_table(
     """
     if max_length < 0 or max_length % 2:
         raise ValueError("max_length must be even and nonnegative")
-    adj = adjacency_lists(t)
-    if not 0 <= vertex < len(adj):
+    size = node_count(t)
+    if not 0 <= vertex < size:
         raise ValueError(f"vertex {vertex} out of range")
-    if len(adj) * (max_length // 2 + 1) > max_work:
+    if size * (max_length // 2 + 1) > max_work:
         raise LimitError("walk-count budget exceeded (node count times half-length)")
+    adj = adjacency_lists(t)
     counts = {0: 1}
     x = [0] * len(adj)
     x[vertex] = 1
@@ -117,10 +95,10 @@ def walk_count_profile(
     """
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
-    adj = adjacency_lists(t)
-    size = len(adj)
+    size = node_count(t)
     if size * size * max(half_length, 1) > max_work:
         raise LimitError("profile budget exceeded (node count squared times half-length)")
+    adj = adjacency_lists(t)
     neighbours = [np.array(nbrs, dtype=np.intp) for nbrs in adj]
     power = np.zeros((size, size), dtype=object)
     for i in range(size):
@@ -163,7 +141,8 @@ def walk_growth_estimate(
     max_work: int = WALK_WORK_LIMIT,
 ) -> float:
     """Single-vertex walk-growth estimate ``count^(1/length)``."""
-    count = closed_walk_count(t, 2 * half_length, vertex, max_work=max_work)
+    length = 2 * half_length
+    count = walk_count_table(t, length, vertex, max_work=max_work)[length]
     return _int_root(count, 1.0 / (2 * half_length))
 
 
@@ -171,59 +150,6 @@ def _int_root(value: int, exponent: float) -> float:
     if value == 0:
         return 0.0
     return math.exp(math.log(value) * exponent)
-
-
-def lambda1_power_iteration(
-    t: PlaneTree,
-    tol: float = 1e-10,
-    *,
-    max_iter: int = 1_000_000,
-) -> float:
-    """Largest adjacency eigenvalue by shifted power iteration.
-
-    Iterates x <- (A + I) x with normalisation.  The shift matters: trees are
-    bipartite, so the plain adjacency has eigenvalues in symmetric pairs and
-    an unshifted iteration can stall on a mix of the two extreme
-    eigenvectors; adding the identity makes the dominant eigenvalue simple.
-    The all-ones start vector has positive overlap with the Perron vector of
-    a connected graph.  Convergence is declared once the Rayleigh quotient
-    of A is stable to ``tol`` over three consecutive iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    adj = adjacency_lists(t)
-    size = len(adj)
-    if size == 1:
-        return 0.0
-    src = np.fromiter(
-        (v for v in range(size) for w in adj[v] if w > v), dtype=np.intp
-    )
-    dst = np.fromiter(
-        (w for v in range(size) for w in adj[v] if w > v), dtype=np.intp
-    )
-    x = np.full(size, 1.0 / math.sqrt(size))
-    rayleigh_prev = None
-    stable = 0
-    for _ in range(max_iter):
-        y = np.zeros(size)
-        np.add.at(y, src, x[dst])
-        np.add.at(y, dst, x[src])
-        rayleigh = float(x @ y)
-        y += x  # the +I shift
-        x = y / np.linalg.norm(y)
-        if rayleigh_prev is not None and abs(rayleigh - rayleigh_prev) <= tol * max(
-            1.0, abs(rayleigh)
-        ):
-            stable += 1
-            if stable >= 3:
-                return rayleigh
-        else:
-            stable = 0
-        rayleigh_prev = rayleigh
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last estimate {rayleigh_prev}"
-    )
 
 
 def stevanovic_bounds(delta: int) -> tuple[float, float]:
@@ -258,30 +184,16 @@ def leaning_pivot_chain(x: float, order: int) -> int | None:
 
 
 def leaning_lambda1_bracket(order: int, tol: float = 1e-12) -> tuple[float, float]:
-    """Certified bracket for the largest eigenvalue of a leaning tree.
+    """Bracket of width at most ``tol`` around the largest eigenvalue of a
+    leaning tree.
 
     Bisection on the pivot positivity predicate; O(order) per point, so this
     works for orders far beyond what an explicit 2^order-vertex tree allows.
+    The maximum degree of the order-``order`` leaning tree is ``order``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if order == 0:
-        return (0.0, 0.0)
-    lo = 0.0  # pivot(0) = 0 there, so the predicate fails: lo <= lambda1
-    hi = 2.0 * math.sqrt(order) + 1.0
-    if leaning_pivot_chain(hi, order) is not None:
-        raise RuntimeError("seed bracket does not straddle the eigenvalue")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution floor
-        if leaning_pivot_chain(mid, order) is None:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+    return _bisect(lambda x: leaning_pivot_chain(x, order) is None, order, tol)
 
 
 def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
@@ -290,34 +202,96 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def leaning_eigen_bound(
-    uh: int,
-    tol: float = 1e-10,
-    *,
-    method: str = "auto",
-    max_explicit_order: int = EXPLICIT_LEANING_ORDER,
-) -> float:
+def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
+    """Bracket of width at most ``tol`` around the largest adjacency
+    eigenvalue of ``t``, by bisection on the pivots of xI - A."""
+    plan, delta = _pivot_plan(t)
+    return _bisect(lambda x: _pivots_positive(x, plan), delta, tol)
+
+
+def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:
+    """Largest adjacency eigenvalue of ``t``: the midpoint of a bracket of
+    width at most ``tol``."""
+    lo, hi = lambda1_bracket(t, tol)
+    return 0.5 * (lo + hi)
+
+
+def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
     """Largest eigenvalue of the leaning tree of order uh - 1.
 
     Any rooted tree with Ulam-Harris number uh embeds into that leaning
     tree, so the value is an upper bound for the tree's own largest
-    adjacency eigenvalue.  ``method`` is "power" (explicit tree, guarded at
-    2^order nodes), "bisect" (pivot recursion, any order), or "auto".
+    adjacency eigenvalue.
     """
     if uh < 1:
         raise ValueError("Ulam-Harris number must be positive")
-    order = uh - 1
-    if method == "auto":
-        method = "power" if order <= max_explicit_order else "bisect"
-    if method == "power":
-        if order > max_explicit_order:
-            raise LimitError(
-                f"explicit leaning tree of order {order} exceeds the guard "
-                f"{max_explicit_order}; use method='bisect'"
-            )
-        if order == 0:
-            return 0.0
-        return lambda1_power_iteration(leaning_tree(order), tol)
-    if method == "bisect":
-        return leaning_lambda1(order, min(tol, 1e-10))
-    raise ValueError(f"unknown method {method!r}")
+    return leaning_lambda1(uh - 1, min(tol, 1e-10))
+
+
+def _bisect(positive, delta: int, tol: float) -> tuple[float, float]:
+    """Shrink a bracket around the largest eigenvalue of a tree with maximum
+    degree ``delta``; ``positive(x)`` says whether every pivot of xI - A is
+    positive, that is whether x lies above the eigenvalue."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if delta == 0:
+        return (0.0, 0.0)  # a single vertex
+    lo = 0.0  # a leaf's pivot is x itself, so the predicate fails: lo <= lambda1
+    hi = 2.0 * math.sqrt(delta) + 1.0  # above the bound 2 sqrt(delta - 1)
+    if not positive(hi):
+        raise RuntimeError("seed bracket does not straddle the eigenvalue")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # float resolution floor
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
+
+
+def _pivot_plan(t: PlaneTree) -> tuple[list[tuple[int, list[int]]], int]:
+    """Elimination order for the pivots of ``t``, and its maximum degree.
+
+    Lists each distinct non-leaf subtree object once, children before
+    parents, as its number of leaf children and the positions of its other
+    children in the list (repeated when a child object repeats).  A subtree
+    object has the same pivot wherever it occurs, so a shared object is
+    eliminated once per point; every leaf has the pivot x.
+    """
+    position: dict[int, int] = {}
+    plan: list[tuple[int, list[int]]] = []
+    delta = len(t.children)
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.children if c.children and id(c) not in position]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if id(node) not in position:  # a shared node may be stacked twice
+            position[id(node)] = len(plan)
+            kids = [position[id(c)] for c in node.children if c.children]
+            plan.append((len(node.children) - len(kids), kids))
+            if node is not t:
+                delta = max(delta, len(node.children) + 1)
+    return plan, delta
+
+
+def _pivots_positive(x: float, plan: list[tuple[int, list[int]]]) -> bool:
+    """True iff every pivot of xI - A is positive, eliminating in plan order.
+
+    ``x`` must be positive: it is the pivot of every leaf.
+    """
+    leaf = 1.0 / x
+    inverse: list[float] = []
+    for leaves, kids in plan:
+        pivot = x - leaves * leaf
+        for c in kids:
+            pivot -= inverse[c]
+        if pivot <= 0.0:
+            return False
+        inverse.append(1.0 / pivot)
+    return True

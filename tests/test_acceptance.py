@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from planetrees import lambda1_power_iteration, leaning_tree, stevanovic_bounds, verify
+from planetrees import lambda1, leaning_tree, stevanovic_bounds, verify
 
 
 def run_criterion(number, label, checks):
@@ -80,7 +80,7 @@ def test_criterion_6_degree_sandwich_scanned_degree():
 )
 def test_criterion_6_degree_sandwich_offset_degree():
     for k in range(2, 13):
-        lam = lambda1_power_iteration(leaning_tree(k))
+        lam = lambda1(leaning_tree(k))
         low, high = stevanovic_bounds(k + 1)
         assert low - 1e-8 <= lam <= high + 1e-8, (k, low, lam, high)
 
@@ -122,5 +122,5 @@ def test_offset_degree_claim_is_reported_not_asserted():
     assert not result.passed
     assert "order 2" in result.detail
     assert math.isclose(
-        lambda1_power_iteration(leaning_tree(2)), (1 + math.sqrt(5)) / 2, abs_tol=1e-9
+        lambda1(leaning_tree(2)), (1 + math.sqrt(5)) / 2, abs_tol=1e-9
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planetrees import cli, leaning_tree, walk_count_table
+from planetrees import cli, leaning_tree, verify, walk_count_table
 from planetrees.series import TruncatedSeries
 
 
@@ -167,6 +167,22 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "series-complement" in out
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failing and "series-complement" in failing[0]
+
+
+def test_verify_machine_formats_are_byte_deterministic(capsys):
+    first = run_cli(capsys, "verify", "roots", "--format", "json")
+    second = run_cli(capsys, "verify", "roots", "--format", "json")
+    assert first[0] == 0 and first == second
+    assert "elapsed" not in first[1]
+    # text mode still reports each budgeted sweep's time against its budget
+    code, out, _ = run_cli(capsys, "verify", "roots")
+    assert code == 0 and "; elapsed " in out and "(budget 5s)" in out
+
+
+def test_verify_budget_fails_an_overrun():
+    check = verify._budgeted(0.0)(lambda: verify.CheckResult("c", "roots", True, "done"))
+    result = check()
+    assert not result.passed and result.budget == 0.0 and result.elapsed >= 0.0
 
 
 def test_verify_text_report_shape(capsys):

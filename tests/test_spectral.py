@@ -2,17 +2,18 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from planetrees import (
     LimitError,
-    closed_walk_count,
+    PlaneTree,
     count_trees,
     enumerate_closed_walks,
     enumerate_decreasing_trees,
-    lambda1_power_iteration,
+    lambda1,
     lambda1_trace_estimate,
     leaning_eigen_bound,
     leaning_lambda1,
@@ -25,7 +26,7 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
-from planetrees.spectral import adjacency_lists, leaning_lambda1_bracket
+from planetrees.spectral import adjacency_lists, lambda1_bracket, leaning_lambda1_bracket
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -41,23 +42,30 @@ def dense_eigenvalue(t):
     return float(np.linalg.eigvalsh(matrix)[-1])
 
 
+def path(n):
+    t = PlaneTree(1)
+    for _ in range(n - 1):
+        t = PlaneTree(1, (t,))
+    return t
+
+
 def test_walk_count_trivial_lengths():
     t = leaning_tree(3)
-    assert closed_walk_count(t, 0) == 1
+    assert walk_count_table(t, 0) == {0: 1}
     for k in range(1, 7):
-        assert closed_walk_count(leaning_tree(k), 2) == k  # root degree
+        assert walk_count_table(leaning_tree(k), 2)[2] == k  # root degree
 
 
 def test_walk_count_hand_value():
     # fourth power of the path adjacency, diagonal entry at an interior vertex
-    assert closed_walk_count(leaning_tree(2), 4, 0) == 5
+    assert walk_count_table(leaning_tree(2), 4, 0)[4] == 5
 
 
 def test_walk_counts_match_enumeration():
     for k in range(1, 5):
+        table = walk_count_table(leaning_tree(k), 8)
         for n in range(0, 5):
-            exact = closed_walk_count(leaning_tree(k), 2 * n)
-            assert exact == len(enumerate_closed_walks(k, 2 * n))
+            assert table[2 * n] == len(enumerate_closed_walks(k, 2 * n))
 
 
 def test_walk_count_table_consistency():
@@ -66,7 +74,7 @@ def test_walk_count_table_consistency():
     assert table[0] == 1
     assert table[2] == 4
     for length, value in table.items():
-        assert value == closed_walk_count(t, length)
+        assert value == walk_count_table(t, length)[length]
     # appending a down-up pair injects, so counts never decrease
     values = [table[m] for m in sorted(table)]
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -74,35 +82,56 @@ def test_walk_count_table_consistency():
 
 def test_walk_count_rejects_odd_and_budget():
     with pytest.raises(ValueError):
-        closed_walk_count(leaning_tree(2), 3)
+        walk_count_table(leaning_tree(2), 3)
     with pytest.raises(LimitError):
-        closed_walk_count(leaning_tree(10), 40, max_work=100)
+        walk_count_table(leaning_tree(10), 40, max_work=100)
+
+
+def test_walk_budget_is_checked_before_building():
+    # a million logical vertices: the guard must fire before any per-vertex
+    # structure is allocated
+    tree = leaning_tree(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError):
+            walk_count_table(tree, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_path_walk_counts_are_fibonacci():
     # the 4-vertex path: interior diagonal of A^(2n) walks the odd Fibonacci line
     t = leaning_tree(2)
-    assert closed_walk_count(t, 20, 0) == 10946
-    assert closed_walk_count(t, 20, 2) == 4181  # a leaf vertex
+    assert walk_count_table(t, 20, 0)[20] == 10946
+    assert walk_count_table(t, 20, 2)[20] == 4181  # a leaf vertex
 
 
-def test_power_iteration_anchors():
-    assert lambda1_power_iteration(parse_tree("1")) == 0.0
-    assert abs(lambda1_power_iteration(leaning_tree(1)) - 1.0) < 1e-9
-    assert abs(lambda1_power_iteration(leaning_tree(2)) - PHI) < 1e-9
+def test_lambda1_anchors():
+    assert lambda1(parse_tree("1")) == 0.0
+    assert abs(lambda1(leaning_tree(1)) - 1.0) < 1e-9
+    assert abs(lambda1(leaning_tree(2)) - PHI) < 1e-9
 
 
-def test_power_iteration_star():
-    for leaves in (4, 9):
-        star = parse_tree("2(%s)" % " ".join(["1"] * leaves))
-        assert abs(lambda1_power_iteration(star) - math.sqrt(leaves)) < 1e-8
+def test_lambda1_closed_forms():
+    tol = 1e-10
+    cases = [(path(n), 2.0 * math.cos(math.pi / (n + 1))) for n in (100, 300, 800)]
+    for nodes in (5, 10, 200, 500):
+        star = parse_tree("2(%s)" % " ".join(["1"] * (nodes - 1)))
+        cases.append((star, math.sqrt(nodes - 1)))
+    for t, exact in cases:
+        assert abs(lambda1(t, tol) - exact) <= tol * max(1.0, exact)
 
 
-def test_power_iteration_matches_dense_oracle():
+def test_lambda1_matches_dense_oracle():
     rng = random.Random(4242)
     for _ in range(30):
         t = random_plane_tree(rng.randint(2, 25), rng)
-        assert abs(lambda1_power_iteration(t) - dense_eigenvalue(t)) < 1e-8
+        exact = dense_eigenvalue(t)
+        assert abs(lambda1(t) - exact) < 1e-10
+        lo, hi = lambda1_bracket(t, 1e-10)
+        assert hi - lo <= 1e-10 and lo - 1e-12 <= exact <= hi + 1e-12
 
 
 def test_trace_estimate_single_edge():
@@ -121,7 +150,7 @@ def test_trace_estimate_path():
 
 def test_trace_estimate_tightens_with_length():
     t = leaning_tree(5)
-    lam = lambda1_power_iteration(t)
+    lam = lambda1(t)
     previous = None
     for half in (4, 8, 12, 16):
         _, high = lambda1_trace_estimate(t, half)
@@ -134,7 +163,7 @@ def test_trace_estimate_tightens_with_length():
 def test_trace_estimate_order6():
     t = leaning_tree(6)
     _, high = lambda1_trace_estimate(t, 20)
-    lam = lambda1_power_iteration(t)
+    lam = lambda1(t)
     assert abs(high - lam) / lam < 0.10
 
 
@@ -142,7 +171,7 @@ def test_root_growth_estimate_close_at_length_40():
     for k in (2, 6, 10):
         t = leaning_tree(k)
         est = walk_growth_estimate(t, 20)
-        lam = lambda1_power_iteration(t)
+        lam = lambda1(t)
         assert abs(est - lam) / lam < 0.05
 
 
@@ -164,17 +193,21 @@ def test_sandwich_on_leaning_and_random_trees():
         if delta < 2:
             continue
         low, high = stevanovic_bounds(delta)
-        lam = lambda1_power_iteration(t)
+        lam = lambda1(t)
         assert low - 1e-8 <= lam <= high + 1e-8
 
 
-def test_leaning_bisection_matches_power_iteration():
-    for k in range(0, 11):
-        by_bisect = leaning_lambda1(k)
-        by_power = lambda1_power_iteration(leaning_tree(k)) if k > 0 else 0.0
-        assert abs(by_bisect - by_power) < 1e-8
+def test_leaning_bisection_matches_lambda1():
+    # the explicit tree and the per-order pivot chain bisect the same pivots
+    for k in range(0, 15):
+        assert lambda1(leaning_tree(k), 1e-12) == leaning_lambda1(k, 1e-12)
     lo, hi = leaning_lambda1_bracket(2, 1e-12)
     assert lo <= PHI <= hi
+
+
+def test_lambda1_eliminates_shared_subtrees_once():
+    # 2^24 logical vertices, 25 distinct subtree objects
+    assert abs(lambda1(leaning_tree(24)) - leaning_lambda1(24)) < 1e-10
 
 
 def test_leaning_bisection_scales_to_large_orders():
@@ -188,11 +221,8 @@ def test_leaning_eigen_bound_values():
     assert abs(leaning_eigen_bound(3) - PHI) < 1e-9
     value = leaning_eigen_bound(11)
     assert 0.5 * 20 <= value * value <= 1.1 * 20
-    # the two methods agree where both apply
-    assert abs(leaning_eigen_bound(9, method="power") - leaning_eigen_bound(9, method="bisect")) < 1e-8
-    with pytest.raises(LimitError):
-        leaning_eigen_bound(40, method="power")
-    assert leaning_eigen_bound(40) > 0  # auto falls back to bisection
+    assert abs(leaning_eigen_bound(9) - lambda1(leaning_tree(8))) < 1e-10
+    assert leaning_eigen_bound(40) > 0  # far beyond any explicit tree
 
 
 def test_embedding_bound_on_enumerated_trees():
@@ -201,12 +231,12 @@ def test_embedding_bound_on_enumerated_trees():
     for n in range(2, 7):
         for t in enumerate_decreasing_trees(n, 4):
             uh = uh_min(t).uh
-            assert lambda1_power_iteration(t) <= leaning_eigen_bound(uh) + 1e-8
+            assert lambda1(t) <= leaning_eigen_bound(uh) + 1e-8
 
 
 def test_walk_count_identity_with_coefficients():
     for k in range(1, 6):
-        t = leaning_tree(k)
+        table = walk_count_table(leaning_tree(k), 12)
         for n in range(0, 7):
-            walks = closed_walk_count(t, 2 * n)
+            walks = table[2 * n]
             assert walks == count_trees(n + 1, k + 1) - count_trees(n + 1, k)
