@@ -18,6 +18,7 @@ from .asymptotics import (
     eval_gk,
     eval_gk_dual,
     eval_sk,
+    growth_constants,
     zstar,
     zstar_lower_bound,
     zstar_upper_bound,
@@ -104,6 +105,7 @@ __all__ = [
     "format_tree",
     "format_walk",
     "gk_series",
+    "growth_constants",
     "is_decreasing",
     "iter_decreasing_trees",
     "lambda1",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 #: default bracket width for root location (double precision)
 DEFAULT_ROOT_TOL = 1e-12
+#: largest k whose root brackets ``zstar`` checks in exact arithmetic
+EXACT_CERTIFICATE_MAX_K = 10
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,9 @@ class RootBracket:
     """Certified interval [lo, hi] around the smallest positive root of s_k.
 
     The chain is verified positive at lo and verified to fail positivity at
-    hi (except in the exactly-solvable k = 1 case, where both endpoints are
-    the algebraic root 1).
+    hi, in exact arithmetic for k <= EXACT_CERTIFICATE_MAX_K and in floats
+    above (except in the exactly-solvable k = 1 case, where both endpoints
+    are the algebraic root 1).
     """
 
     k: int
@@ -173,32 +176,115 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     """Certified bracket for the smallest positive root of s_k.
 
     Bisection on the positivity predicate of ``eval_sk``, seeded with the
-    provable lower and upper bounds (intersected with [0, 1]).  k = 1 is
-    returned exactly: s_1 = 1 - z has root 1, which coincides with the lower
-    bound, so no strictly-positive certificate to its left exists within the
-    seeded interval.
+    provable lower and upper bounds (intersected with [0, 1]), stopped at
+    the first bracket no wider than ``tol`` (or at the float resolution
+    floor).  k = 1 is returned exactly: s_1 = 1 - z has root 1, which
+    coincides with the lower bound, so no strictly-positive certificate to
+    its left exists within the seeded interval.
+
+    For k <= EXACT_CERTIFICATE_MAX_K both endpoints are then checked in
+    exact rational arithmetic (every chain member positive at lo, not at
+    hi); an endpoint that fails, because rounding in the float chain
+    misjudged a point within a few ulps of the root, is stepped outward one
+    float at a time until it holds, so the bracket may end a few ulps wider
+    than ``tol``.  Above that limit the certificate is float-only: it rests
+    on the float evaluation of the chain, which is not rigorous under
+    rounding once the bracket is as narrow as the rounding error.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    for lo, hi in _root_brackets(k):
+        if hi - lo <= tol:
+            break
+    if 1 < k <= EXACT_CERTIFICATE_MAX_K:
+        while not _chain_positive_exactly(lo, k):
+            lo = math.nextafter(lo, 0.0)
+        while _chain_positive_exactly(hi, k):
+            hi = math.nextafter(hi, math.inf)
+    return RootBracket(k, lo, hi)
+
+
+def _root_brackets(k: int):
+    """The bisection brackets of ``zstar``, widest first.
+
+    Yields the seeds and then every bracket the bisection passes through,
+    ending at the float resolution floor.  Deterministic, so any list of
+    tolerances can be served from one run of it.
+    """
     if k == 1:
-        return RootBracket(1, 1.0, 1.0)
+        yield 1.0, 1.0
+        return
     lo = zstar_lower_bound(k)
     hi = min(1.0, zstar_upper_bound(k))
     if isinstance(eval_sk(lo, k), BeyondRoot):
         raise RuntimeError(f"positivity fails at the lower seed {lo} for k={k}")
     if not isinstance(eval_sk(hi, k), BeyondRoot):
         raise RuntimeError(f"positivity unexpectedly holds at the upper seed {hi} for k={k}")
-    while hi - lo > tol:
+    yield lo, hi
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break  # float resolution floor
+            return  # float resolution floor
         if isinstance(eval_sk(mid, k), BeyondRoot):
             hi = mid
         else:
             lo = mid
-    return RootBracket(k, lo, hi)
+        yield lo, hi
+
+
+def _chain_positive_exactly(z: float, k: int) -> bool:
+    """Whether s_1(z), ..., s_k(z) are all positive, in exact arithmetic.
+
+    z = p/q is taken at its exact binary value and each chain member is
+    carried as a/b with b > 0: s - z/s = (q a^2 - p b^2) / (q a b).  The
+    numerators roughly double in size at each step, so this is meant for
+    small k.
+    """
+    p, q = z.as_integer_ratio()
+    a, b = q - p, q
+    if a <= 0:
+        return False
+    for _ in range(2, k + 1):
+        a, b = q * a * a - p * b * b, q * a * b
+        if a <= 0:
+            return False
+    return True
+
+
+def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
+    """Growth rate and leading constant with k labels: ``(alpha(k, tol), ck(k, tol))``.
+
+    Both come from one bisection run on s_(k-1): a 1e-6 bracket sets the
+    width that keeps the propagated error of 1/zstar below ``tol``, a
+    bracket of that width gives alpha, and a min(tol, 1e-12) bracket gives
+    the point where c is evaluated.
+    """
+    if k < 2:
+        raise ValueError("growth constants are defined for k >= 2")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    brackets = _root_brackets(k - 1)
+    current = next(brackets)
+
+    def narrow(width: float) -> RootBracket:
+        nonlocal current
+        while current[1] - current[0] > width:
+            following = next(brackets, None)
+            if following is None:
+                break
+            current = following
+        return RootBracket(k - 1, *current)
+
+    coarse = narrow(1e-6)
+    alpha_width = min(DEFAULT_ROOT_TOL, tol * coarse.lo * coarse.lo)
+    c_width = min(tol, DEFAULT_ROOT_TOL)
+    # the bracket sequence only narrows, so serve the wider request first
+    roots = {width: narrow(width) for width in sorted({alpha_width, c_width}, reverse=True)}
+    alpha_root, c_root = roots[alpha_width], roots[c_width]
+    derivative = eval_gk_dual(c_root.midpoint, k - 1).d
+    return 1.0 / alpha_root.midpoint, 1.0 / derivative
 
 
 def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
@@ -207,13 +293,7 @@ def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     The root bracket is refined to a width that keeps the propagated error
     of the reciprocal below ``tol``.
     """
-    if k < 2:
-        raise ValueError("growth constants are defined for k >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    coarse = zstar(k - 1, 1e-6)
-    width = min(DEFAULT_ROOT_TOL, tol * coarse.lo * coarse.lo)
-    return 1.0 / zstar(k - 1, width).midpoint
+    return growth_constants(k, tol)[0]
 
 
 def alpha_bounds(k: int) -> tuple[float, float]:
@@ -240,8 +320,4 @@ def ck(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     recurrence that defines the series, and the formula is validated against
     the empirical series ratio in the tests before being trusted.
     """
-    if k < 2:
-        raise ValueError("growth constants are defined for k >= 2")
-    root = zstar(k - 1, min(tol, DEFAULT_ROOT_TOL))
-    derivative = eval_gk_dual(root.midpoint, k - 1).d
-    return 1.0 / derivative
+    return growth_constants(k, tol)[1]

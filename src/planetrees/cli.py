@@ -289,11 +289,12 @@ def cmd_alpha(args, config: RunConfig) -> int:
     rows = []
     for k in range(2, args.k + 1):
         lower, upper = asymptotics.alpha_bounds(k)
+        growth, constant = asymptotics.growth_constants(k)
         rows.append(
             [
                 str(k),
-                _fmt_float(asymptotics.alpha(k)),
-                _fmt_float(asymptotics.ck(k)),
+                _fmt_float(growth),
+                _fmt_float(constant),
                 _fmt_float(lower),
                 _fmt_float(upper),
             ]

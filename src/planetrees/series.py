@@ -5,23 +5,39 @@ whose nodes carry labels from {1, ..., k} such that labels strictly decrease
 along every path away from the root.  Two independent routes to the same
 numbers live here:
 
-* ``gk_series`` builds the counting series with truncated integer power
-  series arithmetic, using the rational recurrence that adds, at each new
-  top label, a root followed by an arbitrary sequence of subtrees with
-  smaller labels;
+* ``gk_series`` builds the counting series g_k with exact integer
+  arithmetic, by one of two engines chosen from k and the order:
+
+  - the *rational engine* (few labels, 2^(k-1) <= order): the chain
+    s_1 = 1 - z, s_k = s_(k-1) - z/s_(k-1) makes s_k = 1 - g_k = A_k/B_k
+    with integer polynomials A_k = A_(k-1)^2 - z B_(k-1)^2 and
+    B_k = A_(k-1) B_(k-1).  Since B_k(0) = 1, the coefficients of
+    g_k = (B_k - A_k)/B_k satisfy a division-free linear recurrence of
+    order deg B_k = 2^(k-1) - 1 (Flajolet and Sedgewick, *Analytic
+    Combinatorics*, IV.5), which costs O(order * 2^(k-1)) products;
+  - the *schoolbook engine* (many labels): k - 1 truncated series
+    inversions, adding at each new top label a root followed by an
+    arbitrary sequence of subtrees with smaller labels, which costs
+    O(k * order^2) products and avoids building polynomials of degree
+    2^(k-1);
+
 * ``count_trees_by_compositions`` runs the scalar recurrence over
   compositions of n-1 (a bottom-up convolution by default, literal
   composition enumeration behind a flag for small n).
 
-A third route, brute-force enumeration, lives in ``planetrees.trees``.
-All coefficients are plain Python ints; the counts grow like (2k)^n and
-overflow any fixed width almost immediately.
+``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
+that it cross-checks whichever engine ``gk_series`` picked.  A third route,
+brute-force enumeration, lives in ``planetrees.trees``.  All coefficients
+are plain Python ints; the counts grow like (2k)^n and overflow any fixed
+width almost immediately.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator
 
 from .errors import LimitError
@@ -119,9 +135,17 @@ def gk_series(k: int, order: int) -> TruncatedSeries:
     series is z (a single node); each further label prepends the choice of
     not using the new top label, plus a new root carrying it followed by any
     sequence of subtrees over the smaller labels, realised as
-    z / (1 - previous series).
+    z / (1 - previous series).  Runs the rational engine while
+    2^(k-1) <= order and the schoolbook inversions above that (see the
+    module docstring).
     """
     _require_positive(k=k, order=order)
+    if 2 ** (k - 1) <= order:
+        return _gk_series_rational(k, order)
+    return _gk_series_schoolbook(k, order)
+
+
+def _gk_series_schoolbook(k: int, order: int) -> TruncatedSeries:
     coeffs = [0] * order
     if order > 1:
         coeffs[1] = 1
@@ -130,6 +154,42 @@ def gk_series(k: int, order: int) -> TruncatedSeries:
     for _ in range(k - 1):
         g = g + series_invert_unit(one - g).shifted()
     return g
+
+
+def _gk_series_rational(k: int, order: int) -> TruncatedSeries:
+    # A_k and B_k modulo z^order: the recurrence below reads no coefficient
+    # of index order or more
+    a, b = [1, -1][:order], [1]
+    for _ in range(k - 1):
+        z_b2 = [0] + _poly_mul(b, b, order - 1)
+        a, b = _poly_sub(_poly_mul(a, a, order), z_b2), _poly_mul(a, b, order)
+    numerator = _poly_sub(b, a)
+    numerator += [0] * (order - len(numerator))
+    # B_0 = 1, so c_m = N_m - sum_{j=1..deg B} B_j c_(m-j) is exact, with
+    # c_m = 0 for m < 0 kept as deg leading zeros
+    tail = b[:0:-1]  # B_deg, ..., B_1
+    deg = len(tail)
+    c = [0] * deg
+    for m in range(order):
+        c.append(numerator[m] - sum(map(operator.mul, tail, c[m : m + deg])))
+    return TruncatedSeries(tuple(c[deg:]))
+
+
+def _poly_mul(p: list[int], q: list[int], order: int) -> list[int]:
+    """Product of two integer polynomials modulo z^order (coefficient lists)."""
+    size = min(len(p) + len(q) - 1, order)
+    q_rev = q[::-1]
+    last = len(q) - 1
+    out = []
+    for m in range(size):
+        lo = max(0, m - last)
+        hi = min(m, len(p) - 1)
+        out.append(sum(map(operator.mul, p[lo : hi + 1], q_rev[last - m + lo : last - m + hi + 1])))
+    return out
+
+
+def _poly_sub(p: list[int], q: list[int]) -> list[int]:
+    return [x - y for x, y in zip_longest(p, q, fillvalue=0)]
 
 
 def sk_series(k: int, order: int) -> TruncatedSeries:

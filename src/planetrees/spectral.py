@@ -30,6 +30,10 @@ from .trees import PlaneTree, node_count
 
 #: default work cap for single-vertex walk counts (node count times half-length)
 WALK_WORK_LIMIT = 5_000_000
+#: cap on node count times half-length squared for single-vertex walk counts:
+#: the counts gain digits at every step, so the arithmetic and the decimal
+#: output grow with the square of the length
+WALK_GROWTH_LIMIT = 500_000_000
 #: default work cap for all-vertex profiles (node count squared times half-length)
 PROFILE_WORK_LIMIT = 30_000_000
 
@@ -61,15 +65,19 @@ def walk_count_table(
 
     One replay serves all lengths: after m applications of the adjacency
     operator to the indicator vector, the entry at ``vertex`` is the count of
-    closed m-walks.
+    closed m-walks.  Besides ``max_work`` the lengths are capped at
+    WALK_GROWTH_LIMIT for node count times half-length squared.
     """
     if max_length < 0 or max_length % 2:
         raise ValueError("max_length must be even and nonnegative")
     size = node_count(t)
     if not 0 <= vertex < size:
         raise ValueError(f"vertex {vertex} out of range")
-    if size * (max_length // 2 + 1) > max_work:
+    half = max_length // 2
+    if size * (half + 1) > max_work:
         raise LimitError("walk-count budget exceeded (node count times half-length)")
+    if size * half * half > WALK_GROWTH_LIMIT:
+        raise LimitError("walk-count budget exceeded (node count times half-length squared)")
     adj = adjacency_lists(t)
     counts = {0: 1}
     x = [0] * len(adj)

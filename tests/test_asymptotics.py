@@ -1,6 +1,7 @@
 """Root brackets, growth constants, and the dual-number derivative."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from planetrees import (
     eval_gk_dual,
     eval_sk,
     gk_series,
+    growth_constants,
     zstar,
     zstar_lower_bound,
     zstar_upper_bound,
@@ -93,6 +95,39 @@ def test_zstar_brackets_inside_proved_bounds():
 def test_zstar_respects_requested_width():
     for tol in (1e-6, 1e-9, 1e-12):
         assert zstar(5, tol).width <= tol
+
+
+def _chain_positive(z: float, k: int) -> bool:
+    z = Fraction(z)
+    s = 1 - z
+    for _ in range(k - 1):
+        if s <= 0:
+            return False
+        s = s - z / s
+    return s > 0
+
+
+def test_zstar_brackets_are_certified_exactly():
+    # in float arithmetic the chain misjudges points within a few ulps of
+    # the root; the bracket must still hold in exact arithmetic
+    for k in range(2, 11):
+        for tol in (1e-12, 1e-16, 1e-20):
+            bracket = zstar(k, tol)
+            assert _chain_positive(bracket.lo, k), (k, tol)
+            assert not _chain_positive(bracket.hi, k), (k, tol)
+            assert bracket.width <= max(tol, 16 * math.ulp(bracket.hi)), (k, tol)
+
+
+def test_growth_constants_match_separate_bisections():
+    for k in range(2, 60):
+        for tol in (1e-12, 1e-9):
+            coarse = zstar(k - 1, 1e-6)
+            width = min(1e-12, tol * coarse.lo**2)
+            root = zstar(k - 1, min(tol, 1e-12))
+            expected = (1.0 / zstar(k - 1, width).midpoint, 1.0 / eval_gk_dual(root.midpoint, k - 1).d)
+            assert growth_constants(k, tol) == expected == (alpha(k, tol), ck(k, tol))
+    with pytest.raises(ValueError):
+        growth_constants(1)
 
 
 def test_dual_arithmetic_rules():

@@ -204,3 +204,9 @@ def test_walk_counts_past_the_int_string_limit(capsys):
     # digits and the length together pin the decimal text
     assert int(count[-4000:]) == expected % 10**4000
     assert int(count[:100]) == expected // 10 ** (len(count) - 100)
+
+
+def test_walks_guard_counts_digit_growth(capsys):
+    # within the linear budget, but the counts would reach 33,000 digits
+    code, out, err = run_cli(capsys, "walks", "3", "--max-len", "100000")
+    assert code == 3 and out == "" and "half-length squared" in err
