@@ -65,12 +65,14 @@ from .trees import (
     node_count,
     parse_tree,
     random_plane_tree,
+    subtree_plan,
 )
 from .ulam_harris import (
     UhReport,
     enumerate_unordered_shapes,
     uh_min,
     uh_min_bruteforce,
+    uh_number,
     uh_ordered,
 )
 
@@ -123,8 +125,10 @@ __all__ = [
     "series_to_json",
     "sk_series",
     "stevanovic_bounds",
+    "subtree_plan",
     "uh_min",
     "uh_min_bruteforce",
+    "uh_number",
     "uh_ordered",
     "validate_walk",
     "walk_count_table",

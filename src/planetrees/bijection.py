@@ -105,18 +105,23 @@ def build_walk_from_tree(t: PlaneTree) -> Walk:
     decrease away from the root.
     """
     moves: list[int] = []
-
-    def emit(node: PlaneTree) -> None:
-        for child in node.children:
-            if child.label >= node.label:
-                raise ValueError(
-                    f"not a decreasing tree: child label {child.label} under {node.label}"
-                )
-            moves.append(node.label - child.label)
-            emit(child)
-            moves.append(UP)
-
-    emit(t)
+    append = moves.append
+    # (label, remaining children) of each vertex on the current root path
+    stack = [(t.label, iter(t.children))]
+    while stack:
+        label, pending = stack[-1]
+        for child in pending:
+            if child.label >= label:
+                raise ValueError(f"not a decreasing tree: child label {child.label} under {label}")
+            append(label - child.label)
+            if child.children:
+                stack.append((child.label, iter(child.children)))
+                break
+            append(UP)  # a leaf is left at once
+        else:
+            stack.pop()
+            if stack:
+                append(UP)
     return Walk(t.label - 1, tuple(moves))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -313,7 +314,8 @@ def cmd_walks(args, config: RunConfig) -> int:
         emit_table(config, columns, rows)
         return EXIT_OK
     tree = trees.leaning_tree(args.k)
-    table = spectral.walk_count_table(tree, args.max_len)
+    budgets = {"max_work": math.inf, "max_growth": math.inf} if config.unsafe_limits else {}
+    table = spectral.walk_count_table(tree, args.max_len, **budgets)
     columns = ["length", "count"]
     rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]
     emit_table(config, columns, rows)
@@ -341,7 +343,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
     delta = trees.max_degree(tree)
     lam = spectral.lambda1(tree, config.tol)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
-    uh = ulam_harris.uh_min(tree).uh
+    uh = ulam_harris.uh_number(tree)
     leaning_bound = spectral.leaning_eigen_bound(uh, config.tol)
     pairs = [
         ("tree", source),

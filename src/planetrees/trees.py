@@ -8,8 +8,14 @@ than its parent's.
 The regular leaning tree of order k is the recursive tree whose root has k
 children carrying, left to right, the leaning trees of orders k-1 down to 0.
 It has 2^k nodes.  Instances built here share subtree objects (the structure
-is immutable), so construction is cheap even though traversals remain
-proportional to the full node count.
+is immutable), so construction is cheap.  ``subtree_plan`` lists each
+distinct subtree object once, children first, and the per-tree quantities
+(``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue pivots and
+root walk counts) are computed over that list: k objects for the leaning
+tree of order k, not its 2^k nodes.  No traversal of a given tree
+recurses, so its depth is bounded by memory, not by the interpreter's
+recursion limit; only ``PlaneTree.__eq__`` and ``__hash__`` still recurse,
+through tuple comparison and hashing.
 
 ``iter_decreasing_trees(n, k)`` streams every n-node decreasing tree with
 labels in {1..k} in canonical order: lexicographic by bracket text, so
@@ -67,29 +73,37 @@ class PlaneTree:
 
 def format_tree(t: PlaneTree) -> str:
     """Bracket notation: ``label(child child ...)``, a leaf is its bare label."""
-    memo: dict[int, str] = {}
-
-    def fmt(node: PlaneTree) -> str:
-        key = id(node)
-        text = memo.get(key)
-        if text is None:
+    if not t.children:
+        return str(t.label)
+    out = ["%d(" % t.label]
+    append = out.append
+    stack = [iter(t.children)]
+    first = True  # no separator before the first child of a list
+    while stack:
+        for node in stack[-1]:
+            if not first:
+                append(" ")
             if node.children:
-                text = "%d(%s)" % (node.label, " ".join(fmt(c) for c in node.children))
-            else:
-                text = str(node.label)
-            memo[key] = text
-        return text
-
-    return fmt(t)
+                append("%d(" % node.label)
+                stack.append(iter(node.children))
+                first = True
+                break
+            append(str(node.label))
+            first = False
+        else:
+            stack.pop()
+            append(")")
+            first = False
+    return "".join(out)
 
 
 def parse_tree(text: str) -> PlaneTree:
     """Parse bracket notation, reporting the position of the first error."""
     pos = 0
     n = len(text)
-
-    def parse_node() -> PlaneTree:
-        nonlocal pos
+    # nodes whose child list is still open: (label, children so far)
+    stack: list[tuple[int, list[PlaneTree]]] = []
+    while True:
         start = pos
         while pos < n and text[pos].isdigit():
             pos += 1
@@ -98,57 +112,87 @@ def parse_tree(text: str) -> PlaneTree:
         label = int(text[start:pos])
         if label == 0:
             raise TreeParseError("label 0 is not allowed", start)
-        children: list[PlaneTree] = []
         if pos < n and text[pos] == "(":
             pos += 1
-            children.append(parse_node())
-            while pos < n and text[pos] == " ":
+            stack.append((label, []))
+            continue
+        node = _fast_tree(label, ())  # labels are checked above
+        # hand the finished node to its parent, closing every list that ends here
+        while stack:
+            stack[-1][1].append(node)
+            if pos < n and text[pos] == " ":
                 pos += 1
-                children.append(parse_node())
+                break  # a sibling follows
             if pos >= n or text[pos] != ")":
                 raise TreeParseError("expected ')' or ' '", pos)
             pos += 1
-        return PlaneTree(label, tuple(children))
-
-    root = parse_node()
+            label, children = stack.pop()
+            node = _fast_tree(label, tuple(children))
+        else:
+            break  # the root is finished
     if pos != n:
         raise TreeParseError("trailing input after tree", pos)
-    return root
+    return node
+
+
+def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
+    """Each distinct non-leaf subtree object of ``t`` once, children before
+    parents, as ``(object, number of leaf children, positions of the other
+    children)``.
+
+    The positions index this list, in child order, repeated when a child
+    object repeats.  An object has the same size, degree, Ulam-Harris value,
+    pivots and walk counts wherever it occurs, so one pass over the list
+    computes them at the cost of the distinct objects: k entries for
+    ``leaning_tree(k)``.  Leaves are not listed (callers take them as the
+    base case), the root is the last entry, and a one-node tree gives an
+    empty list.
+    """
+    plan: list[tuple[PlaneTree, int, list[int]]] = []
+    if t.children:
+        position: dict[int, int] = {}
+        # (node, its children not yet visited, positions of its listed children)
+        stack = [(t, iter(t.children), [])]
+        while stack:
+            node, pending, kids = stack[-1]
+            for child in pending:
+                if child.children:
+                    listed = position.get(id(child))
+                    if listed is None:
+                        stack.append((child, iter(child.children), []))
+                        break
+                    kids.append(listed)  # a shared object, already listed
+            else:
+                stack.pop()
+                listed = position[id(node)] = len(plan)
+                plan.append((node, len(node.children) - len(kids), kids))
+                if stack:
+                    stack[-1][2].append(listed)
+    return plan
 
 
 def node_count(t: PlaneTree) -> int:
-    """Number of nodes, counting shared subtrees once per occurrence."""
-    total = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        total += 1
-        stack.extend(node.children)
-    return total
+    """Number of nodes, counting a shared subtree once per occurrence.
+
+    One pass over ``subtree_plan``: ``leaning_tree(k)`` costs k objects
+    although it has 2^k nodes.
+    """
+    sizes: list[int] = []
+    for _, leaves, kids in subtree_plan(t):
+        sizes.append(1 + leaves + sum([sizes[c] for c in kids]))
+    return sizes[-1] if sizes else 1
 
 
 def max_degree(t: PlaneTree) -> int:
     """Maximum vertex degree of the underlying (undirected) tree.
 
     The root contributes its child count; every other node contributes its
-    child count plus one for the parent edge.
+    child count plus one for the parent edge.  Every listed object but the
+    root is a non-root vertex, and a leaf's degree 1 never exceeds its
+    parent's, so this reads the distinct objects of ``subtree_plan`` only.
     """
-    best = len(t.children)
-    stack = list(t.children)
-    while stack:
-        node = stack.pop()
-        best = max(best, len(node.children) + 1)
-        stack.extend(node.children)
-    return best
-
-
-def iter_nodes(t: PlaneTree) -> Iterator[PlaneTree]:
-    """Preorder traversal (root first, then each child subtree in order)."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+    plan = subtree_plan(t)
+    return max([len(t.children)] + [len(node.children) + 1 for node, _, _ in plan[:-1]])
 
 
 def is_decreasing(t: PlaneTree, k: int) -> bool:
@@ -343,8 +387,8 @@ def random_plane_tree(size: int, rng: random.Random) -> PlaneTree:
     kids: list[list[int]] = [[] for _ in range(size)]
     for i in range(1, size):
         kids[rng.randrange(i)].append(i)
-
-    def build(i: int) -> PlaneTree:
-        return PlaneTree(1, tuple(build(c) for c in kids[i]))
-
-    return build(0)
+    # every node's children come after it, so build from the last node back
+    built: list = [None] * size
+    for i in range(size - 1, -1, -1):
+        built[i] = PlaneTree(1, tuple([built[c] for c in kids[i]]))
+    return built[0]

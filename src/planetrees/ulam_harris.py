@@ -9,7 +9,9 @@ trees are ignored throughout this module; only the shape matters.
 The minimisation is exact: at each node the children may be ordered
 independently, and placing subtrees in descending order of their own minimal
 numbers is optimal by the standard exchange argument (verified against the
-brute-force sweep in the tests rather than assumed).
+brute-force sweep in the tests rather than assumed).  ``uh_number`` and
+``uh_min`` compute each distinct subtree object's minimal number once, over
+``trees.subtree_plan``, without recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import LimitError
-from .trees import PlaneTree, format_tree, node_count
+from .trees import PlaneTree, format_tree, node_count, subtree_plan
 
 #: node-count cap for the brute-force ordering sweep
 BRUTEFORCE_NODE_LIMIT = 9
@@ -41,41 +43,80 @@ class UhReport:
 def uh_ordered(t: PlaneTree) -> UhReport:
     """Ulam-Harris number of an ordered tree, children taken as given."""
     labels: list[int] = []
-
-    def assign(node: PlaneTree, label: int) -> int:
+    stack = [(t, 1)]
+    while stack:
+        node, label = stack.pop()
         labels.append(label)
-        best = label
-        for position, child in enumerate(node.children, start=1):
-            best = max(best, assign(child, label + position))
-        return best
+        kids = node.children
+        # the last child is stacked first, with the largest label
+        stack.extend(zip(reversed(kids), range(label + len(kids), label, -1)))
+    return UhReport(max(labels), t, tuple(labels))
 
-    best = assign(t, 1)
-    return UhReport(best, t, tuple(labels))
+
+def uh_number(t: PlaneTree) -> int:
+    """Exact minimal Ulam-Harris number over all child orderings.
+
+    The value of ``uh_min`` without its witness: each distinct subtree
+    object's minimal number is computed once, so ``leaning_tree(k)`` costs k
+    objects, not 2^k nodes.
+    """
+    values = _minimal_values(subtree_plan(t))
+    return values[-1] if values else 1
 
 
 def uh_min(t: PlaneTree) -> UhReport:
     """Exact minimal Ulam-Harris number over all child orderings.
 
-    Each subtree's minimal number is computed recursively; sorting the
+    Each subtree's minimal number is computed children first; sorting the
     children by that value, descending, is optimal because swapping any two
     children out of descending order never decreases the maximum of
     position + subtree value.  Ties are broken by the bracket serialisation
-    of the reordered subtree, which makes the witness deterministic.
+    of the reordered subtree, which makes the witness deterministic; only
+    siblings whose values tie are serialised.
     """
-    _, witness = _min_order(t)
-    ordered = uh_ordered(witness)
-    return UhReport(ordered.uh, witness, ordered.labels)
+    plan = subtree_plan(t)
+    values = _minimal_values(plan)
+    witnesses: list[PlaneTree] = []
+    for node, leaves, kids in plan:
+        if not leaves and len(kids) == 1:  # a single child: nothing to order
+            witnesses.append(PlaneTree(node.label, (witnesses[kids[0]],)))
+            continue
+        ranked = sorted(kids, key=values.__getitem__, reverse=True)
+        # leaves have value 1, below every other child's
+        tops = [values[i] for i in ranked] + [1] * leaves
+        children = [witnesses[i] for i in ranked] + [c for c in node.children if not c.children]
+        witnesses.append(PlaneTree(node.label, tuple(_text_order_within_ties(tops, children))))
+    witness = witnesses[-1] if witnesses else t
+    report = uh_ordered(witness)
+    return UhReport(report.uh, witness, report.labels)
 
 
-def _min_order(t: PlaneTree) -> tuple[int, PlaneTree]:
-    ranked = sorted(
-        (_min_order(child) for child in t.children),
-        key=lambda pair: (-pair[0], format_tree(pair[1])),
-    )
-    best = 1
-    for position, (value, _) in enumerate(ranked, start=1):
-        best = max(best, position + value)
-    return best, PlaneTree(t.label, tuple(w for _, w in ranked))
+def _minimal_values(plan: list) -> list[int]:
+    # the minimal Ulam-Harris number of each object of ``trees.subtree_plan``
+    values: list[int] = []
+    for node, leaves, kids in plan:
+        # leaves (value 1) go last, the largest of them at the last position
+        best = len(node.children) + 1 if leaves else 0
+        ranked = sorted([values[c] for c in kids], reverse=True)
+        for position, value in enumerate(ranked, start=1):
+            best = max(best, position + value)
+        values.append(best)
+    return values
+
+
+def _text_order_within_ties(values: list[int], trees: list[PlaneTree]) -> list[PlaneTree]:
+    # ``trees`` is sorted by ``values``, descending; each run of equal values
+    # is put in the order of its bracket texts
+    ordered: list[PlaneTree] = []
+    start = 0
+    for end in range(1, len(values) + 1):
+        if end == len(values) or values[end] != values[start]:
+            run = trees[start:end]
+            if len(run) > 1:
+                run.sort(key=format_tree)
+            ordered += run
+            start = end
+    return ordered
 
 
 def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -> int:

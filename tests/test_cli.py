@@ -1,10 +1,16 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from planetrees import cli, leaning_tree, verify, walk_count_table
+from planetrees import cli, leaning_tree, series, verify, walk_count_table
+from planetrees.intstr import int_to_str
 from planetrees.series import TruncatedSeries
 
 
@@ -210,3 +216,62 @@ def test_walks_guard_counts_digit_growth(capsys):
     # within the linear budget, but the counts would reach 33,000 digits
     code, out, err = run_cli(capsys, "walks", "3", "--max-len", "100000")
     assert code == 3 and out == "" and "half-length squared" in err
+
+
+def test_walks_budgets_loosen_with_unsafe_limits(capsys):
+    # node count times half-length squared: 8 * 7906^2 = 5.0004e8 > 5e8
+    code, out, err = run_cli(capsys, "walks", "3", "--max-len", "15812")
+    assert code == 3 and out == "" and "half-length squared" in err
+    code, out, _ = run_cli(capsys, "walks", "3", "--max-len", "15812", "--unsafe-limits", "--format", "csv")
+    assert code == 0
+    length, count = out.strip().splitlines()[-1].split(",")
+    assert length == "15812"
+    expected = series.count_trees(7907, 4) - series.count_trees(7907, 3)
+    assert int(count[-4000:]) == expected % 10**4000
+    assert len(count) == len(int_to_str(expected))
+
+
+DEEP = 100_000
+
+
+def test_deep_path_uh(capsys):
+    text = "1(" * (DEEP - 1) + "1" + ")" * (DEEP - 1)
+    code, out, _ = run_cli(capsys, "uh", text, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["uh"] == payload["uh_as_given"] == str(DEEP)
+    assert payload["witness"] == text
+    assert payload["labels"] == " ".join(str(i) for i in range(1, DEEP + 1))
+
+
+def test_deep_path_bijection_both_directions(capsys):
+    tree = "".join("%d(" % (DEEP - i) for i in range(DEEP - 1)) + "1" + ")" * (DEEP - 1)
+    walk = " ".join(["+1"] * (DEEP - 1) + ["-"] * (DEEP - 1))
+    code, out, _ = run_cli(capsys, "bijection", "w", tree, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"order": str(DEEP - 1), "walk": walk}
+    code, out, _ = run_cli(capsys, "bijection", "p", "--order", str(DEEP - 1), walk)
+    assert code == 0 and out.strip() == tree
+
+
+def test_deep_path_eigen(capsys):
+    n = 10_000
+    code, out, _ = run_cli(capsys, "eigen", "1(" * (n - 1) + "1" + ")" * (n - 1), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nodes"] == payload["uh"] == str(n)
+    exact = 2 * math.cos(math.pi / (n + 1))
+    assert abs(float(payload["lambda1"]) - exact) <= 1e-10 * exact
+    # closed walks of length 20 from the end of a long path are Dyck paths
+    catalan = math.comb(20, 10) // 11
+    assert float(payload["walk_growth"]) == pytest.approx(catalan ** (1 / 20), rel=1e-12)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "planetrees", "count", "3", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "6\n"

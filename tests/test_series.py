@@ -75,14 +75,16 @@ def test_sk_series_values():
 
 
 def test_rational_engine_matches_schoolbook_and_complement():
-    # orders on both sides of the dispatch rule 2^(k-1) <= order
+    # orders on both sides of the old dispatch rule 2^(k-1) <= order and of
+    # the rule 2^(k-1) <= (k-1) * order / 4
     orders = set(range(1, 41)) | {100, 400}
     orders |= {2**j + d for j in range(9) for d in (-1, 0, 1)} - {0}
     for k in range(1, 11):
         schoolbook = series._gk_series_schoolbook(k, 400).coeffs
         complement = sk_series(k, 400).coeffs
         assert schoolbook == (1 - complement[0],) + tuple(-c for c in complement[1:])
-        for order in sorted(orders):
+        boundary = -(-4 * 2 ** (k - 1) // (k - 1)) if k > 1 else 1
+        for order in sorted(orders | {boundary - 1, boundary} - {0}):
             expected = schoolbook[:order]
             assert series._gk_series_rational(k, order).coeffs == expected, (k, order)
             assert gk_series(k, order).coeffs == expected, (k, order)
@@ -90,7 +92,7 @@ def test_rational_engine_matches_schoolbook_and_complement():
 
 def test_rational_engine_matches_compositions():
     for n, k in ((1000, 3), (600, 6)):
-        assert 2 ** (k - 1) <= n + 1  # the rational side of the rule
+        assert 4 * 2 ** (k - 1) <= (k - 1) * (n + 1)  # the rational side of the rule
         assert series._gk_series_rational(k, n + 1).coeffs[n] == count_trees_by_compositions(n, k)
 
 
@@ -99,10 +101,10 @@ def test_many_labels_stay_on_the_schoolbook_engine(monkeypatch):
         raise AssertionError(f"rational engine called at k={k}, order={order}")
 
     monkeypatch.setattr(series, "_gk_series_rational", refuse)
-    for k, order in ((16, 120), (24, 100), (40, 60), (8, 127)):
+    for k, order in ((16, 120), (24, 100), (40, 60), (8, 73), (10, 201)):
         assert gk_series(k, order).coeffs[order - 1] == count_trees_by_compositions(order - 1, k)
     with pytest.raises(AssertionError):
-        gk_series(8, 128)
+        gk_series(8, 74)
 
 
 def test_sk_is_complement_of_gk():
