@@ -8,12 +8,15 @@ decimal strings, and floats use their shortest round-trip representation.
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 size guard exceeded.  Size guards only loosen when
 --unsafe-limits is given.  Every flag has an environment-variable mirror
-named PLANETREES_<FLAG> (e.g. PLANETREES_FORMAT); explicit flags win.
+named PLANETREES_<FLAG> (e.g. PLANETREES_FORMAT); explicit flags win.  The
+variables are read on each call of ``main``, and a bad value is rejected as
+its flag would be: a usage error naming the variable, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,40 +61,57 @@ class RunConfig:
         return guards
 
 
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), default)
+FORMATS = ("text", "json", "csv")
+METHODS = ("series", "compositions", "enumerate")
 
 
+def _switch(raw: str) -> bool:
+    return raw not in ("", "0", "false")
+
+
+#: options whose default comes from PLANETREES_<DEST>: (type, choices, default)
+#: when neither the flag nor the variable is given
+_ENV_OPTIONS = {
+    "format": (str, FORMATS, "text"),
+    "tol": (float, None, 1e-10),
+    "max_n": (int, None, None),
+    "max_k": (int, None, None),
+    "method": (str, METHODS, "series"),
+    "order": (int, None, None),
+    "unsafe_limits": (_switch, None, False),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It reads no
+    environment: options left unset parse to None and ``main`` fills them
+    from ``PLANETREES_*`` on each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
-        default=_env("format", "text"),
+        choices=FORMATS,
         help="output format (default text; env PLANETREES_FORMAT)",
     )
     common.add_argument(
         "--tol",
         type=float,
-        default=float(_env("tol", "1e-10")),
-        help="tolerance for iterative numerics (env PLANETREES_TOL)",
+        help="tolerance for iterative numerics (default 1e-10; env PLANETREES_TOL)",
     )
     common.add_argument(
         "--max-n",
         type=int,
-        default=_int_env("max_n"),
         help="range/guard override for node counts (env PLANETREES_MAX_N)",
     )
     common.add_argument(
         "--max-k",
         type=int,
-        default=_int_env("max_k"),
         help="range/guard override for label bounds (env PLANETREES_MAX_K)",
     )
     common.add_argument(
         "--unsafe-limits",
         action="store_true",
-        default=_env("unsafe_limits", "") not in ("", "0", "false"),
+        default=None,
         help="allow --max-n/--max-k to loosen the built-in size guards",
     )
 
@@ -105,11 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common], help="count decreasing trees")
     p.add_argument("n", type=int, help="number of nodes")
     p.add_argument("k", type=int, help="label bound")
-    p.add_argument(
-        "--method",
-        choices=("series", "compositions", "enumerate"),
-        default=_env("method", "series"),
-    )
+    p.add_argument("--method", choices=METHODS, help="default series (env PLANETREES_METHOD)")
     p.add_argument(
         "--all-methods",
         action="store_true",
@@ -148,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order",
         type=int,
-        default=_int_env("order"),
-        help="leaning-tree order (required for direction p)",
+        help="leaning-tree order (required for direction p; env PLANETREES_ORDER)",
     )
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
@@ -163,9 +178,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_env(name: str) -> int | None:
-    raw = _env(name)
-    return int(raw) if raw is not None else None
+def _resolve_env_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill the options left unset from their ``PLANETREES_*`` variables,
+    rejecting a bad value as its flag would be rejected (exit 2)."""
+    given = vars(args)
+    for dest, (kind, choices, default) in _ENV_OPTIONS.items():
+        if dest not in given or given[dest] is not None:
+            continue  # given on the command line, or not an option of this command
+        name = ENV_PREFIX + dest.upper()
+        raw = os.environ.get(name)
+        value = default
+        if raw is not None:
+            try:
+                value = kind(raw)
+            except ValueError:
+                parser.error(f"{name}: invalid {kind.__name__} value: {raw!r}")
+            if choices is not None and value not in choices:
+                parser.error(
+                    f"{name}: invalid choice: {raw!r} (choose from {', '.join(map(repr, choices))})"
+                )
+        setattr(args, dest, value)
 
 
 # ------------------------------------------------------------- rendering --
@@ -437,6 +469,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _resolve_env_defaults(parser, args)
     config = RunConfig(
         format=args.format,
         tol=args.tol,

@@ -17,20 +17,23 @@ O(order) test per point and reaches orders no tree can be built for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
-by replaying the adjacency operator on every vertex, or, for root walks on
-trees with few distinct subtree objects, by first return over those objects
-(see ``walk_growth_estimate``).
+by replaying the adjacency operator on every vertex, or, for root walks, by
+first return over the distinct subtree objects, each solved only to the
+terms a root walk of the given length can use at its depth; root walks take
+first return unless its work is well above the replay's (see
+``walk_growth_estimate``).
+
+numpy is imported by ``walk_count_profile`` alone, on its first call.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from operator import mul
 
-import numpy as np
-
 from .errors import LimitError
-from .trees import PlaneTree, max_degree, node_count, subtree_plan
+from .trees import PlaneTree, node_count, plan_max_degree, plan_node_count, subtree_plan
 
 #: default work cap for single-vertex walk counts (node count times half-length)
 WALK_WORK_LIMIT = 5_000_000
@@ -38,6 +41,9 @@ WALK_WORK_LIMIT = 5_000_000
 #: the counts gain digits at every step, so the arithmetic and the decimal
 #: output grow with the square of the length
 WALK_GROWTH_LIMIT = 500_000_000
+#: first return counts root walks while its work is at most this many times
+#: the replay's (see ``walk_growth_estimate``): the measured crossover
+FIRST_RETURN_COST_RATIO = 12
 #: default work cap for all-vertex profiles (node count squared times half-length)
 PROFILE_WORK_LIMIT = 30_000_000
 
@@ -74,9 +80,15 @@ def walk_count_table(
     half-length and at ``max_growth`` for node count times half-length
     squared (pass ``math.inf`` to lift either cap).
     """
+    return _replay(t, node_count(t), max_length, vertex, max_work, max_growth)
+
+
+def _replay(
+    t: PlaneTree, size: int, max_length: int, vertex: int, max_work: float, max_growth: float
+) -> dict[int, int]:
+    """``walk_count_table`` on a tree whose node count ``size`` is known."""
     if max_length < 0 or max_length % 2:
         raise ValueError("max_length must be even and nonnegative")
-    size = node_count(t)
     if not 0 <= vertex < size:
         raise ValueError(f"vertex {vertex} out of range")
     half = max_length // 2
@@ -108,6 +120,8 @@ def walk_count_profile(
     matrix is kept as an object array so numpy only supplies the loops), then
     reads the diagonal of its square as row norms; the matrix is symmetric.
     """
+    import numpy as np  # only this function uses it, and it costs most of the import time
+
     if half_length < 0:
         raise ValueError("half_length must be nonnegative")
     size = node_count(t)
@@ -158,24 +172,44 @@ def walk_growth_estimate(
     """Single-vertex walk-growth estimate ``count^(1/length)``.
 
     The root count comes from first return over the distinct subtree
-    objects when that costs less, their number times half-length squared
-    against node count times half-length for the adjacency replay of
-    ``walk_count_table``: on ``leaning_tree(24)`` it is 24 objects against
-    16.8 M vertices, while explicit trees and other vertices keep the
-    replay.  Both give the same exact count.
+    objects (``_root_walk_counts``) when its work, the sum of
+    (half-length - depth + 1)^2 over the objects no deeper than the
+    half-length, is at most ``FIRST_RETURN_COST_RATIO`` times node count
+    times half-length, the work of the adjacency replay of
+    ``walk_count_table``, and at most ``max_work``, its budget.  Other
+    vertices and the other trees take the replay, under its own budgets.
+    Both give the same exact count.
     """
     length = 2 * half_length
-    plan = subtree_plan(t) if vertex == 0 else []
-    if plan and len(plan) * half_length < node_count(t):
-        if len(plan) * (half_length + 1) ** 2 > max_work:
-            raise LimitError("walk-count budget exceeded (distinct subtrees times half-length squared)")
-        count = _root_walk_counts(plan, half_length)[half_length]
-    else:
-        count = walk_count_table(t, length, vertex, max_work=max_work)[length]
-    return _int_root(count, 1.0 / (2 * half_length))
+    plan = subtree_plan(t)
+    size = plan_node_count(plan)
+    if vertex == 0 and plan:
+        depths = _plan_depths(plan)
+        work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
+        if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
+            count = _root_walk_counts(plan, half_length, depths)[half_length]
+            return _int_root(count, 1.0 / length)
+    count = _replay(t, size, length, vertex, max_work, WALK_GROWTH_LIMIT)[length]
+    return _int_root(count, 1.0 / length)
 
 
-def _root_walk_counts(plan: list, half: int) -> list[int]:
+def _plan_depths(plan: list) -> list[int]:
+    """Smallest depth at which each object of ``plan`` occurs, the root at 0.
+
+    One pass from the root down: ``trees.subtree_plan`` lists every parent
+    after its children, so an object's depth is final when it is reached.
+    """
+    depths = [len(plan)] * len(plan)  # above any depth: objects on a root path differ
+    depths[-1] = 0
+    for i in range(len(plan) - 1, -1, -1):
+        below = depths[i] + 1
+        for c in plan[i][2]:
+            if below < depths[c]:
+                depths[c] = below
+    return depths
+
+
+def _root_walk_counts(plan: list, half: int, depths: list[int] | None = None) -> list[int]:
     """Closed root walks of lengths 0, 2, ..., 2*half, by first return.
 
     A closed walk from v inside v's subtree is a sequence of excursions,
@@ -183,17 +217,31 @@ def _root_walk_counts(plan: list, half: int) -> list[int]:
     and a step back.  With z marking a pair of steps, the generating series
     obey R_v = 1/(1 - z * sum over children of R_c), and a leaf has R = 1
     (Flajolet, "Combinatorial aspects of continued fractions", Discrete
-    Math. 32 (1980) 125-161).  Each distinct object of ``plan``
-    (``trees.subtree_plan``) is solved once, about half^2/2 products.
+    Math. 32 (1980) 125-161).  A root walk of length 2*half reaches depth d
+    with at most half - d pairs of steps left, so each distinct object of
+    ``plan`` (``trees.subtree_plan``) is solved once, to half - d + 1 terms
+    at its smallest depth d (``depths``, from ``_plan_depths`` when not
+    given), and objects deeper than half are skipped.
     """
+    if depths is None:
+        depths = _plan_depths(plan)
     series: list[list[int]] = []
-    for _, leaves, kids in plan:
-        # the children's series summed (leaf children add 1 to z^0)
-        s = [sum(col) for col in zip(*[series[c] for c in kids])] if kids else [0] * (half + 1)
+    for (_, leaves, kids), depth in zip(plan, depths):
+        n = half - depth  # R_v needs the children's sum S to z^(n-1)
+        if n < 0:
+            series.append([])  # no root walk of length 2*half gets here
+            continue
+        if n == 0 or not kids:
+            # S = leaves gives R_v = 1/(1 - z * leaves); n = 0 needs R_0 = 1 only
+            series.append([leaves**m for m in range(n + 1)])
+            continue
+        # the children's series summed (leaf children add 1 to z^0); a
+        # child sits at most one level deeper, so it has at least n terms
+        s = [sum(col) for col in islice(zip(*[series[c] for c in kids]), n)]
         s[0] += leaves
         # r_m = sum over j = 1..m of s_(j-1) r_(m-j), since R_v (1 - z S) = 1
         r = [1]
-        for m in range(1, half + 1):
+        for m in range(1, n + 1):
             r.append(sum(map(mul, s[:m], reversed(r))))
         series.append(r)
     return series[-1]
@@ -259,7 +307,7 @@ def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
     """Bracket of width at most ``tol`` around the largest adjacency
     eigenvalue of ``t``, by bisection on the pivots of xI - A."""
     plan = subtree_plan(t)
-    return _bisect(lambda x: _pivots_positive(x, plan), max_degree(t), tol)
+    return _bisect(lambda x: _pivots_positive(x, plan), plan_max_degree(plan), tol)
 
 
 def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:

@@ -177,10 +177,7 @@ def node_count(t: PlaneTree) -> int:
     One pass over ``subtree_plan``: ``leaning_tree(k)`` costs k objects
     although it has 2^k nodes.
     """
-    sizes: list[int] = []
-    for _, leaves, kids in subtree_plan(t):
-        sizes.append(1 + leaves + sum([sizes[c] for c in kids]))
-    return sizes[-1] if sizes else 1
+    return plan_node_count(subtree_plan(t))
 
 
 def max_degree(t: PlaneTree) -> int:
@@ -191,8 +188,22 @@ def max_degree(t: PlaneTree) -> int:
     root is a non-root vertex, and a leaf's degree 1 never exceeds its
     parent's, so this reads the distinct objects of ``subtree_plan`` only.
     """
-    plan = subtree_plan(t)
-    return max([len(t.children)] + [len(node.children) + 1 for node, _, _ in plan[:-1]])
+    return plan_max_degree(subtree_plan(t))
+
+
+def plan_node_count(plan: list[tuple[PlaneTree, int, list[int]]]) -> int:
+    """``node_count`` of the tree whose ``subtree_plan`` is ``plan``."""
+    sizes: list[int] = []
+    for _, leaves, kids in plan:
+        sizes.append(1 + leaves + sum([sizes[c] for c in kids]))
+    return sizes[-1] if sizes else 1
+
+
+def plan_max_degree(plan: list[tuple[PlaneTree, int, list[int]]]) -> int:
+    """``max_degree`` of the tree whose ``subtree_plan`` is ``plan``."""
+    if not plan:
+        return 0  # a single vertex
+    return max([len(plan[-1][0].children)] + [len(node.children) + 1 for node, _, _ in plan[:-1]])
 
 
 def is_decreasing(t: PlaneTree, k: int) -> bool:

@@ -128,6 +128,45 @@ def test_env_var_mirrors_flags(capsys, monkeypatch):
     assert out.strip() == "6"
 
 
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("TOL", "abc", ["count", "3", "3"]),
+        ("MAX_N", "abc", ["count", "3", "3"]),
+        ("MAX_K", "1.5", ["table"]),
+        ("METHOD", "foo", ["count", "3", "3"]),
+        ("FORMAT", "xml", ["count", "3", "3"]),
+        ("ORDER", "two", ["bijection", "p", "+1 -"]),
+    ],
+)
+def test_bad_environment_value_is_usage_error(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv("PLANETREES_" + name, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: PLANETREES_{name}: invalid" in err and repr(value) in err
+
+
+def test_environment_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, so the defaults must not be
+    # baked into it by the first call
+    for name in list(os.environ):
+        if name.startswith("PLANETREES_"):
+            monkeypatch.delenv(name)
+    tree = "1(1 1(1 1) 1(1))"
+    code, default_out, _ = run_cli(capsys, "eigen", tree)
+    assert code == 0 and default_out.startswith("tree: ")
+    code, flagged_out, _ = run_cli(capsys, "eigen", tree, "--tol", "0.01", "--format", "json")
+    assert code == 0
+    monkeypatch.setenv("PLANETREES_FORMAT", "json")
+    monkeypatch.setenv("PLANETREES_TOL", "0.01")
+    code, out, _ = run_cli(capsys, "eigen", tree)
+    assert code == 0 and out == flagged_out
+    default = dict(line.split(": ", 1) for line in default_out.splitlines())
+    assert json.loads(out)["lambda1"] != default["lambda1"]  # the coarse tolerance shows
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "3", "3", "--bogus"])
@@ -275,3 +314,19 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0 and done.stdout == "6\n"
+
+
+def test_cli_import_and_eigen_leave_numpy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import contextlib, io, sys\n"
+        "import planetrees.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['eigen', '1(1 1(1))']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0 and done.stdout == "False\n"

@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planetrees import (
@@ -31,6 +31,7 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
+from planetrees import spectral
 from planetrees.spectral import _root_walk_counts
 
 
@@ -82,8 +83,16 @@ def test_plan_quantities_match_a_walk_over_every_vertex(t):
     assert (node_count(t), max_degree(t)) == every_vertex(t)
 
 
+SHARED = path(3)
+
+
 @given(core_trees(), st.integers(min_value=0, max_value=12))
 @settings(max_examples=60, deadline=None)
+# one object at depths 1 and 3: it must be solved to the terms depth 1 needs
+@example(PlaneTree(1, (SHARED, PlaneTree(1, (PlaneTree(1, (SHARED,)),)))), 5)
+@example(path(60), 12)  # objects deeper than the half-length are skipped
+@example(PlaneTree(1, (PlaneTree(1),) * 30), 6)  # a star: one object, leaf children only
+@example(leaning_tree(4), 0)
 def test_first_return_root_counts_match_the_replay(t, half):
     table = walk_count_table(t, 2 * half)
     expected = [table[2 * m] for m in range(half + 1)]
@@ -157,3 +166,28 @@ def test_walk_growth_picks_first_return_on_shared_trees():
     estimate = walk_growth_estimate(leaning_tree(24), 10)
     walks = count_trees(11, 25) - count_trees(11, 24)
     assert abs(estimate - walks ** (1 / 20)) <= 1e-12 * estimate
+
+
+def test_walk_growth_dispatch_gives_the_replay_value(monkeypatch):
+    # a 100-node uniform-attachment tree at half-length 80 takes the replay
+    # under the cost rule, a 2000-node path at half-length 10 first return;
+    # a 100-node path at half-length 30 would take first return, but its
+    # work of 10,416 is over the budget of 5,000 that the replay's 3,100 fits
+    routes = []
+    replay, first_return = spectral._replay, spectral._root_walk_counts
+    monkeypatch.setattr(spectral, "_replay", lambda *a: routes.append("replay") or replay(*a))
+    monkeypatch.setattr(
+        spectral, "_root_walk_counts", lambda *a: routes.append("first return") or first_return(*a)
+    )
+    default = spectral.WALK_WORK_LIMIT
+    cases = [
+        (random_plane_tree(100, random.Random(7)), 80, default, "replay"),
+        (path(2000), 10, default, "first return"),
+        (path(100), 30, 5000, "replay"),
+    ]
+    for t, half, budget, route in cases:
+        count = walk_count_table(t, 2 * half)[2 * half]
+        routes.clear()
+        estimate = walk_growth_estimate(t, half, max_work=budget)
+        assert routes == [route]
+        assert estimate == math.exp(math.log(count) * (1.0 / (2 * half)))
