@@ -12,7 +12,6 @@ import math
 
 from planetrees import (
     lambda1,
-    lambda1_trace_estimate,
     leaning_lambda1,
     leaning_tree,
     max_degree,
@@ -43,13 +42,9 @@ def main():
     t6 = leaning_tree(6)
     lam6 = lambda1(t6)
     for half in (5, 10, 20):
-        low, high = lambda1_trace_estimate(t6, half)
         root = walk_growth_estimate(t6, half)
-        print(
-            f"  2n={2*half:3d}   min-vertex {low:.5f}   root {root:.5f}   "
-            f"max-vertex {high:.5f}   target {lam6:.5f}"
-        )
-    print("  (the max-based estimate approaches from below; the min-based one lags)")
+        print(f"  2n={2*half:3d}   root {root:.5f}   target {lam6:.5f}")
+    print("  (the root estimate approaches from below)")
     print()
 
     print("Bisection reaches orders far beyond explicit trees:")

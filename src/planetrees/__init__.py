@@ -47,7 +47,6 @@ from .series import (
 )
 from .spectral import (
     lambda1,
-    lambda1_trace_estimate,
     leaning_eigen_bound,
     leaning_lambda1,
     stevanovic_bounds,
@@ -111,7 +110,6 @@ __all__ = [
     "is_decreasing",
     "iter_decreasing_trees",
     "lambda1",
-    "lambda1_trace_estimate",
     "leaning_eigen_bound",
     "leaning_lambda1",
     "leaning_tree",

@@ -66,10 +66,6 @@ class TruncatedSeries:
         return len(self.coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs) -> "TruncatedSeries":
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
     def constant(cls, value: int, order: int) -> "TruncatedSeries":
         if order < 1:
             raise ValueError("order must be at least 1")

@@ -22,8 +22,6 @@ first return over the distinct subtree objects, each solved only to the
 terms a root walk of the given length can use at its depth; root walks take
 first return unless its work is well above the replay's (see
 ``walk_growth_estimate``).
-
-numpy is imported by ``walk_count_profile`` alone, on its first call.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ WALK_GROWTH_LIMIT = 500_000_000
 #: first return counts root walks while its work is at most this many times
 #: the replay's (see ``walk_growth_estimate``): the measured crossover
 FIRST_RETURN_COST_RATIO = 12
-#: default work cap for all-vertex profiles (node count squared times half-length)
-PROFILE_WORK_LIMIT = 30_000_000
 
 
 def adjacency_lists(t: PlaneTree) -> list[list[int]]:
@@ -106,60 +102,6 @@ def _replay(
         if step % 2 == 0:
             counts[step] = x[vertex]
     return counts
-
-
-def walk_count_profile(
-    t: PlaneTree,
-    half_length: int,
-    *,
-    max_work: int = PROFILE_WORK_LIMIT,
-) -> list[int]:
-    """Exact closed-walk counts of length 2*half_length from every vertex.
-
-    Powers the adjacency matrix to ``half_length`` over Python integers (the
-    matrix is kept as an object array so numpy only supplies the loops), then
-    reads the diagonal of its square as row norms; the matrix is symmetric.
-    """
-    import numpy as np  # only this function uses it, and it costs most of the import time
-
-    if half_length < 0:
-        raise ValueError("half_length must be nonnegative")
-    size = node_count(t)
-    if size * size * max(half_length, 1) > max_work:
-        raise LimitError("profile budget exceeded (node count squared times half-length)")
-    adj = adjacency_lists(t)
-    neighbours = [np.array(nbrs, dtype=np.intp) for nbrs in adj]
-    power = np.zeros((size, size), dtype=object)
-    for i in range(size):
-        power[i, i] = 1
-    for _ in range(half_length):
-        step = np.empty_like(power)
-        for v in range(size):
-            step[v] = np.add.reduce(power[neighbours[v]], axis=0)
-        power = step
-    return [int(np.add.reduce(power[v] * power[v])) for v in range(size)]
-
-
-def lambda1_trace_estimate(
-    t: PlaneTree,
-    half_length: int,
-    *,
-    max_work: int = PROFILE_WORK_LIMIT,
-) -> tuple[float, float]:
-    """Walk-growth estimates (min over vertices, max over vertices).
-
-    Both values converge to the largest adjacency eigenvalue as the length
-    grows, and the max-based value is never above it (each vertex's count is
-    at most the eigenvalue to the walk length).  At finite length neither is
-    a certified bound for the other side, so treat the pair as an estimate.
-    """
-    if half_length < 1:
-        raise ValueError("half_length must be positive")
-    profile = walk_count_profile(t, half_length, max_work=max_work)
-    exponent = 1.0 / (2 * half_length)
-    low = min(profile)
-    high = max(profile)
-    return (_int_root(low, exponent), _int_root(high, exponent))
 
 
 def walk_growth_estimate(

@@ -220,7 +220,7 @@ def is_decreasing(t: PlaneTree, k: int) -> bool:
     return True
 
 
-def leaning_tree(k: int, *, max_order: int = LEANING_ORDER_LIMIT) -> PlaneTree:
+def leaning_tree(k: int) -> PlaneTree:
     """Regular leaning tree of order k, with every node labelled order + 1.
 
     The labelling makes it a valid decreasing tree with root label k + 1:
@@ -229,8 +229,10 @@ def leaning_tree(k: int, *, max_order: int = LEANING_ORDER_LIMIT) -> PlaneTree:
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
-    if k > max_order:
-        raise LimitError(f"leaning tree order {k} exceeds the guard {max_order} (2^k nodes)")
+    if k > LEANING_ORDER_LIMIT:
+        raise LimitError(
+            f"leaning tree order {k} exceeds the guard {LEANING_ORDER_LIMIT} (2^k nodes)"
+        )
     levels: list[PlaneTree] = [PlaneTree(1)]
     for j in range(1, k + 1):
         levels.append(PlaneTree(j + 1, tuple(levels[i] for i in range(j - 1, -1, -1))))

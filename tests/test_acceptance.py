@@ -1,8 +1,9 @@
 """Acceptance suite: one test per advertised guarantee, pinned tolerances.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
-criterion.  The same checks back the command line's ``verify`` subcommand;
-here each one is asserted with its detail message.
+criterion.  The same registry rows back the command line's ``verify``
+subcommand and run through the same runner, so their budgets apply here too;
+each one is asserted with its detail message.
 
 One deliberately strict variant is expected to fail and is marked xfail
 (strict): it asserts the degree sandwich on leaning trees with the degree
@@ -19,8 +20,11 @@ import pytest
 from planetrees import lambda1, leaning_tree, stevanovic_bounds, verify
 
 
-def run_criterion(number, label, checks):
-    results = [check() for check in checks]
+ROWS = {row.name: row for row in verify.CHECKS}
+
+
+def run_criterion(number, label, names):
+    results = [verify.run_check(ROWS[name]) for name in names]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"ACCEPTANCE criterion {number} ({label}/{result.name}): {status} - {result.detail}")
@@ -29,47 +33,31 @@ def run_criterion(number, label, checks):
 
 
 def test_criterion_1_exact_count_triple_agreement():
-    run_criterion(1, "counting", [verify.check_count_triple_agreement])
+    run_criterion(1, "counting", ["count-triple-agreement"])
 
 
 def test_criterion_2_walk_count_identity():
-    run_criterion(2, "bijection-counts", [verify.check_walk_count_identity])
+    run_criterion(2, "bijection-counts", ["walk-count-identity"])
 
 
 def test_criterion_3_bijection_roundtrips():
-    run_criterion(
-        3,
-        "bijection-roundtrips",
-        [
-            verify.check_roundtrip_walks,
-            verify.check_roundtrip_trees,
-            verify.check_image_match,
-        ],
-    )
+    run_criterion(3, "bijection-roundtrips", ["roundtrip-walks", "roundtrip-trees", "image-match"])
 
 
 def test_criterion_4_root_brackets():
-    run_criterion(4, "roots", [verify.check_root_brackets])
+    run_criterion(4, "roots", ["root-brackets"])
 
 
 def test_criterion_5_growth_constants():
-    run_criterion(
-        5,
-        "growth",
-        [
-            verify.check_growth_constants,
-            verify.check_alpha_in_bounds,
-            verify.check_count_upper_bound,
-        ],
-    )
+    run_criterion(5, "growth", ["growth-constants", "alpha-in-bounds", "count-upper-bound"])
 
 
 def test_criterion_6_eigen_anchors():
-    run_criterion(6, "spectra", [verify.check_eigen_anchors])
+    run_criterion(6, "spectra", ["eigen-anchors"])
 
 
 def test_criterion_6_degree_sandwich_scanned_degree():
-    run_criterion(6, "spectra", [verify.check_degree_sandwich])
+    run_criterion(6, "spectra", ["degree-sandwich"])
 
 
 @pytest.mark.xfail(
@@ -86,38 +74,26 @@ def test_criterion_6_degree_sandwich_offset_degree():
 
 
 def test_criterion_6_growth_window_and_trace():
-    run_criterion(
-        6,
-        "spectra",
-        [verify.check_growth_window, verify.check_trace_agreement],
-    )
+    run_criterion(6, "spectra", ["eigen-growth-window", "trace-agreement"])
 
 
 def test_criterion_7_ulam_harris():
-    run_criterion(
-        7,
-        "ulam-harris",
-        [
-            verify.check_uh_exhaustive,
-            verify.check_uh_leaning,
-            verify.check_uh_degree_bound,
-        ],
-    )
+    run_criterion(7, "ulam-harris", ["uh-exhaustive", "uh-leaning", "uh-degree-bound"])
 
 
 def test_criterion_8_embedding_bound():
     # the detail carries the improvement report (reported, not asserted)
-    run_criterion(8, "embedding", [verify.check_embedding_bound])
+    run_criterion(8, "embedding", ["embedding-bound"])
 
 
 def test_criterion_9_ratio_convergence():
-    run_criterion(9, "growth-rate", [verify.check_ratio_convergence])
+    run_criterion(9, "growth-rate", ["ratio-convergence"])
 
 
 def test_offset_degree_claim_is_reported_not_asserted():
     # the harness carries the order+1 variant as an advisory record whose
     # failure names the golden-ratio counterexample and never flips the verdict
-    result = verify.check_degree_sandwich_offset_claim()
+    result = verify.run_check(ROWS["degree-sandwich-offset-claim"])
     assert result.advisory
     assert not result.passed
     assert "order 2" in result.detail

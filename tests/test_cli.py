@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -225,9 +227,28 @@ def test_verify_machine_formats_are_byte_deterministic(capsys):
 
 
 def test_verify_budget_fails_an_overrun():
-    check = verify._budgeted(0.0)(lambda: verify.CheckResult("c", "roots", True, "done"))
-    result = check()
+    row = next(row for row in verify.CHECKS if row.name == "uh-leaning")
+    result = verify.run_check(dataclasses.replace(row, budget=0.0))
     assert not result.passed and result.budget == 0.0 and result.elapsed >= 0.0
+
+
+def test_verify_registry_shape():
+    names = [row.name for row in verify.CHECKS]
+    assert len(set(names)) == len(names)
+    # each scope's rows are contiguous and the scopes come in SCOPES order
+    scopes = [row.scope for row in verify.CHECKS]
+    runs = [scope for i, scope in enumerate(scopes) if i == 0 or scopes[i - 1] != scope]
+    assert tuple(runs) == verify.SCOPES
+    for row in verify.CHECKS:
+        fn = getattr(verify, row.function)
+        assert not row.function.startswith("_") and inspect.isfunction(fn)
+        assert fn.__module__ == verify.__name__
+    assert [row.name for row in verify.CHECKS if row.advisory] == ["degree-sandwich-offset-claim"]
+    assert {row.name: row.budget for row in verify.CHECKS if row.budget is not None} == {
+        "count-triple-agreement": 10.0,
+        "walk-count-identity": 10.0,
+        "root-brackets": 5.0,
+    }
 
 
 def test_verify_text_report_shape(capsys):

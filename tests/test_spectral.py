@@ -14,7 +14,6 @@ from planetrees import (
     enumerate_closed_walks,
     enumerate_decreasing_trees,
     lambda1,
-    lambda1_trace_estimate,
     leaning_eigen_bound,
     leaning_lambda1,
     leaning_tree,
@@ -132,39 +131,6 @@ def test_lambda1_matches_dense_oracle():
         assert abs(lambda1(t) - exact) < 1e-10
         lo, hi = lambda1_bracket(t, 1e-10)
         assert hi - lo <= 1e-10 and lo - 1e-12 <= exact <= hi + 1e-12
-
-
-def test_trace_estimate_single_edge():
-    assert lambda1_trace_estimate(leaning_tree(1), 7) == (1.0, 1.0)
-
-
-def test_trace_estimate_path():
-    low, high = lambda1_trace_estimate(leaning_tree(2), 10)
-    assert low == pytest.approx(4181 ** (1 / 20), rel=1e-12)
-    assert high == pytest.approx(10946 ** (1 / 20), rel=1e-12)
-    # the max-based estimate is already within 2%; the min-based one is
-    # about 6% low at this length and only converges from below
-    assert abs(high - PHI) / PHI < 0.02
-    assert low < high <= PHI + 1e-12
-
-
-def test_trace_estimate_tightens_with_length():
-    t = leaning_tree(5)
-    lam = lambda1(t)
-    previous = None
-    for half in (4, 8, 12, 16):
-        _, high = lambda1_trace_estimate(t, half)
-        assert high <= lam + 1e-9
-        if previous is not None:
-            assert high >= previous - 1e-9  # max-based estimates increase toward the limit
-        previous = high
-
-
-def test_trace_estimate_order6():
-    t = leaning_tree(6)
-    _, high = lambda1_trace_estimate(t, 20)
-    lam = lambda1(t)
-    assert abs(high - lam) / lam < 0.10
 
 
 def test_root_growth_estimate_close_at_length_40():
