@@ -10,13 +10,12 @@ Ulam-Harris number.
 
 from .asymptotics import (
     BeyondRoot,
-    Dual,
     RootBracket,
     alpha,
     alpha_bounds,
     ck,
     eval_gk,
-    eval_gk_dual,
+    eval_gk_with_derivative,
     eval_sk,
     growth_constants,
     zstar,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeyondRoot",
-    "Dual",
     "LimitError",
     "PlaneTree",
     "RootBracket",
@@ -101,7 +99,7 @@ __all__ = [
     "enumerate_decreasing_trees",
     "enumerate_unordered_shapes",
     "eval_gk",
-    "eval_gk_dual",
+    "eval_gk_with_derivative",
     "eval_sk",
     "format_tree",
     "format_walk",

@@ -10,6 +10,8 @@ Root location uses bisection on a positivity predicate rather than Newton
 steps: near the root the recurrence divides by a vanishing chain member, and
 a Newton step can jump past the pole, while the predicate (every chain
 member positive) is monotone in z and unconditionally safe to bisect.
+One loop, ``_chain``, serves the bisection and ``eval_sk``; c needs
+g'_(k-1) at the root, carried beside g by its explicit recurrence.
 """
 
 from __future__ import annotations
@@ -28,57 +30,6 @@ class BeyondRoot:
     """Sentinel value: the chain became nonpositive first at this index."""
 
     index: int
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Value and first derivative, propagated jointly (forward-mode).
-
-    Arithmetic follows the product and quotient rules exactly; in floating
-    point the derivative matches centred finite differences to first order.
-    """
-
-    v: float
-    d: float
-
-    def __add__(self, other):
-        other = _as_dual(other)
-        return Dual(self.v + other.v, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_dual(other)
-        return Dual(self.v - other.v, self.d - other.d)
-
-    def __rsub__(self, other):
-        other = _as_dual(other)
-        return Dual(other.v - self.v, other.d - self.d)
-
-    def __mul__(self, other):
-        other = _as_dual(other)
-        return Dual(self.v * other.v, self.v * other.d + self.d * other.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_dual(other)
-        if other.v == 0.0:
-            raise ZeroDivisionError("division by a dual with zero value part")
-        value = self.v / other.v
-        return Dual(value, (self.d - value * other.d) / other.v)
-
-    def __rtruediv__(self, other):
-        return _as_dual(other) / self
-
-    def __neg__(self):
-        return Dual(-self.v, -self.d)
-
-
-def _as_dual(x) -> Dual:
-    if isinstance(x, Dual):
-        return x
-    return Dual(float(x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,35 +66,46 @@ def eval_sk(z: float, k: int) -> float | BeyondRoot:
         raise ValueError("z must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
+    j, s = _chain(z, k)
+    return s if s > 0.0 else BeyondRoot(j)
+
+
+def _chain(z: float, k: int) -> tuple[int, float]:
+    """(j, s_j(z)) for the first index j with s_j(z) <= 0, or (k, s_k(z))
+    when every chain member is positive; the bisection reads only the sign."""
     s = 1.0 - z
     if s <= 0.0:
-        return BeyondRoot(1)
+        return 1, s
     for j in range(2, k + 1):
-        s = s - z / s
+        s -= z / s
         if s <= 0.0:
-            return BeyondRoot(j)
-    return s
+            return j, s
+    return k, s
 
 
 def eval_gk(z: float, k: int) -> float:
     """Evaluate the counting series g_k(z) inside its disc of convergence."""
-    return eval_gk_dual(z, k).v
+    return eval_gk_with_derivative(z, k)[0]
 
 
-def eval_gk_dual(z: float, k: int) -> Dual:
-    """Evaluate g_k and its derivative jointly via dual-number propagation."""
+def eval_gk_with_derivative(z: float, k: int) -> tuple[float, float]:
+    """(g_k(z), g_k'(z)): differentiating g_j = g_(j-1) + z/(1 - g_(j-1))
+    gives g_j' = g_(j-1)' + (1 + z g_(j-1)'/(1 - g_(j-1))) / (1 - g_(j-1)),
+    from g_1 = z, g_1' = 1, in the float operation order of forward-mode
+    dual numbers."""
     if z < 0:
         raise ValueError("z must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
-    g = Dual(float(z), 1.0)
-    zd = Dual(float(z), 1.0)
+    z = float(z)
+    g, dg = z, 1.0
     for _ in range(2, k + 1):
         denom = 1.0 - g
-        if denom.v <= 0.0:
+        if denom <= 0.0:
             raise ValueError(f"z={z} is at or beyond the pole of the next level")
-        g = g + zd / denom
-    return g
+        step = z / denom
+        g, dg = g + step, dg + (1.0 + step * dg) / denom
+    return g, dg
 
 
 def zstar_lower_bound(k: int) -> float:
@@ -218,16 +180,16 @@ def _root_brackets(k: int):
         return
     lo = zstar_lower_bound(k)
     hi = min(1.0, zstar_upper_bound(k))
-    if isinstance(eval_sk(lo, k), BeyondRoot):
+    if _chain(lo, k)[1] <= 0.0:
         raise RuntimeError(f"positivity fails at the lower seed {lo} for k={k}")
-    if not isinstance(eval_sk(hi, k), BeyondRoot):
+    if _chain(hi, k)[1] > 0.0:
         raise RuntimeError(f"positivity unexpectedly holds at the upper seed {hi} for k={k}")
     yield lo, hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return  # float resolution floor
-        if isinstance(eval_sk(mid, k), BeyondRoot):
+        if _chain(mid, k)[1] <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -283,7 +245,7 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     # the bracket sequence only narrows, so serve the wider request first
     roots = {width: narrow(width) for width in sorted({alpha_width, c_width}, reverse=True)}
     alpha_root, c_root = roots[alpha_width], roots[c_width]
-    derivative = eval_gk_dual(c_root.midpoint, k - 1).d
+    derivative = eval_gk_with_derivative(c_root.midpoint, k - 1)[1]
     return 1.0 / alpha_root.midpoint, 1.0 / derivative
 
 
@@ -316,7 +278,7 @@ def ck(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
 
     The root of s_(k-1) is a simple pole of g_k, and the residue calculus
     for a simple pole of a rational series gives 1/g'_(k-1) evaluated at the
-    root.  The derivative is propagated with dual numbers through the same
+    root.  The derivative is carried through the differentiated form of the
     recurrence that defines the series, and the formula is validated against
     the empirical series ratio in the tests before being trusted.
     """

@@ -40,25 +40,28 @@ class RunConfig:
     """Resolved global options shared by all subcommands."""
 
     format: str = "text"
-    tol: float = 1e-10
+    #: None without --tol and PLANETREES_TOL: each command keeps its default
+    tol: float | None = None
     max_n: int | None = None
     max_k: int | None = None
     unsafe_limits: bool = False
 
-    def enumeration_guards(self) -> dict[str, int]:
-        """Effective guards for brute-force tree enumeration."""
-        guards = {}
-        if self.unsafe_limits:
-            if self.max_n is not None:
-                guards["max_nodes"] = self.max_n
-            if self.max_k is not None:
-                guards["max_labels"] = self.max_k
-        else:
-            if self.max_n is not None:
-                guards["max_nodes"] = min(self.max_n, trees.ENUMERATION_NODE_LIMIT)
-            if self.max_k is not None:
-                guards["max_labels"] = min(self.max_k, trees.ENUMERATION_LABEL_LIMIT)
+    def enumeration_guards(self) -> dict[str, float]:
+        """Effective guards for brute-force tree enumeration: --unsafe-limits
+        lifts the cap on the number of trees, and lets --max-n/--max-k
+        replace the node and label caps."""
+        guards: dict[str, float] = {"max_trees": math.inf} if self.unsafe_limits else {}
+        node_cap = math.inf if self.unsafe_limits else trees.ENUMERATION_NODE_LIMIT
+        label_cap = math.inf if self.unsafe_limits else trees.ENUMERATION_LABEL_LIMIT
+        if self.max_n is not None:
+            guards["max_nodes"] = min(self.max_n, node_cap)
+        if self.max_k is not None:
+            guards["max_labels"] = min(self.max_k, label_cap)
         return guards
+
+    def tolerance(self) -> dict[str, float]:
+        """``tol=`` for a numerics call if a tolerance was given, else nothing."""
+        return {} if self.tol is None else {"tol": self.tol}
 
 
 FORMATS = ("text", "json", "csv")
@@ -73,7 +76,7 @@ def _switch(raw: str) -> bool:
 #: when neither the flag nor the variable is given
 _ENV_OPTIONS = {
     "format": (str, FORMATS, "text"),
-    "tol": (float, None, 1e-10),
+    "tol": (float, None, None),
     "max_n": (int, None, None),
     "max_k": (int, None, None),
     "method": (str, METHODS, "series"),
@@ -96,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        help="tolerance for iterative numerics (default 1e-10; env PLANETREES_TOL)",
+        help="tolerance for iterative numerics (default 1e-10 for eigen, 1e-12 for "
+        "root and alpha; env PLANETREES_TOL)",
     )
     common.add_argument(
         "--max-n",
@@ -295,12 +299,16 @@ def cmd_series(args, config: RunConfig) -> int:
 
 
 def cmd_root(args, config: RunConfig) -> int:
+    """Root brackets of s_1..s_K, each no wider than the tolerance.  Above
+    ``asymptotics.EXACT_CERTIFICATE_MAX_K`` a bracket rests on the float
+    chain, so a tol near the float resolution still gives only a float
+    certificate there."""
     if args.k < 1:
         raise ValueError("k must be positive")
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
     rows = []
     for k in range(1, args.k + 1):
-        bracket = asymptotics.zstar(k)
+        bracket = asymptotics.zstar(k, **config.tolerance())
         rows.append(
             [
                 str(k),
@@ -316,13 +324,15 @@ def cmd_root(args, config: RunConfig) -> int:
 
 
 def cmd_alpha(args, config: RunConfig) -> int:
+    """Growth constants for k = 2..K, alpha within the tolerance (roots
+    certified as in ``cmd_root``)."""
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]
     rows = []
     for k in range(2, args.k + 1):
         lower, upper = asymptotics.alpha_bounds(k)
-        growth, constant = asymptotics.growth_constants(k)
+        growth, constant = asymptotics.growth_constants(k, **config.tolerance())
         rows.append(
             [
                 str(k),
@@ -373,10 +383,10 @@ def cmd_eigen(args, config: RunConfig) -> int:
         source = trees.format_tree(tree)
     size = trees.node_count(tree)
     delta = trees.max_degree(tree)
-    lam = spectral.lambda1(tree, config.tol)
+    lam = spectral.lambda1(tree, **config.tolerance())
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     uh = ulam_harris.uh_number(tree)
-    leaning_bound = spectral.leaning_eigen_bound(uh, config.tol)
+    leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
     pairs = [
         ("tree", source),
         ("nodes", str(size)),
@@ -477,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         max_k=args.max_k,
         unsafe_limits=args.unsafe_limits,
     )
-    if config.tol <= 0:
+    if config.tol is not None and config.tol <= 0:
         parser.error("--tol must be positive")
     try:
         return _HANDLERS[args.command](args, config)

@@ -25,6 +25,9 @@ numbers live here:
   compositions of n-1 (a bottom-up convolution by default, literal
   composition enumeration behind a flag for small n).
 
+Every inner product is one ``sum(map(operator.mul, ...))``, and the
+rational engine squares A and B by symmetry (each cross product once).
+
 ``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
 that it cross-checks whichever engine ``gk_series`` picked.  A third route,
 brute-force enumeration, lives in ``planetrees.trees``.  All coefficients
@@ -110,17 +113,12 @@ def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.coeffs[0] != 1:
         raise ValueError("series_invert_unit requires constant term exactly 1")
-    n = s.order
-    c = s.coeffs
-    inv = [0] * n
-    inv[0] = 1
-    for m in range(1, n):
-        acc = 0
-        for i in range(1, m + 1):
-            ci = c[i]
-            if ci:
-                acc += ci * inv[m - i]
-        inv[m] = -acc
+    # t_m = -sum_(i=1..m) s_i t_(m-i): the tail, negated once, against the
+    # inverse so far read backwards
+    negated_tail = [-c for c in s.coeffs[1:]]
+    inv = [1]
+    for _ in range(1, s.order):
+        inv.append(sum(map(operator.mul, negated_tail, reversed(inv))))
     return TruncatedSeries(tuple(inv))
 
 
@@ -158,8 +156,8 @@ def _gk_series_rational(k: int, order: int) -> TruncatedSeries:
     # of index order or more
     a, b = [1, -1][:order], [1]
     for _ in range(k - 1):
-        z_b2 = [0] + _poly_mul(b, b, order - 1)
-        a, b = _poly_sub(_poly_mul(a, a, order), z_b2), _poly_mul(a, b, order)
+        z_b2 = [0] + _poly_square(b, order - 1)
+        a, b = _poly_sub(_poly_square(a, order), z_b2), _poly_mul(a, b, order)
     numerator = _poly_sub(b, a)
     numerator += [0] * (order - len(numerator))
     # B_0 = 1, so c_m = N_m - sum_{j=1..deg B} B_j c_(m-j) is exact, with
@@ -182,6 +180,21 @@ def _poly_mul(p: list[int], q: list[int], order: int) -> list[int]:
         lo = max(0, m - last)
         hi = min(m, len(p) - 1)
         out.append(sum(map(operator.mul, p[lo : hi + 1], q_rev[last - m + lo : last - m + hi + 1])))
+    return out
+
+
+def _poly_square(p: list[int], order: int) -> list[int]:
+    """``_poly_mul(p, p, order)`` with each cross product p_i p_j (i < j)
+    formed once and doubled, plus the middle square p_(m/2)^2 at even m."""
+    size = min(2 * len(p) - 1, order)
+    p_rev = p[::-1]
+    last = len(p) - 1
+    out = []
+    for m in range(size):
+        lo = max(0, m - last)
+        hi = (m - 1) // 2  # the largest i with i < m - i
+        cross = 2 * sum(map(operator.mul, p[lo : hi + 1], p_rev[last - m + lo : last - m + hi + 1]))
+        out.append(cross if m & 1 else cross + p[m // 2] ** 2)
     return out
 
 
@@ -237,12 +250,10 @@ def count_trees_by_compositions(n: int, k: int, *, literal: bool = False) -> int
     counts = [0, 1] + [0] * (n - 1)
     for _ in range(k - 1):
         # seq[m]: sequences of trees with labels <= j totalling m nodes
-        seq = [1] + [0] * (n - 1)
-        for m in range(1, n):
-            total = 0
-            for s in range(1, m + 1):
-                total += counts[s] * seq[m - s]
-            seq[m] = total
+        seq = [1]
+        tail = counts[1:]
+        for _ in range(1, n):
+            seq.append(sum(map(operator.mul, tail, reversed(seq))))
         counts = [0] + [counts[m] + seq[m - 1] for m in range(1, n + 1)]
     return counts[n]
 

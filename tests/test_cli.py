@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -351,3 +352,35 @@ def test_cli_import_and_eigen_leave_numpy_unloaded():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0 and done.stdout == "False\n"
+
+
+def test_root_and_alpha_honour_tol(capsys, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("PLANETREES_"):
+            monkeypatch.delenv(name)
+    # without --tol each command keeps its own default, 1e-12
+    for command, tight in (("root", "1e-6"), ("alpha", "1e-16")):
+        code, default, _ = run_cli(capsys, command, "30")
+        assert code == 0
+        assert run_cli(capsys, command, "30", "--tol", "1e-12")[1] == default
+        code, flagged, _ = run_cli(capsys, command, "30", "--tol", tight)
+        assert code == 0 and flagged != default
+        monkeypatch.setenv("PLANETREES_TOL", tight)
+        assert run_cli(capsys, command, "30")[1] == flagged
+        monkeypatch.delenv("PLANETREES_TOL")
+    code, out, _ = run_cli(capsys, "root", "30", "--tol", "1e-6", "--format", "json")
+    widths = [float(row["width"]) for row in json.loads(out)]
+    assert max(widths) <= 1e-6 and min(widths[1:]) > 1e-12
+
+
+def test_enumeration_guard_counts_trees(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "9", "7", "--method", "enumerate")
+    assert code == 3 and out == "" and "limited to 6,000,000 trees" in err
+    assert time.perf_counter() - started < 5.0  # refused before any tree is built
+    code, out, _ = run_cli(capsys, "count", "8", "6", "--method", "enumerate")
+    assert code == 0 and out.strip() == "1261070"
+    code, out, _ = run_cli(capsys, "count", "9", "7", "--all-methods")
+    assert code == 0 and "enumerate: skipped (guard)" in out
+    guards = cli.RunConfig(unsafe_limits=True).enumeration_guards()
+    assert guards == {"max_trees": math.inf}

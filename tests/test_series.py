@@ -1,7 +1,7 @@
 """Series arithmetic and the three counting routes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planetrees import (
@@ -51,6 +51,27 @@ def test_invert_roundtrip_random_units(tail):
     s = TruncatedSeries((1, *tail))
     product = s * series_invert_unit(s)
     assert product.coeffs == (1,) + (0,) * len(tail)
+
+
+@given(st.lists(st.integers(min_value=-(2**200), max_value=2**200), min_size=0, max_size=40))
+@settings(max_examples=100)
+def test_invert_roundtrip_big_coefficients(tail):
+    s = TruncatedSeries((1, *tail))
+    product = s * series_invert_unit(s)  # __mul__ is the reference product
+    assert product.coeffs == (1,) + (0,) * len(tail)
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=64),
+)
+@example([5], 1)
+@example([-3], 4)
+@example([1, -1], 1)
+@example([2, -7, 0, 4, -1], 3)
+@settings(max_examples=200)
+def test_poly_square_matches_poly_mul(p, order):
+    assert series._poly_square(p, order) == series._poly_mul(p, p, order)
 
 
 def test_gk_series_one_label():
@@ -151,6 +172,11 @@ def test_count_by_compositions_basics():
 def test_count_methods_agree():
     for n in range(1, 13):
         for k in range(1, 9):
+            assert count_trees(n, k) == count_trees_by_compositions(n, k)
+    # n = 1 and 2 are the edges of the convolution; at k = 24 count_trees
+    # runs the schoolbook engine, at k = 3 the rational one
+    for n in (1, 2, 17, 60):
+        for k in (3, 10, 24):
             assert count_trees(n, k) == count_trees_by_compositions(n, k)
 
 

@@ -23,6 +23,7 @@ from planetrees import (
     parse_tree,
     random_plane_tree,
 )
+from planetrees.trees import ENUMERATION_TREE_LIMIT
 
 
 def test_format_leaf_and_nested():
@@ -202,3 +203,22 @@ def test_stream_is_lazy():
         tracemalloc.stop()
     assert len(first) == 1000
     assert peak < 8 * 2**20
+
+
+def test_stream_guard_counts_the_trees():
+    # (9, 7) is inside the node and label caps but would yield 51,911,249
+    # trees; the exact count refuses it before any tree is built
+    with pytest.raises(LimitError, match="51,911,249"):
+        iter_decreasing_trees(9, 7)
+    with pytest.raises(LimitError):
+        iter_decreasing_trees(9, 7, root_label=7)  # 42,157,968 trees
+    assert count_trees(8, 6) <= ENUMERATION_TREE_LIMIT
+    iter_decreasing_trees(9, 7, root_label=5)  # 1,155,696 trees: admitted
+    # the cap compares with the exact count, with or without a root label
+    with pytest.raises(LimitError):
+        enumerate_decreasing_trees(5, 4, max_trees=count_trees(5, 4) - 1)
+    assert len(enumerate_decreasing_trees(5, 4, max_trees=count_trees(5, 4))) == 256
+    with pytest.raises(LimitError):
+        iter_decreasing_trees(5, 4, root_label=4, max_trees=220)
+    assert sum(1 for _ in iter_decreasing_trees(5, 4, root_label=4, max_trees=221)) == 221
+    assert list(iter_decreasing_trees(5, 4, root_label=9, max_trees=0)) == []
