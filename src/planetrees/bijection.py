@@ -11,6 +11,10 @@ current order minus i), and ``UP`` ascends to the parent.  Given the frozen
 child order of leaning trees this encoding is unambiguous, and the vertex
 sequence is recoverable by replay.  Text form: ``+i`` per descent, ``-`` per
 ascent, space separated (e.g. ``+1 +1 - -``).
+
+``validate_walk`` is the one source of walk errors: ``build_tree_from_walk``
+range-checks each move in its single pass and, at the first invalid move,
+calls it for the message and the move index.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LimitError, WalkError
-from .trees import PlaneTree
+from .trees import PlaneTree, _fast_tree
 
 #: move encoding for "ascend to the parent"
 UP = -1
@@ -70,30 +74,51 @@ def build_tree_from_walk(walk: Walk) -> PlaneTree:
     """Decreasing tree with root label order+1 built from a closed walk.
 
     The tree has n+1 nodes for a walk of length 2n.  Invalid walks are
-    rejected with the index of the offending move.
+    rejected by ``validate_walk``, with the index of the offending move.
+    The order and the moves must be ints, as tree labels are.
     """
-    root_label = walk.order + 1
-    # stack of (label, mutable child list); the tree is frozen on ascent
-    stack: list[tuple[int, list[PlaneTree]]] = [(root_label, [])]
-    for index, move in enumerate(walk.moves):
-        label, children = stack[-1]
-        if move == UP:
-            if len(stack) == 1:
-                raise WalkError("cannot ascend from the root", index)
-            stack.pop()
-            stack[-1][1].append(PlaneTree(label, tuple(children)))
+    moves = walk.moves
+    n = len(moves)
+    new = PlaneTree.__new__  # nodes are built as trees._fast_tree does
+    # the open vertex, and the labels and child lists of the vertices above it
+    label = walk.order + 1
+    if not isinstance(label, int):
+        raise ValueError(f"labels must be positive integers, got {label!r}")
+    children: list[PlaneTree] = []
+    labels: list[int] = []
+    lists: list[list[PlaneTree]] = []
+    i = 0
+    while i < n:
+        move = moves[i]
+        i += 1
+        if 0 < move < label and isinstance(move, int):
+            if i < n and moves[i] == UP:  # a leaf, left at once
+                node = new(PlaneTree)
+                node.label = label - move
+                node.children = ()
+                node._hash = None
+                children.append(node)
+                i += 1
+            else:
+                labels.append(label)
+                lists.append(children)
+                label -= move
+                children = []
+        elif move == UP and labels:
+            node = new(PlaneTree)
+            node.label = label
+            node.children = tuple(children)
+            node._hash = None
+            label = labels.pop()
+            children = lists.pop()
+            children.append(node)
         else:
-            current_order = label - 1
-            if not 1 <= move <= current_order:
-                raise WalkError(
-                    f"descent rank {move} invalid at a vertex of order {current_order}",
-                    index,
-                )
-            stack.append((current_order - move + 1, []))
-    if len(stack) != 1:
-        raise WalkError("walk does not return to the root", len(walk.moves))
-    label, children = stack[0]
-    return PlaneTree(label, tuple(children))
+            break
+    else:
+        if not labels:
+            return _fast_tree(label, tuple(children))
+    validate_walk(walk)  # raises for every malformed walk
+    raise ValueError(f"labels must be positive integers, got {label - move!r}")
 
 
 def build_walk_from_tree(t: PlaneTree) -> Walk:
@@ -106,23 +131,31 @@ def build_walk_from_tree(t: PlaneTree) -> Walk:
     """
     moves: list[int] = []
     append = moves.append
-    # (label, remaining children) of each vertex on the current root path
-    stack = [(t.label, iter(t.children))]
-    while stack:
-        label, pending = stack[-1]
+    # the current vertex's label and remaining children, and those of the
+    # vertices above it
+    label = t.label
+    pending = iter(t.children)
+    labels: list[int] = []
+    iters = []
+    while True:
         for child in pending:
-            if child.label >= label:
-                raise ValueError(f"not a decreasing tree: child label {child.label} under {label}")
-            append(label - child.label)
+            child_label = child.label
+            if child_label >= label:
+                raise ValueError(f"not a decreasing tree: child label {child_label} under {label}")
+            append(label - child_label)
             if child.children:
-                stack.append((child.label, iter(child.children)))
+                labels.append(label)
+                iters.append(pending)
+                label = child_label
+                pending = iter(child.children)
                 break
             append(UP)  # a leaf is left at once
         else:
-            stack.pop()
-            if stack:
-                append(UP)
-    return Walk(t.label - 1, tuple(moves))
+            if not labels:
+                return Walk(t.label - 1, tuple(moves))
+            append(UP)
+            label = labels.pop()
+            pending = iters.pop()
 
 
 def enumerate_closed_walks(

@@ -381,11 +381,13 @@ def cmd_eigen(args, config: RunConfig) -> int:
     else:
         tree = trees.parse_tree(args.tree)
         source = trees.format_tree(tree)
-    size = trees.node_count(tree)
-    delta = trees.max_degree(tree)
-    lam = spectral.lambda1(tree, **config.tolerance())
+    # one subtree plan serves size, degree, eigenvalue, uh and walk growth
+    plan = trees.subtree_plan(tree)
+    size = trees.plan_node_count(plan)
+    delta = trees.plan_max_degree(plan)
+    lam = spectral._plan_lambda1(plan, **config.tolerance())
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
-    uh = ulam_harris.uh_number(tree)
+    uh = ulam_harris._plan_uh_number(plan)
     leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
     pairs = [
         ("tree", source),
@@ -399,7 +401,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
     ]
     if size > 1:
         half = max(1, args.trace_n)
-        estimate = spectral.walk_growth_estimate(tree, half)
+        estimate = spectral._plan_walk_growth(tree, plan, size, half)
         pairs.append(("walk_growth", _fmt_float(estimate)))
         pairs.append(("walk_growth_halflen", str(half)))
     emit_object(config, pairs)

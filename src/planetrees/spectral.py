@@ -122,9 +122,21 @@ def walk_growth_estimate(
     vertices and the other trees take the replay, under its own budgets.
     Both give the same exact count.
     """
-    length = 2 * half_length
     plan = subtree_plan(t)
-    size = plan_node_count(plan)
+    return _plan_walk_growth(t, plan, plan_node_count(plan), half_length, vertex, max_work)
+
+
+def _plan_walk_growth(
+    t: PlaneTree,
+    plan: list,
+    size: int,
+    half_length: int,
+    vertex: int = 0,
+    max_work: int = WALK_WORK_LIMIT,
+) -> float:
+    """``walk_growth_estimate`` of ``t``, whose ``subtree_plan`` is ``plan``
+    and node count ``size``."""
+    length = 2 * half_length
     if vertex == 0 and plan:
         depths = _plan_depths(plan)
         work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
@@ -248,14 +260,23 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
 def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
     """Bracket of width at most ``tol`` around the largest adjacency
     eigenvalue of ``t``, by bisection on the pivots of xI - A."""
-    plan = subtree_plan(t)
-    return _bisect(lambda x: _pivots_positive(x, plan), plan_max_degree(plan), tol)
+    return _plan_lambda1_bracket(subtree_plan(t), tol)
 
 
 def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:
     """Largest adjacency eigenvalue of ``t``: the midpoint of a bracket of
     width at most ``tol``."""
-    lo, hi = lambda1_bracket(t, tol)
+    return _plan_lambda1(subtree_plan(t), tol)
+
+
+def _plan_lambda1_bracket(plan: list, tol: float) -> tuple[float, float]:
+    """``lambda1_bracket`` of the tree whose ``subtree_plan`` is ``plan``."""
+    return _bisect(lambda x: _pivots_positive(x, plan), plan_max_degree(plan), tol)
+
+
+def _plan_lambda1(plan: list, tol: float = 1e-10) -> float:
+    """``lambda1`` of the tree whose ``subtree_plan`` is ``plan``."""
+    lo, hi = _plan_lambda1_bracket(plan, tol)
     return 0.5 * (lo + hi)
 
 

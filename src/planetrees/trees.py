@@ -12,10 +12,11 @@ is immutable), so construction is cheap.  ``subtree_plan`` lists each
 distinct subtree object once, children first, and the per-tree quantities
 (``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue pivots and
 root walk counts) are computed over that list: k objects for the leaning
-tree of order k, not its 2^k nodes.  No traversal of a given tree
-recurses, so its depth is bounded by memory, not by the interpreter's
-recursion limit; only ``PlaneTree.__eq__`` and ``__hash__`` still recurse,
-through tuple comparison and hashing.
+tree of order k, not its 2^k nodes.  No traversal of a given tree is
+bounded by the interpreter's recursion limit, only by memory:
+``PlaneTree.__hash__`` fills the hashes children first, and
+``PlaneTree.__eq__`` compares by recursive tuple comparison, its fast path,
+and finishes with an explicit stack where the trees are too deep for it.
 
 ``iter_decreasing_trees(n, k)`` streams every n-node decreasing tree with
 labels in {1..k} in canonical order: lexicographic by bracket text, so
@@ -64,17 +65,48 @@ class PlaneTree:
             return True
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return self.label == other.label and self.children == other.children
+        try:
+            # tuple comparison recurses, one level per call: fast on shallow trees
+            return self.label == other.label and self.children == other.children
+        except RecursionError:
+            return _same_tree(self, other)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.label, self.children))
-            self._hash = h
+            h = _fill_hashes(self)
         return h
 
     def __repr__(self) -> str:
         return f"<PlaneTree {format_tree(self)}>"
+
+
+def _same_tree(a: PlaneTree, b: PlaneTree) -> bool:
+    # ``a == b`` with an explicit stack, for trees too deep to compare by recursion
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.label != b.label or len(a.children) != len(b.children):
+            return False
+        stack.extend(zip(a.children, b.children))
+    return True
+
+
+def _fill_hashes(t: PlaneTree) -> int:
+    # hash every unhashed node of ``t`` children first, so that hashing a
+    # node's (label, children) tuple reads its children's stored hashes
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        unhashed = [c for c in node.children if c._hash is None]
+        if unhashed:
+            stack += unhashed
+        else:
+            stack.pop()
+            node._hash = hash((node.label, node.children))
+    return t._hash
 
 
 def format_tree(t: PlaneTree) -> str:

@@ -60,7 +60,12 @@ def uh_number(t: PlaneTree) -> int:
     object's minimal number is computed once, so ``leaning_tree(k)`` costs k
     objects, not 2^k nodes.
     """
-    values = _minimal_values(subtree_plan(t))
+    return _plan_uh_number(subtree_plan(t))
+
+
+def _plan_uh_number(plan: list) -> int:
+    # ``uh_number`` of the tree whose ``trees.subtree_plan`` is ``plan``
+    values = _minimal_values(plan)
     return values[-1] if values else 1
 
 

@@ -1,6 +1,8 @@
 """Walk validity, the two conversion algorithms, and their round trips."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planetrees import (
     UP,
@@ -14,6 +16,8 @@ from planetrees import (
     enumerate_decreasing_trees,
     format_tree,
     format_walk,
+    is_decreasing,
+    node_count,
     parse_tree,
     parse_walk,
     validate_walk,
@@ -120,3 +124,79 @@ def test_image_of_walks_is_the_tree_family():
                 if t.label == k + 1
             }
             assert set(image) == family
+
+
+@st.composite
+def walk_like_moves(draw):
+    """Move sequences that mostly follow the leaning tree, with now and then
+    an arbitrary move, and closed back to the root about half of the time."""
+    order = draw(st.integers(min_value=0, max_value=6))
+    moves: list[int] = []
+    orders = [order]  # the replay, while the moves stay valid
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        current = orders[-1]
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            move = draw(st.integers(min_value=-3, max_value=8))
+        elif len(orders) > 1 and (current == 0 or draw(st.booleans())):
+            move = UP
+        elif current:
+            move = draw(st.integers(min_value=1, max_value=current))
+        else:
+            move = UP  # the root of the order-0 tree: no move is valid
+        moves.append(move)
+        if move == UP and len(orders) > 1:
+            orders.pop()
+        elif 1 <= move <= current:
+            orders.append(current - move)
+    if draw(st.booleans()):
+        moves += [UP] * (len(orders) - 1)
+    return Walk(order, tuple(moves))
+
+
+arbitrary_moves = st.builds(
+    Walk,
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=-3, max_value=8), max_size=20).map(tuple),
+)
+
+
+@given(st.one_of(walk_like_moves(), arbitrary_moves))
+@settings(max_examples=400, deadline=None)
+@example(Walk(0, (UP,)))
+@example(Walk(3, (3, UP, 3)))  # a leaf left open at the end
+@example(Walk(2, (2, UP, UP)))  # a leaf, then an ascent from the root
+@example(Walk(4, (1, 3, UP, 4)))  # rank 4 at an order-3 vertex, after a leaf
+def test_builder_agrees_with_validate_walk(walk):
+    """The builder returns a tree exactly when ``validate_walk`` accepts the
+    walk, and otherwise raises the same WalkError."""
+    try:
+        validate_walk(walk)
+    except WalkError as expected:
+        with pytest.raises(WalkError) as err:
+            build_tree_from_walk(walk)
+        assert (str(err.value), err.value.index) == (str(expected), expected.index)
+        return
+    tree = build_tree_from_walk(walk)
+    assert tree.label == walk.order + 1 and is_decreasing(tree, walk.order + 1)
+    assert node_count(tree) == len(walk) // 2 + 1
+    assert build_walk_from_tree(tree) == walk
+
+
+def test_non_integer_moves_are_rejected():
+    with pytest.raises(ValueError) as err:
+        build_tree_from_walk(Walk(2, (1.0, UP)))
+    assert not isinstance(err.value, WalkError)  # a label check, not a walk error
+    assert "labels must be positive integers" in str(err.value)
+    with pytest.raises(ValueError):
+        build_tree_from_walk(Walk(2.0, ()))
+    with pytest.raises(WalkError):  # the walk error comes first
+        build_tree_from_walk(Walk(2, (1.0, UP, UP)))
+
+
+def test_path_walk_of_a_hundred_thousand_moves():
+    depth = 50_000
+    walk = Walk(depth, (1,) * depth + (UP,) * depth)
+    tree = build_tree_from_walk(walk)
+    assert tree.label == depth + 1 and node_count(tree) == depth + 1
+    assert build_walk_from_tree(tree) == walk
+    assert build_tree_from_walk(walk) == tree

@@ -1,7 +1,9 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planetrees import cli, leaning_tree, series, verify, walk_count_table
 from planetrees.intstr import int_to_str
@@ -79,6 +83,41 @@ def test_bijection_usage_errors(capsys):
     assert code == 2 and "not a decreasing tree" in err
     code, _, err = run_cli(capsys, "bijection", "p", "--order", "2", "+9 -")
     assert code == 2
+
+
+def exit_code(*argv):
+    """Exit code of the CLI, run in-process with its output discarded; an
+    uncaught exception (a traceback) fails the calling test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code
+
+
+WALK_TOKENS = ["+1", "+2", "+3", "+7", "-", "+0", "+", "-1", "+-1", "++1", "1", "x", "+1-", "()"]
+walk_texts = st.one_of(
+    st.lists(st.sampled_from(WALK_TOKENS), max_size=12).map(" ".join),
+    st.text(alphabet="+-0123456789 x\t", max_size=24),
+)
+tree_texts = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "3", "9", "0", "(", ")", " ", "x", "12("]), max_size=24).map(
+        "".join
+    ),
+    st.text(alphabet="0123456789() x-", max_size=24),
+)
+
+
+@given(st.integers(min_value=-3, max_value=9), walk_texts)
+@settings(max_examples=200, deadline=None)
+def test_bijection_p_fuzz_exits_cleanly(order, text):
+    assert exit_code("bijection", "p", "--order", str(order), text) in (0, 2)
+
+
+@given(tree_texts)
+@settings(max_examples=200, deadline=None)
+def test_bijection_w_fuzz_exits_cleanly(text):
+    assert exit_code("bijection", "w", text) in (0, 2)
 
 
 def test_uh_report(capsys):

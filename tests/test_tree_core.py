@@ -118,6 +118,28 @@ def test_text_round_trip_on_deep_and_wide_trees(t):
     assert every_vertex(again) == every_vertex(t)
 
 
+@given(core_trees())
+@settings(max_examples=60, deadline=None)
+def test_equality_and_hash_of_a_parsed_copy(t):
+    copy = parse_tree(format_tree(t))
+    assert copy == t and not copy != t
+    assert hash(copy) == hash(t)
+
+
+def test_deep_trees_compare_and_hash_without_recursion_errors():
+    n = 2000
+    text = "1(" * (n - 1) + "1" + ")" * (n - 1)
+    a, b = parse_tree(text), parse_tree(text)
+    assert a == b and hash(a) == hash(b)
+    deepest_differs = parse_tree("1(" * (n - 1) + "2" + ")" * (n - 1))
+    assert a != deepest_differs and not a == deepest_differs
+    assert a != parse_tree("1(" * (n - 2) + "1" + ")" * (n - 2))  # one node shorter
+    # the stored hashes are those of the recursive definition
+    shallow = parse_tree("3(2(1) 1 2)")
+    assert hash(shallow) == hash((3, shallow.children))
+    assert hash(a.children[0]) == hash((1, a.children[0].children))
+
+
 def test_plan_lists_each_shared_object_once():
     for k in range(0, 25):
         plan = subtree_plan(leaning_tree(k))
