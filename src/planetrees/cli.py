@@ -281,9 +281,9 @@ def cmd_table(args, config: RunConfig) -> int:
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
-    rows = []
-    for n in range(1, max_n + 1):
-        rows.append([str(n)] + [int_to_str(series.count_trees(n, k)) for k in range(1, max_k + 1)])
+    # one series per column: coefficient n of g_k is count_trees(n, k)
+    by_k = [series.gk_series(k, max_n + 1).coeffs for k in range(1, max_k + 1)]
+    rows = [[str(n)] + [int_to_str(coeffs[n]) for coeffs in by_k] for n in range(1, max_n + 1)]
     emit_table(config, columns, rows)
     return EXIT_OK
 

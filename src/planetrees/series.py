@@ -6,30 +6,33 @@ along every path away from the root.  Two independent routes to the same
 numbers live here:
 
 * ``gk_series`` builds the counting series g_k with exact integer
-  arithmetic, by one of two engines chosen from k and the order:
+  arithmetic, in one engine split at the label m:
 
-  - the *rational engine* (few labels, 2^(k-1) <= (k-1) * order / 4): the chain
-    s_1 = 1 - z, s_k = s_(k-1) - z/s_(k-1) makes s_k = 1 - g_k = A_k/B_k
-    with integer polynomials A_k = A_(k-1)^2 - z B_(k-1)^2 and
-    B_k = A_(k-1) B_(k-1).  Since B_k(0) = 1, the coefficients of
-    g_k = (B_k - A_k)/B_k satisfy a division-free linear recurrence of
-    order deg B_k = 2^(k-1) - 1 (Flajolet and Sedgewick, *Analytic
-    Combinatorics*, IV.5), which costs O(order * 2^(k-1)) products;
-  - the *schoolbook engine* (many labels): k - 1 truncated series
-    inversions, adding at each new top label a root followed by an
-    arbitrary sequence of subtrees with smaller labels, which costs
-    O(k * order^2) products and avoids building polynomials of degree
-    2^(k-1);
+  - labels 1..m by the rational recurrence: the chain s_1 = 1 - z,
+    s_j = s_(j-1) - z/s_(j-1) makes s_j = 1 - g_j = A_j/B_j with integer
+    polynomials A_j = A_(j-1)^2 - z B_(j-1)^2 and B_j = A_(j-1) B_(j-1).
+    Since B_m(0) = 1, the coefficients of g_m = (B_m - A_m)/B_m satisfy a
+    division-free linear recurrence of order deg B_m = 2^(m-1) - 1
+    (Flajolet and Sedgewick, *Analytic Combinatorics*, IV.5), which costs
+    O(4^m) products for A_m, B_m and O(order * 2^(m-1)) for the reading;
+  - labels m+1..k by k - m truncated series inversions, adding at each new
+    top label a root followed by an arbitrary sequence of subtrees with
+    smaller labels, at O(order^2) products each.
+
+  m is the largest label count with 2^(m-1) <= 3 * order / 4 (capped at k),
+  so B_m stays shorter than the series while the inversions it replaces
+  would each cost a full order^2 / 2.  m = k (few labels) and m = 1 (a
+  tiny order) are the two ends of the same code;
 
 * ``count_trees_by_compositions`` runs the scalar recurrence over
   compositions of n-1 (a bottom-up convolution by default, literal
   composition enumeration behind a flag for small n).
 
 Every inner product is one ``sum(map(operator.mul, ...))``, and the
-rational engine squares A and B by symmetry (each cross product once).
+rational recurrence squares A and B by symmetry (each cross product once).
 
 ``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
-that it cross-checks whichever engine ``gk_series`` picked.  A third route,
+that it cross-checks both parts of ``gk_series``.  A third route,
 brute-force enumeration, lives in ``planetrees.trees``.  All coefficients
 are plain Python ints; the counts grow like (2k)^n and overflow any fixed
 width almost immediately.
@@ -129,24 +132,21 @@ def gk_series(k: int, order: int) -> TruncatedSeries:
     series is z (a single node); each further label prepends the choice of
     not using the new top label, plus a new root carrying it followed by any
     sequence of subtrees over the smaller labels, realised as
-    z / (1 - previous series).  Runs the rational engine while
-    2^(k-1) <= (k-1) * order / 4 and the schoolbook inversions otherwise
-    (see the module docstring).  The rule follows the measured crossover
-    of the two engines' times, near order 80 at k = 8 and 200 at k = 10.
+    z / (1 - previous series).  The first m = min(k, bit length of
+    3 * order // 4) labels (at least 1) come from the rational recurrence,
+    so that deg B_m = 2^(m-1) - 1 stays under three quarters of the order,
+    and the other k - m from truncated inversions (see the module
+    docstring).
     """
     _require_positive(k=k, order=order)
-    if 4 * 2 ** (k - 1) <= (k - 1) * order:
-        return _gk_series_rational(k, order)
-    return _gk_series_schoolbook(k, order)
+    return _gk_series(k, order, max(1, min(k, (3 * order // 4).bit_length())))
 
 
-def _gk_series_schoolbook(k: int, order: int) -> TruncatedSeries:
-    coeffs = [0] * order
-    if order > 1:
-        coeffs[1] = 1
-    g = TruncatedSeries(tuple(coeffs))
+def _gk_series(k: int, order: int, levels: int) -> TruncatedSeries:
+    # g_levels by the rational recurrence, then one inversion per label above
+    g = _gk_series_rational(levels, order)
     one = TruncatedSeries.constant(1, order)
-    for _ in range(k - 1):
+    for _ in range(k - levels):
         g = g + series_invert_unit(one - g).shifted()
     return g
 

@@ -67,6 +67,26 @@ def test_table_dimensions(capsys):
     assert len(lines) == 5
 
 
+def test_table_equals_count_trees_cell_by_cell(capsys):
+    # the table reads each column off one series of order max_n + 1;
+    # count_trees(n, k) builds its own of order n + 1, split at its own label
+    code, out, _ = run_cli(capsys, "table", "--max-n", "24", "--max-k", "9", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 25
+    for n, line in enumerate(lines[1:], start=1):
+        assert line.split(",") == [str(n)] + [str(series.count_trees(n, k)) for k in range(1, 10)]
+
+
+def test_table_of_two_hundred_rows_and_twelve_labels(capsys):
+    code, out, _ = run_cli(capsys, "table", "--max-n", "200", "--max-k", "12", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 201
+    assert lines[200].split(",") == ["200", "0", "1"] + lines[200].split(",")[3:]
+    assert lines[200].split(",")[-1] == str(series.count_trees_by_compositions(200, 12))
+
+
 def test_bijection_both_directions(capsys):
     code, out, _ = run_cli(capsys, "bijection", "p", "--order", "2", "+1 +1 - -")
     assert code == 0 and out.strip() == "3(2(1))"

@@ -95,37 +95,90 @@ def test_sk_series_values():
         assert sk_series(k, 6).coeffs[0] == 1
 
 
-def test_rational_engine_matches_schoolbook_and_complement():
-    # orders on both sides of the old dispatch rule 2^(k-1) <= order and of
-    # the rule 2^(k-1) <= (k-1) * order / 4
+def _complement(k, order):
+    s = sk_series(k, order).coeffs
+    return (1 - s[0],) + tuple(-c for c in s[1:])
+
+
+def _rule_boundary(j):
+    # the least order at which gk_series computes j + 1 labels rationally
+    return -(-4 * 2**j // 3)
+
+
+def _split_levels(monkeypatch):
+    """Record the split label m of every gk_series call."""
+    seen = []
+    split = series._gk_series
+
+    def spy(k, order, levels):
+        seen.append(levels)
+        return split(k, order, levels)
+
+    monkeypatch.setattr(series, "_gk_series", spy)
+    return seen
+
+
+def test_both_ends_of_the_split_match_the_complement():
+    # orders on both sides of the split rule 2^(m-1) <= 3 * order / 4 and of
+    # the retired dispatch rules 2^(k-1) <= order and 4 * 2^(k-1) <= (k-1) * order
     orders = set(range(1, 41)) | {100, 400}
     orders |= {2**j + d for j in range(9) for d in (-1, 0, 1)} - {0}
+    orders |= {_rule_boundary(j) + d for j in range(9) for d in (-1, 0)}
     for k in range(1, 11):
-        schoolbook = series._gk_series_schoolbook(k, 400).coeffs
-        complement = sk_series(k, 400).coeffs
-        assert schoolbook == (1 - complement[0],) + tuple(-c for c in complement[1:])
+        inversions = series._gk_series(k, 400, 1).coeffs
+        assert inversions == _complement(k, 400)
         boundary = -(-4 * 2 ** (k - 1) // (k - 1)) if k > 1 else 1
         for order in sorted(orders | {boundary - 1, boundary} - {0}):
-            expected = schoolbook[:order]
-            assert series._gk_series_rational(k, order).coeffs == expected, (k, order)
+            expected = inversions[:order]
+            assert series._gk_series(k, order, k).coeffs == expected, (k, order)
             assert gk_series(k, order).coeffs == expected, (k, order)
 
 
-def test_rational_engine_matches_compositions():
+def test_pure_rational_split_matches_compositions(monkeypatch):
+    levels = _split_levels(monkeypatch)
     for n, k in ((1000, 3), (600, 6)):
-        assert 4 * 2 ** (k - 1) <= (k - 1) * (n + 1)  # the rational side of the rule
-        assert series._gk_series_rational(k, n + 1).coeffs[n] == count_trees_by_compositions(n, k)
+        assert gk_series(k, n + 1).coeffs[n] == count_trees_by_compositions(n, k)
+        assert levels.pop() == k  # the rule runs every label rationally here
+        assert series._gk_series(k, n + 1, k).coeffs[n] == count_trees_by_compositions(n, k)
 
 
-def test_many_labels_stay_on_the_schoolbook_engine(monkeypatch):
-    def refuse(k, order):
-        raise AssertionError(f"rational engine called at k={k}, order={order}")
-
-    monkeypatch.setattr(series, "_gk_series_rational", refuse)
-    for k, order in ((16, 120), (24, 100), (40, 60), (8, 73), (10, 201)):
+def test_split_label_follows_the_rule(monkeypatch):
+    levels = _split_levels(monkeypatch)
+    # many labels at small orders: rational up to m, inversions above
+    for k, order, m in ((16, 120, 7), (24, 100, 7), (40, 60, 6), (8, 73, 6), (10, 201, 8)):
         assert gk_series(k, order).coeffs[order - 1] == count_trees_by_compositions(order - 1, k)
-    with pytest.raises(AssertionError):
-        gk_series(8, 74)
+        assert levels.pop() == m, (k, order)
+    for k, order, m in ((41, 101, 7), (10, 422, 9), (6, 451, 6), (8, 74, 6), (12, 600, 9), (5, 1, 1)):
+        gk_series(k, order)
+        assert levels.pop() == m, (k, order)
+    for j in range(1, 9):
+        gk_series(j + 2, _rule_boundary(j) - 1)
+        gk_series(j + 2, _rule_boundary(j))
+        assert levels[-2:] == [j, j + 1], j
+
+
+_SPLIT_ORDERS = sorted(
+    ({2**j + d for j in range(8) for d in (-1, 0, 1)} - {0})
+    | {_rule_boundary(j) + d for j in range(8) for d in (-1, 0, 1)}
+)
+
+
+@given(st.integers(min_value=1, max_value=14), st.sampled_from(_SPLIT_ORDERS))
+@example(14, 129)
+@example(14, 172)
+@example(1, 1)
+@settings(max_examples=40, deadline=None)
+def test_every_split_label_gives_the_same_series(k, order):
+    expected = _complement(k, order)
+    for levels in range(1, k + 1):
+        assert series._gk_series(k, order, levels).coeffs == expected, levels
+
+
+def test_split_at_twelve_labels_and_order_six_hundred():
+    expected = _complement(12, 600)
+    assert gk_series(12, 600).coeffs == expected
+    for levels in (1, 12):
+        assert series._gk_series(12, 600, levels).coeffs == expected, levels
 
 
 def test_sk_is_complement_of_gk():
@@ -174,7 +227,7 @@ def test_count_methods_agree():
         for k in range(1, 9):
             assert count_trees(n, k) == count_trees_by_compositions(n, k)
     # n = 1 and 2 are the edges of the convolution; at k = 24 count_trees
-    # runs the schoolbook engine, at k = 3 the rational one
+    # adds most labels by inversions, at k = 3 it runs them all rationally
     for n in (1, 2, 17, 60):
         for k in (3, 10, 24):
             assert count_trees(n, k) == count_trees_by_compositions(n, k)
