@@ -4,8 +4,10 @@
 Bisection on the pivots of xI - A (all positive exactly when x is above the
 largest eigenvalue), and exact closed-walk growth (the count of closed
 2n-walks to the power 1/2n).  The pivot bisection runs on any tree; on
-leaning trees it costs O(order) per evaluation point, so it reaches orders
-whose explicit trees would have 2^order vertices.
+leaning trees the pivots are the counting root chain under z = 1/x^2, so
+``leaning_lambda1`` reads the eigenvalue off that chain's root bisection at
+O(order) per evaluation point and reaches orders whose explicit trees would
+have 2^order vertices.
 """
 
 import math
@@ -23,7 +25,7 @@ from planetrees import (
 def main():
     print("Order-2 leaning tree (the 4-vertex path): eigenvalue is the golden ratio")
     print("  pivot bisection, explicit tree:", lambda1(leaning_tree(2), 1e-12))
-    print("  pivot bisection, order chain  :", leaning_lambda1(2))
+    print("  counting root chain, z = 1/x^2:", leaning_lambda1(2))
     print("  (1+sqrt(5))/2                 :", (1 + math.sqrt(5)) / 2)
     print()
 

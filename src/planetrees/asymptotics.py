@@ -112,11 +112,14 @@ def zstar_lower_bound(k: int) -> float:
     """Provable lower bound k - sqrt(k^2 - 1) for the root of s_k.
 
     Squaring the chain recurrence and telescoping shows s_k(z)^2 is at least
-    1 - 2kz + z^2, which stays positive strictly below this value.
+    1 - 2kz + z^2, which stays positive strictly below this value.  It is
+    computed as 1/(k + sqrt(k^2 - 1)): the difference loses digits to
+    cancellation, by enough from about k = 3.5e5 to put the seed past the
+    root.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return k - math.sqrt(k * k - 1.0)
+    return 1.0 / (k + math.sqrt(k * k - 1.0))
 
 
 def zstar_upper_bound(k: int) -> float:
@@ -155,7 +158,7 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     for lo, hi in _root_brackets(k):
         if hi - lo <= tol:
@@ -225,7 +228,7 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     """
     if k < 2:
         raise ValueError("growth constants are defined for k >= 2")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     brackets = _root_brackets(k - 1)
     current = next(brackets)

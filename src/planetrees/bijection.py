@@ -168,7 +168,10 @@ def enumerate_closed_walks(
     """All closed root walks of the given even length, deterministically ordered.
 
     At each step the descents are tried by ascending rank before the ascent,
-    so the output order is a depth-first lexicographic order on moves.
+    so the output order is a depth-first lexicographic order on moves.  The
+    search keeps its own stack, so the walk length is not bounded by the
+    recursion limit; once only ascents can close the walk, they are appended
+    at once.
     """
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
@@ -180,32 +183,35 @@ def enumerate_closed_walks(
         )
     walks: list[Walk] = []
     moves: list[int] = []
-    depth_orders = [order]
-
-    def extend(remaining: int) -> None:
-        depth = len(depth_orders) - 1
-        if remaining == 0:
-            if depth == 0:
-                walks.append(Walk(order, tuple(moves)))
-            return
-        if remaining < depth or (remaining - depth) % 2:
-            return  # cannot close the walk any more
-        current = depth_orders[-1]
-        for rank in range(1, current + 1):
-            moves.append(rank)
-            depth_orders.append(current - rank)
-            extend(remaining - 1)
-            depth_orders.pop()
-            moves.pop()
-        if depth > 0:
+    path = [order]  # orders of the vertices from the root to the current one
+    left: list[int] = []  # order of the vertex each UP in ``moves`` left
+    tails = [(UP,) * depth for depth in range(length // 2 + 1)]
+    move = 1  # next move to try here: ranks 1..order, then order + 1 for UP
+    while True:
+        depth = len(path) - 1
+        current = path[-1]
+        if len(moves) + depth == length:  # only the ascents home remain
+            walks.append(Walk(order, tuple(moves) + tails[depth]))
+        elif move <= current:
+            moves.append(move)
+            path.append(current - move)
+            move = 1
+            continue
+        elif move == current + 1 and depth:
             moves.append(UP)
-            top = depth_orders.pop()
-            extend(remaining - 1)
-            depth_orders.append(top)
-            moves.pop()
-
-    extend(length)
-    return walks
+            left.append(path.pop())
+            move = 1
+            continue
+        if not moves:
+            return walks
+        # backtrack: undo the last move and try the one after it
+        last = moves.pop()
+        if last == UP:
+            path.append(left.pop())
+            move = path[-1] + 2
+        else:
+            path.pop()
+            move = last + 1
 
 
 def format_walk(walk: Walk) -> str:

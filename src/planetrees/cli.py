@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         max_k=args.max_k,
         unsafe_limits=args.unsafe_limits,
     )
-    if config.tol is not None and config.tol <= 0:
+    if config.tol is not None and not config.tol > 0:
         parser.error("--tol must be positive")
     try:
         return _HANDLERS[args.command](args, config)

@@ -12,8 +12,10 @@ eigenvalues of trees", Linear Algebra Appl. 434 (2011) 81-88).  All pivots
 are positive exactly when x is above the largest eigenvalue.  On any tree
 each distinct subtree object is eliminated once per point, so trees built
 with shared children cost their distinct nodes, not their logical size.  For
-leaning trees every vertex of order j has the same pivot, which gives an
-O(order) test per point and reaches orders no tree can be built for.
+leaning trees every vertex of order j has the same pivot, and under
+z = 1/x^2 these pivots are the complement chain of ``asymptotics``, so
+``leaning_lambda1`` reads its bracket off that chain's root bisection: O(order)
+per point, at orders no tree can be built for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
@@ -30,6 +32,7 @@ import math
 from itertools import islice
 from operator import mul
 
+from . import asymptotics
 from .errors import LimitError
 from .trees import PlaneTree, node_count, plan_max_degree, plan_node_count, subtree_plan
 
@@ -220,41 +223,28 @@ def stevanovic_bounds(delta: int) -> tuple[float, float]:
     return (math.sqrt(delta), 2.0 * math.sqrt(delta - 1))
 
 
-def leaning_pivot_chain(x: float, order: int) -> int | None:
-    """LDL pivot recursion for xI - A on the order-``order`` leaning tree.
+def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
+    """Largest eigenvalue of the order-``order`` leaning tree: the midpoint of
+    a bracket of width at most ``tol``.
 
-    Every vertex is the root of a smaller leaning tree, so the pivot of an
-    order-j vertex depends only on j: pivot(j) = x - sum over i < j of
-    1/pivot(i).  Returns None if all pivots up to ``order`` are positive
-    (equivalently, x exceeds the largest eigenvalue), else the first j whose
-    pivot is nonpositive.
-    """
-    inv_sum = 0.0
-    for j in range(order + 1):
-        pivot = x - inv_sum
-        if pivot <= 0.0:
-            return j
-        inv_sum += 1.0 / pivot
-    return None
-
-
-def leaning_lambda1_bracket(order: int, tol: float = 1e-12) -> tuple[float, float]:
-    """Bracket of width at most ``tol`` around the largest eigenvalue of a
-    leaning tree.
-
-    Bisection on the pivot positivity predicate; O(order) per point, so this
-    works for orders far beyond what an explicit 2^order-vertex tree allows.
-    The maximum degree of the order-``order`` leaning tree is ``order``.
+    Every order-j vertex has the pivot d_j = d_(j-1) - 1/d_(j-1), d_0 = x, so
+    z = 1/x^2 and s_j = d_j/x give the complement chain s_j = s_(j-1) -
+    z/s_(j-1) of ``asymptotics``, and the eigenvalue is 1/sqrt(zstar_order).
+    Each bracket [lo, hi] of its bisection (``asymptotics._root_brackets``)
+    is read as [1/sqrt(hi), 1/sqrt(lo)].  O(order) per point, so this works
+    for orders far beyond what an explicit 2^order-vertex tree allows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _bisect(lambda x: leaning_pivot_chain(x, order) is None, order, tol)
-
-
-def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
-    """Largest eigenvalue of the order-``order`` leaning tree, via bisection."""
-    lo, hi = leaning_lambda1_bracket(order, tol)
-    return 0.5 * (lo + hi)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if order == 0:
+        return 0.0  # a single vertex
+    for lo, hi in asymptotics._root_brackets(order):
+        x_lo, x_hi = 1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)
+        if x_hi - x_lo <= tol:
+            break
+    return 0.5 * (x_lo + x_hi)
 
 
 def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
@@ -271,7 +261,24 @@ def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:
 
 def _plan_lambda1_bracket(plan: list, tol: float) -> tuple[float, float]:
     """``lambda1_bracket`` of the tree whose ``subtree_plan`` is ``plan``."""
-    return _bisect(lambda x: _pivots_positive(x, plan), plan_max_degree(plan), tol)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    delta = plan_max_degree(plan)
+    if delta == 0:
+        return (0.0, 0.0)  # a single vertex
+    lo = 0.0  # a leaf's pivot is x itself, so the predicate fails: lo <= lambda1
+    hi = 2.0 * math.sqrt(delta) + 1.0  # above the bound 2 sqrt(delta - 1)
+    if not _pivots_positive(hi, plan):
+        raise RuntimeError("seed bracket does not straddle the eigenvalue")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # float resolution floor
+        if _pivots_positive(mid, plan):
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
 
 
 def _plan_lambda1(plan: list, tol: float = 1e-10) -> float:
@@ -290,29 +297,6 @@ def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
     if uh < 1:
         raise ValueError("Ulam-Harris number must be positive")
     return leaning_lambda1(uh - 1, min(tol, 1e-10))
-
-
-def _bisect(positive, delta: int, tol: float) -> tuple[float, float]:
-    """Shrink a bracket around the largest eigenvalue of a tree with maximum
-    degree ``delta``; ``positive(x)`` says whether every pivot of xI - A is
-    positive, that is whether x lies above the eigenvalue."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if delta == 0:
-        return (0.0, 0.0)  # a single vertex
-    lo = 0.0  # a leaf's pivot is x itself, so the predicate fails: lo <= lambda1
-    hi = 2.0 * math.sqrt(delta) + 1.0  # above the bound 2 sqrt(delta - 1)
-    if not positive(hi):
-        raise RuntimeError("seed bracket does not straddle the eigenvalue")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution floor
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
 
 
 def _pivots_positive(x: float, plan: list) -> bool:

@@ -19,6 +19,7 @@ from planetrees import (
     zstar_lower_bound,
     zstar_upper_bound,
 )
+from planetrees.asymptotics import DEFAULT_ROOT_TOL, _chain
 
 ROOT2 = (3.0 - math.sqrt(5.0)) / 2.0  # solves (1-z)^2 = z
 ALPHA3 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -96,6 +97,29 @@ def test_zstar_respects_requested_width():
         assert zstar(5, tol).width <= tol
 
 
+def test_lower_seed_keeps_the_chain_positive_at_large_k():
+    # k - sqrt(k^2 - 1) cancels: from about k = 3.5e5 it lands past the root
+    for k in (2, 10, 10**3, 10**4, 10**5, 3 * 10**5, 35 * 10**4, 5 * 10**5, 10**6):
+        assert _chain(zstar_lower_bound(k), k)[1] > 0.0, k
+
+
+def test_zstar_at_a_million_labels():
+    k = 10**6
+    bracket = zstar(k)
+    assert zstar_lower_bound(k) <= bracket.lo < bracket.hi <= zstar_upper_bound(k)
+    assert bracket.width <= DEFAULT_ROOT_TOL
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_root_bisections_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        zstar(5, tol)
+    with pytest.raises(ValueError):
+        growth_constants(5, tol)
+    with pytest.raises(ValueError):
+        alpha(5, tol)
+
+
 def _chain_positive(z: float, k: int) -> bool:
     z = Fraction(z)
     s = 1 - z
@@ -145,10 +169,10 @@ def test_growth_constants_are_pinned():
     # every digit: a reordered float operation in the derivative recurrence
     # or the bisection shows here
     assert repr(growth_constants(2)) == "(1.0, 1.0)"
-    assert repr(growth_constants(3)) == "(2.6180339887498785, 0.27639320224999386)"
-    assert repr(growth_constants(10)) == "(15.7870231675693, 0.021067625865620308)"
-    assert repr(growth_constants(50)) == "(94.90299707881915, 0.0014656024976073614)"
-    assert repr(growth_constants(245)) == "(484.09039566513275, 0.00012775229480840077)"
+    assert repr(growth_constants(3)) == "(2.6180339887498794, 0.27639320224999386)"
+    assert repr(growth_constants(10)) == "(15.787023167569219, 0.021067625865619388)"
+    assert repr(growth_constants(50)) == "(94.90299707881988, 0.0014656024976127898)"
+    assert repr(growth_constants(245)) == "(484.0903956651321, 0.00012775229494714762)"
 
 
 def test_eval_gk_matches_series_partial_sums():

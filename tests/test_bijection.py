@@ -1,5 +1,8 @@
 """Walk validity, the two conversion algorithms, and their round trips."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -85,6 +88,27 @@ def test_enumerate_closed_walks_guards():
         enumerate_closed_walks(7, 4)
     with pytest.raises(ValueError):
         enumerate_closed_walks(2, 3)
+
+
+def test_enumeration_order_is_pinned():
+    # the documented order, hashed: depth-first, with the descents by
+    # ascending rank before the ascent
+    lines = [
+        f"{k} {length} {format_walk(w)}"
+        for k in range(6)
+        for length in range(0, 13, 2)
+        for w in enumerate_closed_walks(k, length)
+    ]
+    assert len(lines) == 191783
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ef27bb5713f1eedc7acbb2a346658d1ac2ae3b53656a441883881b686612e714"
+
+
+def test_enumeration_reaches_lengths_past_the_recursion_limit():
+    length = 3 * sys.getrecursionlimit()
+    walks = enumerate_closed_walks(1, length, max_length=length)
+    assert [format_walk(w) for w in walks] == [" ".join(["+1 -"] * (length // 2))]
+    assert len(enumerate_closed_walks(2, 20, max_length=20)) == count_with_root_label(11, 3)
 
 
 def test_walk_counts_match_root_label_counts():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,108 @@ def test_bijection_p_fuzz_exits_cleanly(order, text):
 @settings(max_examples=200, deadline=None)
 def test_bijection_w_fuzz_exits_cleanly(text):
     assert exit_code("bijection", "w", text) in (0, 2)
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_tolerance_that_is_not_positive_is_usage_error(capsys, monkeypatch, tol):
+    # a NaN tolerance compares false both ways, so it once returned the
+    # unnarrowed seed bracket
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eigen", "1(1 1)", "--tol", tol])
+    assert exc.value.code == 2 and "--tol must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("PLANETREES_TOL", tol)
+    for argv in (["eigen", "1(1 1)"], ["alpha", "4"], ["root", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+FUZZ_TREES = ["1", "1(1 1)", "3(2 1(1))", "2(3)", "1(1 1(1 1) 1(1))", "1(", "", "x", "0"]
+FUZZ_WALKS = ["", "+1 -", "+2 +1 - -", "+1 - +1 -", "-", "+0 -", "+3 -", "+1"]
+FUZZ_TOLS = ["nan", "-nan", "inf", "0", "-1", "1e-3", "1e-12", "1e-300", "abc"]
+#: values a PLANETREES_* variable is fuzzed with, good and bad
+FUZZ_ENV = {
+    "TOL": ["nan", "inf", "0", "-1", "abc", "1e-8"],
+    "FORMAT": ["json", "csv", "xml", ""],
+    "MAX_N": ["3", "-1", "x"],
+    "MAX_K": ["2", "0", "1.5"],
+    "METHOD": ["compositions", "enumerate", "bogus"],
+    "ORDER": ["2", "-1", "two"],
+    "UNSAFE_LIMITS": ["1", "0", ""],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, environment) for any subcommand, with small arguments."""
+
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    if command == "count":
+        argv = ["count", num(-2, 7), num(-2, 5)]
+        argv += draw(st.sampled_from([[], ["--all-methods"], ["--method", "enumerate"]]))
+    elif command == "table":
+        argv = ["table", "--max-n", num(-1, 12), "--max-k", num(-1, 6)]
+    elif command == "series":
+        argv = ["series", num(-1, 8), num(-1, 30)]
+    elif command in ("root", "alpha"):
+        argv = [command, num(-1, 20)]
+    elif command == "walks":
+        argv = ["walks", num(-1, 4), "--max-len", num(-2, 10)]
+        argv += draw(st.sampled_from([[], ["--list"]]))
+    elif command == "eigen":
+        argv = ["eigen", draw(st.sampled_from(FUZZ_TREES))]
+        if draw(st.booleans()):
+            argv = ["eigen", "--leaning", num(-2, 12)]
+        argv += ["--trace-n", num(-2, 12)]
+    elif command == "uh":
+        argv = ["uh", draw(st.sampled_from(FUZZ_TREES))]
+    elif command == "bijection":
+        if draw(st.booleans()):
+            argv = ["bijection", "p", draw(st.sampled_from(FUZZ_WALKS))]
+            argv += draw(st.sampled_from([[], ["--order", num(-2, 4)]]))
+        else:
+            argv = ["bijection", "w", draw(st.sampled_from(FUZZ_TREES))]
+    else:  # the fast scopes: the others take most of a second each
+        argv = ["verify", draw(st.sampled_from(["roots", "spectral", "uh"]))]
+    for flag, values in (("--tol", FUZZ_TOLS), ("--format", list(cli.FORMATS) + ["xml"])):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv.append("--unsafe-limits")
+    names = draw(st.lists(st.sampled_from(sorted(FUZZ_ENV)), unique=True, max_size=3))
+    env = {cli.ENV_PREFIX + name: draw(st.sampled_from(FUZZ_ENV[name])) for name in names}
+    return argv, env
+
+
+@given(cli_calls())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_never_ends_in_a_traceback(call):
+    argv, env = call
+    if "--tol" in argv:
+        tol = argv[argv.index("--tol") + 1]
+    else:
+        tol = env.get(cli.ENV_PREFIX + "TOL", "1")
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            assert exc.code == 2, (argv, env)
+        else:
+            assert code in (0, 1, 2, 3), (argv, env)
+            assert tol not in ("nan", "-nan", "0", "-1", "abc"), (argv, env)
+
+
+def test_walk_list_past_the_recursion_limit(capsys):
+    argv = ["walks", "1", "--max-len", "3000", "--list", "--unsafe-limits"]
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 1501
+    assert lines[-1].split(None, 1) == ["3000", " ".join(["+1 -"] * 1500)]
 
 
 def test_uh_report(capsys):

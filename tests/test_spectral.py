@@ -25,7 +25,8 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
-from planetrees.spectral import adjacency_lists, lambda1_bracket, leaning_lambda1_bracket
+from planetrees.asymptotics import zstar_lower_bound, zstar_upper_bound
+from planetrees.spectral import adjacency_lists, lambda1_bracket
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -164,11 +165,35 @@ def test_sandwich_on_leaning_and_random_trees():
 
 
 def test_leaning_bisection_matches_lambda1():
-    # the explicit tree and the per-order pivot chain bisect the same pivots
+    # pivots of the explicit tree against the complement chain under z = 1/x^2
     for k in range(0, 15):
-        assert lambda1(leaning_tree(k), 1e-12) == leaning_lambda1(k, 1e-12)
-    lo, hi = leaning_lambda1_bracket(2, 1e-12)
-    assert lo <= PHI <= hi
+        assert abs(lambda1(leaning_tree(k), 1e-12) - leaning_lambda1(k, 1e-12)) <= 1e-12
+    assert abs(leaning_lambda1(2, 1e-12) - PHI) <= 1e-12  # the path on four vertices
+    assert leaning_lambda1(0) == 0.0 and leaning_lambda1(1) == 1.0
+
+
+def test_leaning_lambda1_matches_dense_eigenvalue():
+    for k in range(0, 11):
+        assert abs(leaning_lambda1(k) - dense_eigenvalue(leaning_tree(k))) <= 1e-11
+
+
+def test_leaning_lambda1_at_large_orders():
+    # beyond about 3.5e5 the cancelling seed formula put the chain past its root
+    order = 4 * 10**5
+    lam = leaning_lambda1(order)
+    assert 1.0 / zstar_upper_bound(order) <= lam * lam <= 1.0 / zstar_lower_bound(order)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_eigenvalue_bisections_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        lambda1(leaning_tree(2), tol)
+    with pytest.raises(ValueError):
+        lambda1_bracket(parse_tree("1(1 1)"), tol)
+    with pytest.raises(ValueError):
+        leaning_lambda1(5, tol)
+    with pytest.raises(ValueError):
+        leaning_eigen_bound(3, tol)
 
 
 def test_lambda1_eliminates_shared_subtrees_once():
