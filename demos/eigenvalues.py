@@ -5,9 +5,9 @@ Bisection on the pivots of xI - A (all positive exactly when x is above the
 largest eigenvalue), and exact closed-walk growth (the count of closed
 2n-walks to the power 1/2n).  The pivot bisection runs on any tree; on
 leaning trees the pivots are the counting root chain under z = 1/x^2, so
-``leaning_lambda1`` reads the eigenvalue off that chain's root bisection at
-O(order) per evaluation point and reaches orders whose explicit trees would
-have 2^order vertices.
+``leaning_lambda1`` reads the eigenvalue off that chain's root (Newton, then
+a certified bracket) at O(order) per evaluation point and reaches orders
+whose explicit trees would have 2^order vertices.
 """
 
 import math

@@ -6,12 +6,18 @@ positive on [0, zstar_k), where zstar_k is the smallest positive root of
 s_k; the counts with k+1 labels then grow like ck * alpha^n with
 alpha = 1/zstar_k (the root is a simple pole of the next counting series).
 
-Root location uses bisection on a positivity predicate rather than Newton
-steps: near the root the recurrence divides by a vanishing chain member, and
-a Newton step can jump past the pole, while the predicate (every chain
-member positive) is monotone in z and unconditionally safe to bisect.
-One loop, ``_chain``, serves the bisection and ``eval_sk``; c needs
-g'_(k-1) at the root, carried beside g by its explicit recurrence.
+One routine, ``_root``, locates the root for ``zstar``, ``growth_constants``
+and ``spectral.leaning_lambda1``: a safeguarded Newton iteration ("rtsafe",
+Press et al., Numerical Recipes, section 9.4) on s_k = 1 - g_k with
+s_k' = -g_k' from ``eval_gk_with_derivative``, then a certificate.  Near the
+root the recurrence divides by a vanishing chain member, so a bare Newton
+step can jump past a pole; the iteration keeps a bracket that starts at the
+proved bounds and narrows by the sign of every iterate, and an iterate that
+would leave it, or one past a pole, is replaced by the bracket midpoint.
+Its correctness rests on neither the seed nor concavity.  The certificate
+is the positivity predicate of the float chain (``_chain``), which is
+monotone in z and read at the two ends of a bracket centred on the Newton
+root.  c needs g'_(k-1) at the root, which the last Newton step carries.
 """
 
 from __future__ import annotations
@@ -138,14 +144,17 @@ def zstar_upper_bound(k: int) -> float:
 
 
 def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
-    """Certified bracket for the smallest positive root of s_k.
+    """Certified bracket, no wider than ``tol``, for the smallest positive
+    root of s_k.
 
-    Bisection on the positivity predicate of ``eval_sk``, seeded with the
-    provable lower and upper bounds (intersected with [0, 1]), stopped at
-    the first bracket no wider than ``tol`` (or at the float resolution
-    floor).  k = 1 is returned exactly: s_1 = 1 - z has root 1, which
-    coincides with the lower bound, so no strictly-positive certificate to
-    its left exists within the seeded interval.
+    The bracket is centred on the Newton root of ``_root``, each end tol/4
+    from it but never closer than 8 ulps, with the float chain positive at
+    lo and not positive at hi, both inside the proved bounds; where the
+    float chain cannot tell points that close apart, it is narrowed by
+    bisection down to ``tol`` or to the float floor of 16 ulps.  k = 1 is
+    returned exactly: s_1 = 1 - z has root 1, which coincides with the
+    lower bound, so no strictly-positive certificate to its left exists
+    within the proved bounds.
 
     For k <= EXACT_CERTIFICATE_MAX_K both endpoints are then checked in
     exact rational arithmetic (every chain member positive at lo, not at
@@ -160,9 +169,7 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
         raise ValueError("k must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    for lo, hi in _root_brackets(k):
-        if hi - lo <= tol:
-            break
+    lo, hi, _ = _root(k, tol)
     if 1 < k <= EXACT_CERTIFICATE_MAX_K:
         while not _chain_positive_exactly(lo, k):
             lo = math.nextafter(lo, 0.0)
@@ -171,32 +178,101 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     return RootBracket(k, lo, hi)
 
 
-def _root_brackets(k: int):
-    """The bisection brackets of ``zstar``, widest first.
+#: Newton's seed: alpha_(k+1) = 2k - ln(k)/2 - C + o(1), with C measured as
+#: about 1.1644 for k from 10^3 to 10^6; only a starting point
+_SEED_OFFSET = 1.1644
+#: Newton's g_k lands within about this many ulps of its fixed point (at
+#: most 9 measured for k <= 10^5), and a bracket end closer than this to the
+#: root often fails a 50-digit check of the chain (k = 2..300: 207 of 299
+#: rows at 1 ulp, 21 at 8 ulps): Newton stops at a step of twice this, and
+#: no bracket end comes closer to the root
+_ROUNDING_ULPS = 8.0
 
-    Yields the seeds and then every bracket the bisection passes through,
-    ending at the float resolution floor.  Deterministic, so any list of
-    tolerances can be served from one run of it.
+
+def _root(k: int, width: float) -> tuple[float, float, float]:
+    """(lo, hi, derivative) for the smallest positive root of s_k.
+
+    Newton finds the root to float precision whatever ``width`` is, and
+    ``derivative`` is g_k' at its last iterate, within 16 ulps of the root.
+    [lo, hi] is centred on the root and holds the float certificate (chain
+    positive at lo, not at hi, both inside the proved bounds); it is no
+    wider than ``width`` unless the float floor of 16 ulps stops it first.
     """
     if k == 1:
-        yield 1.0, 1.0
-        return
-    lo = zstar_lower_bound(k)
-    hi = min(1.0, zstar_upper_bound(k))
-    if _chain(lo, k)[1] <= 0.0:
-        raise RuntimeError(f"positivity fails at the lower seed {lo} for k={k}")
-    if _chain(hi, k)[1] > 0.0:
-        raise RuntimeError(f"positivity unexpectedly holds at the upper seed {hi} for k={k}")
-    yield lo, hi
+        return 1.0, 1.0, 1.0  # g_1 = z
+    lower = zstar_lower_bound(k)
+    upper = min(1.0, zstar_upper_bound(k))
+    root, derivative = _newton(k, lower, upper)
+    lo, hi = _certify(k, root, width, lower, upper)
+    return lo, hi, derivative
+
+
+def _newton(k: int, lo: float, hi: float) -> tuple[float, float]:
+    """Newton on s_k inside the proved bracket [lo, hi], narrowed by the sign
+    of every iterate; (root, g_k' at the last iterate)."""
+    z = min(max(1.0 / (2.0 * k - 0.5 * math.log(k) - _SEED_OFFSET), lo), hi)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return  # float resolution floor
-        if _chain(mid, k)[1] <= 0.0:
-            hi = mid
+        try:
+            g, derivative = eval_gk_with_derivative(z, k)
+        except ValueError:  # z is past a pole of the chain, so past the root
+            hi = z
+            z = 0.5 * (lo + hi)
+            continue
+        # s_k/s_k' = -(1 - g)/g', and g' > 0, so the step has the sign of s_k
+        step = (1.0 - g) / derivative
+        if abs(step) <= 2.0 * _ROUNDING_ULPS * math.ulp(z):
+            return z + step, derivative
+        if step > 0.0:
+            lo = z
         else:
+            hi = z
+        following = z + step
+        if not lo < following < hi:
+            following = 0.5 * (lo + hi)
+            if not lo < following < hi:
+                return z, derivative  # float resolution floor
+        z = following
+
+
+def _certify(k: int, root: float, width: float, lower: float, upper: float) -> tuple[float, float]:
+    """A bracket no wider than ``width``, or than the float floor of
+    2 * _ROUNDING_ULPS ulps, with the float chain positive at lo and not
+    positive at hi.
+
+    Tries root -/+ max(width/4, _ROUNDING_ULPS ulps) first.  An end the
+    float chain rejects is stepped outward, doubling its distance from the
+    root, until it holds; each rejected point then bounds the other side,
+    and bisection narrows what is left.  Ends never pass the proved bounds
+    ``lower`` and ``upper``.
+    """
+    floor = _ROUNDING_ULPS * math.ulp(root)
+    offset = max(0.25 * width, floor)
+    lo = hi = None
+    reach = offset
+    while lo is None:
+        z = max(root - reach, lower)
+        if _chain(z, k)[1] > 0.0:
+            lo = z
+        elif z == lower:
+            raise RuntimeError(f"positivity fails at the lower seed {z} for k={k}")
+        else:
+            hi, reach = z, 2.0 * reach
+    reach = offset
+    while hi is None:
+        z = min(root + reach, upper)
+        if _chain(z, k)[1] <= 0.0:
+            hi = z
+        elif z == upper:
+            raise RuntimeError(f"positivity unexpectedly holds at the upper seed {z} for k={k}")
+        else:
+            lo, reach = z, 2.0 * reach
+    while hi - lo > max(width, 2.0 * floor):
+        mid = 0.5 * (lo + hi)
+        if _chain(mid, k)[1] > 0.0:
             lo = mid
-        yield lo, hi
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _chain_positive_exactly(z: float, k: int) -> bool:
@@ -221,42 +297,26 @@ def _chain_positive_exactly(z: float, k: int) -> bool:
 def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
     """Growth rate and leading constant with k labels: ``(alpha(k, tol), ck(k, tol))``.
 
-    Both come from one bisection run on s_(k-1): a 1e-6 bracket sets the
-    width that keeps the propagated error of 1/zstar below ``tol``, a
-    bracket of that width gives alpha, and a min(tol, 1e-12) bracket gives
-    the point where c is evaluated.
+    Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
+    precision at every ``tol``, so ``tol`` sets only the width of the
+    certified bracket, tol * zlow^2 with zlow the proved lower bound, which
+    keeps the propagated error of alpha = 1/midpoint below ``tol``.  c is
+    1/g'_(k-1) at the converged root.
     """
     if k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    brackets = _root_brackets(k - 1)
-    current = next(brackets)
-
-    def narrow(width: float) -> RootBracket:
-        nonlocal current
-        while current[1] - current[0] > width:
-            following = next(brackets, None)
-            if following is None:
-                break
-            current = following
-        return RootBracket(k - 1, *current)
-
-    coarse = narrow(1e-6)
-    alpha_width = min(DEFAULT_ROOT_TOL, tol * coarse.lo * coarse.lo)
-    c_width = min(tol, DEFAULT_ROOT_TOL)
-    # the bracket sequence only narrows, so serve the wider request first
-    roots = {width: narrow(width) for width in sorted({alpha_width, c_width}, reverse=True)}
-    alpha_root, c_root = roots[alpha_width], roots[c_width]
-    derivative = eval_gk_with_derivative(c_root.midpoint, k - 1)[1]
-    return 1.0 / alpha_root.midpoint, 1.0 / derivative
+    lower = zstar_lower_bound(k - 1)
+    lo, hi, derivative = _root(k - 1, tol * lower * lower)
+    return 2.0 / (lo + hi), 1.0 / derivative
 
 
 def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Exponential growth rate of the counts with k labels: 1/zstar_(k-1).
 
-    The root bracket is refined to a width that keeps the propagated error
-    of the reciprocal below ``tol``.
+    The root is found to float precision and certified by a bracket narrow
+    enough to keep the propagated error of the reciprocal below ``tol``.
     """
     return growth_constants(k, tol)[0]
 

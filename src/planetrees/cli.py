@@ -299,10 +299,11 @@ def cmd_series(args, config: RunConfig) -> int:
 
 
 def cmd_root(args, config: RunConfig) -> int:
-    """Root brackets of s_1..s_K, each no wider than the tolerance.  Above
-    ``asymptotics.EXACT_CERTIFICATE_MAX_K`` a bracket rests on the float
-    chain, so a tol near the float resolution still gives only a float
-    certificate there."""
+    """Root brackets of s_1..s_K, each centred on the Newton root and no
+    wider than the tolerance, or than 16 ulps of the root where the float
+    resolution stops it first.  Above ``asymptotics.EXACT_CERTIFICATE_MAX_K``
+    a bracket rests on the float chain, so a tol near the float resolution
+    still gives only a float certificate there."""
     if args.k < 1:
         raise ValueError("k must be positive")
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
@@ -324,8 +325,8 @@ def cmd_root(args, config: RunConfig) -> int:
 
 
 def cmd_alpha(args, config: RunConfig) -> int:
-    """Growth constants for k = 2..K, alpha within the tolerance (roots
-    certified as in ``cmd_root``)."""
+    """Growth constants for k = 2..K at float precision, alpha certified
+    within the tolerance by a root bracket as in ``cmd_root``."""
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]

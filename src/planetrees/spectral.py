@@ -14,8 +14,8 @@ each distinct subtree object is eliminated once per point, so trees built
 with shared children cost their distinct nodes, not their logical size.  For
 leaning trees every vertex of order j has the same pivot, and under
 z = 1/x^2 these pivots are the complement chain of ``asymptotics``, so
-``leaning_lambda1`` reads its bracket off that chain's root bisection: O(order)
-per point, at orders no tree can be built for.
+``leaning_lambda1`` reads its bracket off that chain's root routine (Newton,
+then a certificate): O(order) per point, at orders no tree can be built for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
@@ -225,14 +225,17 @@ def stevanovic_bounds(delta: int) -> tuple[float, float]:
 
 def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     """Largest eigenvalue of the order-``order`` leaning tree: the midpoint of
-    a bracket of width at most ``tol``.
+    a bracket of width at most ``tol`` (above order about 3e5 at tol 1e-12,
+    the root routine's float floor of 16 ulps in z is wider).
 
     Every order-j vertex has the pivot d_j = d_(j-1) - 1/d_(j-1), d_0 = x, so
     z = 1/x^2 and s_j = d_j/x give the complement chain s_j = s_(j-1) -
     z/s_(j-1) of ``asymptotics``, and the eigenvalue is 1/sqrt(zstar_order).
-    Each bracket [lo, hi] of its bisection (``asymptotics._root_brackets``)
-    is read as [1/sqrt(hi), 1/sqrt(lo)].  O(order) per point, so this works
-    for orders far beyond what an explicit 2^order-vertex tree allows.
+    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi] no
+    wider than tol * zlow^(3/2), with zlow the proved lower bound on the
+    root, read as x = [1/sqrt(hi), 1/sqrt(lo)]: since dx/dz = -x^3/2, that
+    is at most tol/2 wide in x.  O(order) per point, so this works for
+    orders far beyond what an explicit 2^order-vertex tree allows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -240,11 +243,9 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
         raise ValueError("tol must be positive")
     if order == 0:
         return 0.0  # a single vertex
-    for lo, hi in asymptotics._root_brackets(order):
-        x_lo, x_hi = 1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)
-        if x_hi - x_lo <= tol:
-            break
-    return 0.5 * (x_lo + x_hi)
+    lower = asymptotics.zstar_lower_bound(order)
+    lo, hi, _ = asymptotics._root(order, tol * lower * math.sqrt(lower))
+    return 0.5 * (1.0 / math.sqrt(hi) + 1.0 / math.sqrt(lo))
 
 
 def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Root brackets, growth constants, and the derivative of the counting series."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from planetrees import (
     zstar_lower_bound,
     zstar_upper_bound,
 )
+from planetrees import asymptotics
 from planetrees.asymptotics import DEFAULT_ROOT_TOL, _chain
 
 ROOT2 = (3.0 - math.sqrt(5.0)) / 2.0  # solves (1-z)^2 = z
@@ -142,14 +144,19 @@ def test_zstar_brackets_are_certified_exactly():
 
 
 def test_growth_constants_match_separate_bisections():
+    # alpha and c come from the same root routine as zstar: alpha is the
+    # reciprocal midpoint of a certified bracket no wider than tol * zlow^2,
+    # and c the reciprocal derivative at the root
     for k in range(2, 60):
         for tol in (1e-12, 1e-9):
-            coarse = zstar(k - 1, 1e-6)
-            width = min(1e-12, tol * coarse.lo**2)
-            root = zstar(k - 1, min(tol, 1e-12))
-            derivative = eval_gk_with_derivative(root.midpoint, k - 1)[1]
-            expected = (1.0 / zstar(k - 1, width).midpoint, 1.0 / derivative)
-            assert growth_constants(k, tol) == expected == (alpha(k, tol), ck(k, tol))
+            growth, constant = growth_constants(k, tol)
+            assert (growth, constant) == (alpha(k, tol), ck(k, tol))
+            bracket = zstar(k - 1, tol * zstar_lower_bound(k - 1) ** 2)
+            assert 1.0 / bracket.hi <= growth <= 1.0 / bracket.lo, (k, tol)
+            assert abs(growth - 1.0 / bracket.midpoint) <= tol, (k, tol)
+            root = zstar(k - 1).midpoint
+            derivative = eval_gk_with_derivative(root, k - 1)[1]
+            assert constant == pytest.approx(1.0 / derivative, rel=1e-12), (k, tol)
     with pytest.raises(ValueError):
         growth_constants(1)
 
@@ -167,12 +174,90 @@ def test_dual_derivative_matches_finite_differences():
 
 def test_growth_constants_are_pinned():
     # every digit: a reordered float operation in the derivative recurrence
-    # or the bisection shows here
+    # or the root routine shows here; each value is within 1e-13 relative of
+    # a 160-bit reference, alpha(3) = phi^2 correctly rounded
     assert repr(growth_constants(2)) == "(1.0, 1.0)"
-    assert repr(growth_constants(3)) == "(2.6180339887498794, 0.27639320224999386)"
-    assert repr(growth_constants(10)) == "(15.787023167569219, 0.021067625865619388)"
-    assert repr(growth_constants(50)) == "(94.90299707881988, 0.0014656024976127898)"
-    assert repr(growth_constants(245)) == "(484.0903956651321, 0.00012775229494714762)"
+    assert repr(growth_constants(3)) == "(2.618033988749895, 0.276393202250021)"
+    assert repr(growth_constants(10)) == "(15.78702316756929, 0.02106762586584386)"
+    assert repr(growth_constants(50)) == "(94.90299707881947, 0.0014656024981003276)"
+    assert repr(growth_constants(245)) == "(484.090395665132, 0.00012775229708916142)"
+
+
+def _decimal_chain_positive(z, k: int) -> bool:
+    """Whether s_1(z), ..., s_k(z) are all positive, with 50 significant
+    digits (z a float, taken at its exact binary value, or a Decimal)."""
+    with localcontext() as context:
+        context.prec = 50
+        z = Decimal(z)
+        s = 1 - z
+        if s <= 0:
+            return False
+        for _ in range(2, k + 1):
+            s = s - z / s
+            if s <= 0:
+                return False
+        return True
+
+
+def _decimal_ck(k: int) -> Decimal:
+    """1/g'_(k-1) at the root of s_(k-1), to about 40 digits: the root by
+    bisection on the 50-digit chain, then the g' recurrence."""
+    m = k - 1
+    with localcontext() as context:
+        context.prec = 50
+        lo, hi = Decimal(0), Decimal(1)
+        while hi - lo > Decimal("1e-42"):
+            mid = (lo + hi) / 2
+            if _decimal_chain_positive(mid, m):
+                lo = mid
+            else:
+                hi = mid
+        z = (lo + hi) / 2
+        g, dg = z, Decimal(1)
+        for _ in range(2, m + 1):
+            denom = 1 - g
+            g, dg = g + z / denom, dg + (1 + z * dg / denom) / denom
+        return 1 / dg
+
+
+def test_ck_matches_decimal_reference():
+    for k in (3, 10, 50, 245):
+        reference = _decimal_ck(k)
+        assert abs(Decimal(ck(k)) / reference - 1) <= Decimal("1e-12"), k
+
+
+def test_zstar_brackets_hold_under_a_decimal_chain():
+    # above EXACT_CERTIFICATE_MAX_K the certificate is the float chain;
+    # each end sits far enough from the root that 50 digits agree with it
+    for tol in (1e-12, 1e-16):
+        for k in range(2, 301):
+            bracket = zstar(k, tol)
+            assert _decimal_chain_positive(bracket.lo, k), (k, tol)
+            assert not _decimal_chain_positive(bracket.hi, k), (k, tol)
+
+
+def test_root_routine_evaluates_the_chain_about_six_times_per_row(monkeypatch):
+    calls = [0]
+
+    def counted(function):
+        def wrapper(*args):
+            calls[0] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(asymptotics, "_chain", counted(asymptotics._chain))
+    monkeypatch.setattr(
+        asymptotics, "eval_gk_with_derivative", counted(asymptotics.eval_gk_with_derivative)
+    )
+    rows = range(2, 301)
+    for k in rows:
+        zstar(k)
+    assert calls[0] / len(rows) <= 8.0  # Newton steps plus certificate checks
+    calls[0] = 0
+    for k in rows:
+        growth_constants(k + 1)
+    assert calls[0] / len(rows) <= 9.0
 
 
 def test_eval_gk_matches_series_partial_sums():

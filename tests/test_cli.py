@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planetrees import cli, leaning_tree, series, verify, walk_count_table
+from planetrees import asymptotics, cli, leaning_tree, series, verify, walk_count_table
 from planetrees.intstr import int_to_str
 from planetrees.series import TruncatedSeries
 
@@ -520,19 +520,34 @@ def test_root_and_alpha_honour_tol(capsys, monkeypatch):
     for name in list(os.environ):
         if name.startswith("PLANETREES_"):
             monkeypatch.delenv(name)
-    # without --tol each command keeps its own default, 1e-12
-    for command, tight in (("root", "1e-6"), ("alpha", "1e-16")):
-        code, default, _ = run_cli(capsys, command, "30")
-        assert code == 0
-        assert run_cli(capsys, command, "30", "--tol", "1e-12")[1] == default
-        code, flagged, _ = run_cli(capsys, command, "30", "--tol", tight)
-        assert code == 0 and flagged != default
-        monkeypatch.setenv("PLANETREES_TOL", tight)
-        assert run_cli(capsys, command, "30")[1] == flagged
-        monkeypatch.delenv("PLANETREES_TOL")
+    # without --tol root keeps its own default, 1e-12
+    code, default, _ = run_cli(capsys, "root", "30")
+    assert code == 0
+    assert run_cli(capsys, "root", "30", "--tol", "1e-12")[1] == default
+    code, flagged, _ = run_cli(capsys, "root", "30", "--tol", "1e-6")
+    assert code == 0 and flagged != default
+    monkeypatch.setenv("PLANETREES_TOL", "1e-6")
+    assert run_cli(capsys, "root", "30")[1] == flagged
+    monkeypatch.delenv("PLANETREES_TOL")
     code, out, _ = run_cli(capsys, "root", "30", "--tol", "1e-6", "--format", "json")
     widths = [float(row["width"]) for row in json.loads(out)]
     assert max(widths) <= 1e-6 and min(widths[1:]) > 1e-12
+    # alpha is at float precision at every tol, so its output cannot show
+    # the tolerance: a spy checks that --tol and PLANETREES_TOL reach
+    # growth_constants, and that without them its default applies
+    seen = []
+    real = asymptotics.growth_constants
+
+    def spy(k, **tolerance):
+        seen.append(tolerance)
+        return real(k, **tolerance)
+
+    monkeypatch.setattr(asymptotics, "growth_constants", spy)
+    assert run_cli(capsys, "alpha", "4")[0] == 0
+    assert run_cli(capsys, "alpha", "4", "--tol", "1e-16")[0] == 0
+    monkeypatch.setenv("PLANETREES_TOL", "1e-9")
+    assert run_cli(capsys, "alpha", "4")[0] == 0
+    assert seen == [{}] * 3 + [{"tol": 1e-16}] * 3 + [{"tol": 1e-9}] * 3
 
 
 def test_enumeration_guard_counts_trees(capsys):
