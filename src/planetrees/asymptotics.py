@@ -14,10 +14,14 @@ root the recurrence divides by a vanishing chain member, so a bare Newton
 step can jump past a pole; the iteration keeps a bracket that starts at the
 proved bounds and narrows by the sign of every iterate, and an iterate that
 would leave it, or one past a pole, is replaced by the bracket midpoint.
-Its correctness rests on neither the seed nor concavity.  The certificate
-is the positivity predicate of the float chain (``_chain``), which is
-monotone in z and read at the two ends of a bracket centred on the Newton
-root.  c needs g'_(k-1) at the root, which the last Newton step carries.
+Its correctness rests on neither the seed nor concavity.  The seed is a
+fitted large-k expansion of alpha, within 4.1e-11 relative of the root
+from k = 20, so one derivative pass finds the root for k >= 13: Newton
+returns its last iterate plus the step without evaluating there again.
+The certificate is the positivity predicate of the float chain
+(``_chain``), which is monotone in z and read at the two ends of a bracket
+centred on the Newton root: one chain pass per end.  c needs g'_(k-1) at
+the root, one more derivative pass at the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -151,7 +155,9 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     from it but never closer than 8 ulps, with the float chain positive at
     lo and not positive at hi, both inside the proved bounds; where the
     float chain cannot tell points that close apart, it is narrowed by
-    bisection down to ``tol`` or to the float floor of 16 ulps.  k = 1 is
+    bisection down to ``tol`` or to the float floor of 16 ulps.  That
+    usually costs one derivative pass and two chain passes of k steps
+    (from k = 13; up to three derivative passes below).  k = 1 is
     returned exactly: s_1 = 1 - z has root 1, which coincides with the
     lower bound, so no strictly-positive certificate to its left exists
     within the proved bounds.
@@ -169,7 +175,7 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
         raise ValueError("k must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lo, hi, _ = _root(k, tol)
+    lo, hi = _root(k, tol)
     if 1 < k <= EXACT_CERTIFICATE_MAX_K:
         while not _chain_positive_exactly(lo, k):
             lo = math.nextafter(lo, 0.0)
@@ -178,39 +184,69 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     return RootBracket(k, lo, hi)
 
 
-#: Newton's seed: alpha_(k+1) = 2k - ln(k)/2 - C + o(1), with C measured as
-#: about 1.1644 for k from 10^3 to 10^6; only a starting point
-_SEED_OFFSET = 1.1644
+#: alpha_(k+1) = 1/zstar_k = 2k - ln(k)/2 - C + (ln(k)/8 + B)/k
+#: + (P ln(k)^2 + Q ln(k) + R)/k^2 + ..., Newton's seed.  Fitted against
+#: 50-digit ``decimal`` roots (Newton on the chain) at every k = 2..300 and
+#: 59 more up to 10^6: C from the tail k >= 1000, where fits with either
+#: three or four more terms give C to +-2e-11; the ln(k)/k coefficient
+#: fixed at 1/8 (free fits from k >= 300 give 0.1249996 to 0.1249999);
+#: B, P, Q and R by minimax of the relative error over k >= 20.  The seed
+#: is then within 4.1e-11 relative of the root for k >= 20 (1.8e-11 from
+#: k = 50, 6.5e-13 from k = 3000, 1e-16 at k = 10^6), and 2.2e-4 at k = 2
+#: falling to 2.9e-9 at k = 13; without R the best fit is only 3e-10 from
+#: k = 50
+_SEED_C = 1.16452610816
+_SEED_B = 0.1661487
+_SEED_P = 0.01486257
+_SEED_Q = 0.01504634
+_SEED_R = -0.008918688
 #: Newton's g_k lands within about this many ulps of its fixed point (at
 #: most 9 measured for k <= 10^5), and a bracket end closer than this to the
 #: root often fails a 50-digit check of the chain (k = 2..300: 207 of 299
-#: rows at 1 ulp, 21 at 8 ulps): Newton stops at a step of twice this, and
-#: no bracket end comes closer to the root
+#: rows at 1 ulp, 21 at 8 ulps): no bracket end comes closer to the root
 _ROUNDING_ULPS = 8.0
+#: a Newton step from z0 = root * (1 + e) lands at root * (1 + e1) with
+#: e1 ~ kappa_k * e^2 and kappa_k/k rising from 0.22 (k = 2) to 0.5822
+#: (k = 10^6), measured at e = +-1e-9 on the 50-digit chain; this bounds
+#: kappa_k/k
+_NEWTON_CURVATURE = 0.6
 
 
-def _root(k: int, width: float) -> tuple[float, float, float]:
-    """(lo, hi, derivative) for the smallest positive root of s_k.
+def _root(k: int, width: float) -> tuple[float, float]:
+    """(lo, hi) around the smallest positive root of s_k.
 
-    Newton finds the root to float precision whatever ``width`` is, and
-    ``derivative`` is g_k' at its last iterate, within 16 ulps of the root.
-    [lo, hi] is centred on the root and holds the float certificate (chain
-    positive at lo, not at hi, both inside the proved bounds); it is no
-    wider than ``width`` unless the float floor of 16 ulps stops it first.
+    Newton finds the root to float precision whatever ``width`` is: from
+    the fitted seed that takes one derivative pass for k >= 13, and at most
+    three below.  [lo, hi] is centred on the root and holds the float
+    certificate (chain positive at lo, not at hi, both inside the proved
+    bounds); it is no wider than ``width`` unless the float floor of 16 ulps
+    stops it first.
     """
     if k == 1:
-        return 1.0, 1.0, 1.0  # g_1 = z
+        return 1.0, 1.0
     lower = zstar_lower_bound(k)
     upper = min(1.0, zstar_upper_bound(k))
-    root, derivative = _newton(k, lower, upper)
-    lo, hi = _certify(k, root, width, lower, upper)
-    return lo, hi, derivative
+    return _certify(k, _newton(k, lower, upper), width, lower, upper)
 
 
-def _newton(k: int, lo: float, hi: float) -> tuple[float, float]:
+def _seed(k: int) -> float:
+    """1/alpha_(k+1) from the fitted large-k expansion."""
+    ln = math.log(k)
+    correction = ln / 8.0 + _SEED_B + (_SEED_P * ln * ln + _SEED_Q * ln + _SEED_R) / k
+    return 1.0 / (2.0 * k - 0.5 * ln - _SEED_C + correction / k)
+
+
+def _newton(k: int, lo: float, hi: float) -> float:
     """Newton on s_k inside the proved bracket [lo, hi], narrowed by the sign
-    of every iterate; (root, g_k' at the last iterate)."""
-    z = min(max(1.0 / (2.0 * k - 0.5 * math.log(k) - _SEED_OFFSET), lo), hi)
+    of every iterate.
+
+    Returns z + step without evaluating there once the quadratic remainder
+    of that step, at most _NEWTON_CURVATURE * k * step^2 / z, is below half
+    an ulp of z, so that it moves the result by less than the rounding of
+    the step does.  A limit at the 16-ulp bracket floor would pass real
+    errors of that size: at k = 2 it leaves the root two ulps off.
+    """
+    z = min(max(_seed(k), lo), hi)
     while True:
         try:
             g, derivative = eval_gk_with_derivative(z, k)
@@ -220,17 +256,17 @@ def _newton(k: int, lo: float, hi: float) -> tuple[float, float]:
             continue
         # s_k/s_k' = -(1 - g)/g', and g' > 0, so the step has the sign of s_k
         step = (1.0 - g) / derivative
-        if abs(step) <= 2.0 * _ROUNDING_ULPS * math.ulp(z):
-            return z + step, derivative
+        following = z + step
+        if _NEWTON_CURVATURE * k * step * step <= 0.5 * math.ulp(z) * z:
+            return following
         if step > 0.0:
             lo = z
         else:
             hi = z
-        following = z + step
         if not lo < following < hi:
             following = 0.5 * (lo + hi)
             if not lo < following < hi:
-                return z, derivative  # float resolution floor
+                return z  # float resolution floor
         z = following
 
 
@@ -300,23 +336,32 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
     precision at every ``tol``, so ``tol`` sets only the width of the
     certified bracket, tol * zlow^2 with zlow the proved lower bound, which
-    keeps the propagated error of alpha = 1/midpoint below ``tol``.  c is
-    1/g'_(k-1) at the converged root.
+    keeps the propagated error of alpha = 1/midpoint below ``tol`` as far
+    as the float chain goes.  It goes to about 1e-13 * alpha: rounding in
+    the chain moves the Newton root, and the float certificate with it, by
+    some ulps, so against 50-digit roots alpha is off by 8.3e-13 at k = 301,
+    2.1e-12 at k = 501 and 9.1e-12 at k = 3001 (6.2e-14 relative at most
+    for k <= 10^6), whatever ``tol`` is.  A smaller ``tol`` is not honoured
+    until the bracket is certified under rounding (ROADMAP item 1).  c is
+    1/g'_(k-1) at the midpoint, from one more derivative pass.
     """
     if k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     if not tol > 0:
         raise ValueError("tol must be positive")
     lower = zstar_lower_bound(k - 1)
-    lo, hi, derivative = _root(k - 1, tol * lower * lower)
-    return 2.0 / (lo + hi), 1.0 / derivative
+    lo, hi = _root(k - 1, tol * lower * lower)
+    midpoint = 0.5 * (lo + hi)
+    return 1.0 / midpoint, 1.0 / eval_gk_with_derivative(midpoint, k - 1)[1]
 
 
 def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Exponential growth rate of the counts with k labels: 1/zstar_(k-1).
 
     The root is found to float precision and certified by a bracket narrow
-    enough to keep the propagated error of the reciprocal below ``tol``.
+    enough to keep the propagated error of the reciprocal below ``tol``, as
+    far as the float chain goes: to about 1e-13 * alpha (see
+    ``growth_constants``).
     """
     return growth_constants(k, tol)[0]
 

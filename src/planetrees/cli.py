@@ -301,8 +301,10 @@ def cmd_series(args, config: RunConfig) -> int:
 def cmd_root(args, config: RunConfig) -> int:
     """Root brackets of s_1..s_K, each centred on the Newton root and no
     wider than the tolerance, or than 16 ulps of the root where the float
-    resolution stops it first.  Above ``asymptotics.EXACT_CERTIFICATE_MAX_K``
-    a bracket rests on the float chain, so a tol near the float resolution
+    resolution stops it first.  A row costs one derivative pass of k steps
+    from the fitted seed (up to three for k < 13) and two chain passes for
+    the certificate.  Above ``asymptotics.EXACT_CERTIFICATE_MAX_K`` a
+    bracket rests on the float chain, so a tol near the float resolution
     still gives only a float certificate there."""
     if args.k < 1:
         raise ValueError("k must be positive")
@@ -326,7 +328,10 @@ def cmd_root(args, config: RunConfig) -> int:
 
 def cmd_alpha(args, config: RunConfig) -> int:
     """Growth constants for k = 2..K at float precision, alpha certified
-    within the tolerance by a root bracket as in ``cmd_root``."""
+    within the tolerance by a root bracket as in ``cmd_root``, as far as the
+    float chain goes (about 1e-13 * alpha, see
+    ``asymptotics.growth_constants``), and c from one more derivative pass
+    at the bracket midpoint."""
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]

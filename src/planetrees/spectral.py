@@ -244,7 +244,7 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     if order == 0:
         return 0.0  # a single vertex
     lower = asymptotics.zstar_lower_bound(order)
-    lo, hi, _ = asymptotics._root(order, tol * lower * math.sqrt(lower))
+    lo, hi = asymptotics._root(order, tol * lower * math.sqrt(lower))
     return 0.5 * (1.0 / math.sqrt(hi) + 1.0 / math.sqrt(lo))
 
 

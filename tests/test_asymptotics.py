@@ -178,9 +178,9 @@ def test_growth_constants_are_pinned():
     # a 160-bit reference, alpha(3) = phi^2 correctly rounded
     assert repr(growth_constants(2)) == "(1.0, 1.0)"
     assert repr(growth_constants(3)) == "(2.618033988749895, 0.276393202250021)"
-    assert repr(growth_constants(10)) == "(15.78702316756929, 0.02106762586584386)"
-    assert repr(growth_constants(50)) == "(94.90299707881947, 0.0014656024981003276)"
-    assert repr(growth_constants(245)) == "(484.090395665132, 0.00012775229708916142)"
+    assert repr(growth_constants(10)) == "(15.78702316756929, 0.021067625865843896)"
+    assert repr(growth_constants(50)) == "(94.90299707881947, 0.0014656024981003282)"
+    assert repr(growth_constants(245)) == "(484.0903956651321, 0.0001277522970891699)"
 
 
 def _decimal_chain_positive(z, k: int) -> bool:
@@ -236,28 +236,42 @@ def test_zstar_brackets_hold_under_a_decimal_chain():
             assert not _decimal_chain_positive(bracket.hi, k), (k, tol)
 
 
-def test_root_routine_evaluates_the_chain_about_six_times_per_row(monkeypatch):
-    calls = [0]
+def test_root_routine_takes_one_derivative_pass_per_root(monkeypatch):
+    calls = {"derivative": 0, "chain": 0}
 
-    def counted(function):
+    def counted(name, function):
         def wrapper(*args):
-            calls[0] += 1
+            calls[name] += 1
             return function(*args)
 
         return wrapper
 
-    monkeypatch.setattr(asymptotics, "_chain", counted(asymptotics._chain))
+    monkeypatch.setattr(asymptotics, "_chain", counted("chain", asymptotics._chain))
     monkeypatch.setattr(
-        asymptotics, "eval_gk_with_derivative", counted(asymptotics.eval_gk_with_derivative)
+        asymptotics,
+        "eval_gk_with_derivative",
+        counted("derivative", asymptotics.eval_gk_with_derivative),
     )
     rows = range(2, 301)
     for k in rows:
         zstar(k)
-    assert calls[0] / len(rows) <= 8.0  # Newton steps plus certificate checks
-    calls[0] = 0
+    # one Newton step from the fitted seed, then one certificate check per end
+    assert calls["derivative"] / len(rows) <= 1.1
+    assert calls["chain"] / len(rows) <= 2.1
+    calls.update(derivative=0, chain=0)
     for k in rows:
         growth_constants(k + 1)
-    assert calls[0] / len(rows) <= 9.0
+    # the same, and c from one more derivative pass at the midpoint
+    assert calls["derivative"] / len(rows) <= 2.1
+    assert calls["chain"] / len(rows) <= 2.1
+
+
+def test_newton_seed_is_close_to_a_decimal_root():
+    # the root of s_k lies in seed * (1 -/+ 1e-10) under a 50-digit chain
+    for k in (50, 77, 120, 300, 1000, 2718, 10**4, 31416, 10**5):
+        seed = Decimal(asymptotics._seed(k))
+        assert _decimal_chain_positive(seed * (1 - Decimal("1e-10")), k), k
+        assert not _decimal_chain_positive(seed * (1 + Decimal("1e-10")), k), k
 
 
 def test_eval_gk_matches_series_partial_sums():
