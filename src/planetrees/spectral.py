@@ -10,8 +10,9 @@ pivot of xI - A is positive, the pivots computed leaves upward by
 d(v) = x - sum over children c of 1/d(c) (Jacobs and Trevisan, "Locating the
 eigenvalues of trees", Linear Algebra Appl. 434 (2011) 81-88).  All pivots
 are positive exactly when x is above the largest eigenvalue.  On any tree
-each distinct subtree object is eliminated once per point, so trees built
-with shared children cost their distinct nodes, not their logical size.  For
+each distinct labelled shape (``trees.subtree_plan``) is eliminated once per
+point, so trees with repeated subtrees, whether shared objects or parsed
+copies, cost their distinct shapes, not their logical size.  For
 leaning trees every vertex of order j has the same pivot, and under
 z = 1/x^2 these pivots are the complement chain of ``asymptotics``, so
 ``leaning_lambda1`` reads its bracket off that chain's root routine (Newton,
@@ -20,7 +21,7 @@ then a certificate): O(order) per point, at orders no tree can be built for.
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
 by replaying the adjacency operator on every vertex, or, for root walks, by
-first return over the distinct subtree objects, each solved only to the
+first return over the distinct labelled shapes, each solved only to the
 terms a root walk of the given length can use at its depth; root walks take
 first return unless its work is well above the replay's (see
 ``walk_growth_estimate``).
@@ -116,14 +117,16 @@ def walk_growth_estimate(
 ) -> float:
     """Single-vertex walk-growth estimate ``count^(1/length)``.
 
-    The root count comes from first return over the distinct subtree
-    objects (``_root_walk_counts``) when its work, the sum of
-    (half-length - depth + 1)^2 over the objects no deeper than the
+    The root count comes from first return over the distinct labelled
+    shapes (``_root_walk_counts``) when its work, the sum of
+    (half-length - depth + 1)^2 over the shapes no deeper than the
     half-length, is at most ``FIRST_RETURN_COST_RATIO`` times node count
     times half-length, the work of the adjacency replay of
     ``walk_count_table``, and at most ``max_work``, its budget.  Other
     vertices and the other trees take the replay, under its own budgets.
-    Both give the same exact count.
+    Both give the same exact count.  The work is summed over shapes, not
+    objects, so a tree with many repeated subtrees takes first return, and
+    stays within the budget, at half-lengths where the replay is refused.
     """
     plan = subtree_plan(t)
     return _plan_walk_growth(t, plan, plan_node_count(plan), half_length, vertex, max_work)
@@ -151,12 +154,13 @@ def _plan_walk_growth(
 
 
 def _plan_depths(plan: list) -> list[int]:
-    """Smallest depth at which each object of ``plan`` occurs, the root at 0.
+    """Smallest depth at which each shape of ``plan`` occurs, the root at 0.
 
     One pass from the root down: ``trees.subtree_plan`` lists every parent
-    after its children, so an object's depth is final when it is reached.
+    after its children, so a shape's depth is final when it is reached.
     """
-    depths = [len(plan)] * len(plan)  # above any depth: objects on a root path differ
+    # above any depth: shapes on a root path differ (sizes strictly decrease)
+    depths = [len(plan)] * len(plan)
     depths[-1] = 0
     for i in range(len(plan) - 1, -1, -1):
         below = depths[i] + 1
@@ -175,10 +179,12 @@ def _root_walk_counts(plan: list, half: int, depths: list[int] | None = None) ->
     obey R_v = 1/(1 - z * sum over children of R_c), and a leaf has R = 1
     (Flajolet, "Combinatorial aspects of continued fractions", Discrete
     Math. 32 (1980) 125-161).  A root walk of length 2*half reaches depth d
-    with at most half - d pairs of steps left, so each distinct object of
-    ``plan`` (``trees.subtree_plan``) is solved once, to half - d + 1 terms
-    at its smallest depth d (``depths``, from ``_plan_depths`` when not
-    given), and objects deeper than half are skipped.
+    with at most half - d pairs of steps left, so each distinct labelled
+    shape of ``plan`` (``trees.subtree_plan``) is solved once, to half - d + 1
+    terms at its smallest depth d (``depths``, from ``_plan_depths`` when not
+    given), and shapes deeper than half are skipped.  The series are exact
+    integers, so the order in which a shape's children are summed does not
+    matter.
     """
     if depths is None:
         depths = _plan_depths(plan)
@@ -302,8 +308,9 @@ def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
 
 def _pivots_positive(x: float, plan: list) -> bool:
     """True iff every pivot of xI - A is positive, eliminating in the order
-    of ``trees.subtree_plan``: a subtree object has the same pivot wherever
-    it occurs, so a shared object is eliminated once per point.
+    of ``trees.subtree_plan``: a labelled shape has the same pivot wherever
+    it occurs, so a repeated shape is eliminated once per point.  Each
+    entry's children are subtracted in its representative's child order.
 
     ``x`` must be positive: it is the pivot of every leaf.
     """

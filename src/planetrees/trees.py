@@ -9,11 +9,13 @@ The regular leaning tree of order k is the recursive tree whose root has k
 children carrying, left to right, the leaning trees of orders k-1 down to 0.
 It has 2^k nodes.  Instances built here share subtree objects (the structure
 is immutable), so construction is cheap.  ``subtree_plan`` lists each
-distinct subtree object once, children first, and the per-tree quantities
-(``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue pivots and
-root walk counts) are computed over that list: k objects for the leaning
-tree of order k, not its 2^k nodes.  No traversal of a given tree is
-bounded by the interpreter's recursion limit, only by memory:
+distinct labelled shape once (a subtree with its children taken as a
+multiset, however many objects carry it), children first, and the per-tree
+quantities (``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue
+pivots and root walk counts) are computed over that list: k shapes for the
+leaning tree of order k, not its 2^k nodes, and a parsed tree, whose every
+node is a fresh object, costs its distinct shapes too.  No traversal of a
+given tree is bounded by the interpreter's recursion limit, only by memory:
 ``PlaneTree.__hash__`` fills the hashes children first, and
 ``PlaneTree.__eq__`` compares by recursive tuple comparison, its fast path,
 and finishes with an explicit stack where the trees are too deep for it.
@@ -174,45 +176,64 @@ def parse_tree(text: str) -> PlaneTree:
 
 
 def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
-    """Each distinct non-leaf subtree object of ``t`` once, children before
-    parents, as ``(object, number of leaf children, positions of the other
-    children)``.
+    """Each distinct non-leaf labelled shape of ``t`` once, children before
+    parents, as ``(representative, number of leaf children, positions of the
+    other children)``.
 
-    The positions index this list, in child order, repeated when a child
-    object repeats.  An object has the same size, degree, Ulam-Harris value,
-    pivots and walk counts wherever it occurs, so one pass over the list
-    computes them at the cost of the distinct objects: k entries for
-    ``leaning_tree(k)``.  Leaves are not listed (callers take them as the
-    base case), the root is the last entry, and a one-node tree gives an
-    empty list.
+    A shape is a subtree with its children taken as a multiset: two nodes
+    share an entry when they have the same label, the same leaf-child labels
+    and the same entries for their other children, in any order and whether
+    or not they are one object.  The first node met of a shape represents
+    it, and its positions index this list in its own child order, repeated
+    when a child shape repeats.  A shape has the same size, degree,
+    Ulam-Harris value and witness, pivots and walk counts wherever it
+    occurs, so one pass over the list computes them at the cost of the
+    distinct shapes: k entries for ``leaning_tree(k)``, and for a parsed
+    tree, a fresh object at every node, its shapes rather than its nodes.
+    Leaves are not listed (callers take them as the base case), the root is
+    the last entry, and a one-node tree gives an empty list.
     """
     plan: list[tuple[PlaneTree, int, list[int]]] = []
     if t.children:
-        position: dict[int, int] = {}
-        # (node, its children not yet visited, positions of its listed children)
-        stack = [(t, iter(t.children), [])]
+        position: dict[int, int] = {}  # id of a finished object -> its entry
+        # a shape's key is its label followed by, sorted together, its leaf
+        # children's labels negated and its other children's positions
+        entries: dict[tuple[int, ...], int] = {}
+        # (node, its children not yet visited, positions of its listed
+        # children, the codes of its children visited so far)
+        stack = [(t, iter(t.children), [], [])]
         while stack:
-            node, pending, kids = stack[-1]
+            node, pending, kids, codes = stack[-1]
             for child in pending:
                 if child.children:
                     listed = position.get(id(child))
                     if listed is None:
-                        stack.append((child, iter(child.children), []))
+                        stack.append((child, iter(child.children), [], []))
                         break
-                    kids.append(listed)  # a shared object, already listed
+                    kids.append(listed)  # an object already finished
+                    codes.append(listed)
+                else:
+                    codes.append(-child.label)
             else:
                 stack.pop()
-                listed = position[id(node)] = len(plan)
-                plan.append((node, len(node.children) - len(kids), kids))
+                codes.sort()
+                key = (node.label, *codes)
+                listed = entries.get(key)
+                if listed is None:
+                    listed = entries[key] = len(plan)
+                    plan.append((node, len(codes) - len(kids), kids))
+                position[id(node)] = listed
                 if stack:
-                    stack[-1][2].append(listed)
+                    parent = stack[-1]
+                    parent[2].append(listed)
+                    parent[3].append(listed)
     return plan
 
 
 def node_count(t: PlaneTree) -> int:
     """Number of nodes, counting a shared subtree once per occurrence.
 
-    One pass over ``subtree_plan``: ``leaning_tree(k)`` costs k objects
+    One pass over ``subtree_plan``: ``leaning_tree(k)`` costs k shapes
     although it has 2^k nodes.
     """
     return plan_node_count(subtree_plan(t))
@@ -222,9 +243,11 @@ def max_degree(t: PlaneTree) -> int:
     """Maximum vertex degree of the underlying (undirected) tree.
 
     The root contributes its child count; every other node contributes its
-    child count plus one for the parent edge.  Every listed object but the
-    root is a non-root vertex, and a leaf's degree 1 never exceeds its
-    parent's, so this reads the distinct objects of ``subtree_plan`` only.
+    child count plus one for the parent edge.  Every listed shape but the
+    root's occurs as a non-root vertex (sizes strictly decrease down a root
+    path, so the root's shape occurs nowhere else), and a leaf's degree 1
+    never exceeds its parent's, so this reads the distinct shapes of
+    ``subtree_plan`` only.
     """
     return plan_max_degree(subtree_plan(t))
 

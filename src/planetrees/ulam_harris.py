@@ -10,8 +10,12 @@ The minimisation is exact: at each node the children may be ordered
 independently, and placing subtrees in descending order of their own minimal
 numbers is optimal by the standard exchange argument (verified against the
 brute-force sweep in the tests rather than assumed).  ``uh_number`` and
-``uh_min`` compute each distinct subtree object's minimal number once, over
-``trees.subtree_plan``, without recursion.
+``uh_min`` compute each distinct labelled shape's minimal number once, over
+``trees.subtree_plan``, without recursion.  A shape's witness is built once
+and shared wherever the shape occurs; its text depends only on the shape,
+since leaves and tied siblings are put in text order.  The labels stay in
+the plan's shapes although the numbers ignore them, because the witness
+carries them.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ def uh_ordered(t: PlaneTree) -> UhReport:
 def uh_number(t: PlaneTree) -> int:
     """Exact minimal Ulam-Harris number over all child orderings.
 
-    The value of ``uh_min`` without its witness: each distinct subtree
-    object's minimal number is computed once, so ``leaning_tree(k)`` costs k
-    objects, not 2^k nodes.
+    The value of ``uh_min`` without its witness: each distinct labelled
+    shape's minimal number is computed once, so ``leaning_tree(k)`` costs k
+    shapes, not 2^k nodes.
     """
     return _plan_uh_number(subtree_plan(t))
 
@@ -97,7 +101,7 @@ def uh_min(t: PlaneTree) -> UhReport:
 
 
 def _minimal_values(plan: list) -> list[int]:
-    # the minimal Ulam-Harris number of each object of ``trees.subtree_plan``
+    # the minimal Ulam-Harris number of each shape of ``trees.subtree_plan``
     values: list[int] = []
     for node, leaves, kids in plan:
         # leaves (value 1) go last, the largest of them at the last position
@@ -154,8 +158,10 @@ def enumerate_unordered_shapes(n: int) -> list[PlaneTree]:
         raise ValueError("n must be positive")
     catalog: list[list[PlaneTree]] = [[], [PlaneTree(1)]]  # by node count
     for size in range(2, n + 1):
-        # pool of all candidate subtrees, smallest first, with a stable index
+        # pool of all candidate subtrees, smallest first, with a stable index,
+        # and their sizes: the catalog level each came from
         pool = [tree for trees in catalog[1:size] for tree in trees]
+        sizes = [m for m in range(1, size) for _ in catalog[m]]
         shapes: list[PlaneTree] = []
 
         def choose(remaining: int, max_index: int, chosen: tuple[PlaneTree, ...]) -> None:
@@ -164,10 +170,9 @@ def enumerate_unordered_shapes(n: int) -> list[PlaneTree]:
                 shapes.append(PlaneTree(1, ordered))
                 return
             for index in range(max_index, -1, -1):
-                sub = pool[index]
-                sub_size = node_count(sub)
+                sub_size = sizes[index]
                 if sub_size <= remaining:
-                    choose(remaining - sub_size, index, chosen + (sub,))
+                    choose(remaining - sub_size, index, chosen + (pool[index],))
 
         choose(size - 1, len(pool) - 1, ())
         # multisets chosen with nonincreasing pool index appear exactly once

@@ -1,12 +1,13 @@
-"""The shared-subtree tree core: one pass over the distinct subtree objects.
+"""The shared-subtree tree core: one pass over the distinct labelled shapes.
 
 ``subtree_plan`` feeds node counts, maximum degrees, Ulam-Harris numbers,
 eigenvalue pivots and first-return root walk counts.  Each is checked here
 against a route that walks every logical vertex (or, for leaning trees, the
-counting series), on uniform-attachment trees, paths, brooms and leaning
-trees.
+counting series), on uniform-attachment trees (labels all 1, or drawn from
+1..3), paths, brooms and leaning trees.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -63,13 +64,47 @@ def every_vertex(t):
     return count, best
 
 
+def labelled_tree(size, rng):
+    # uniform attachment, as random_plane_tree, with every label drawn from 1..3
+    kids = [[] for _ in range(size)]
+    for i in range(1, size):
+        kids[rng.randrange(i)].append(i)
+    built = [None] * size
+    for i in range(size - 1, -1, -1):
+        built[i] = PlaneTree(rng.randint(1, 3), tuple([built[c] for c in kids[i]]))
+    return built[0]
+
+
+def shape_codes(t):
+    """The canonical text of every non-leaf subtree of ``t``, its children's
+    texts sorted (the labelled form of the Aho-Hopcroft-Ullman tree codes),
+    collected children first without recursion."""
+    text, codes = {}, set()
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node.children if id(c) not in text]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if node.children:
+            inner = " ".join(sorted(text[id(c)] for c in node.children))
+            text[id(node)] = f"{node.label}({inner})"
+            codes.add(text[id(node)])
+        else:
+            text[id(node)] = str(node.label)
+    return codes
+
+
 @st.composite
 def core_trees(draw):
-    kind = draw(st.sampled_from(("uniform", "path", "broom", "leaning")))
-    if kind == "uniform":
+    kind = draw(st.sampled_from(("uniform", "labelled", "path", "broom", "leaning")))
+    if kind in ("uniform", "labelled"):
         size = draw(st.integers(min_value=1, max_value=300))
         seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-        return random_plane_tree(size, random.Random(seed))
+        build = random_plane_tree if kind == "uniform" else labelled_tree
+        return build(size, random.Random(seed))
     if kind == "path":
         return path(draw(st.integers(min_value=1, max_value=300)))
     if kind == "broom":
@@ -90,6 +125,8 @@ SHARED = path(3)
 @settings(max_examples=60, deadline=None)
 # one object at depths 1 and 3: it must be solved to the terms depth 1 needs
 @example(PlaneTree(1, (SHARED, PlaneTree(1, (PlaneTree(1, (SHARED,)),)))), 5)
+# the same, with one shape made of two distinct objects
+@example(PlaneTree(1, (path(3), PlaneTree(1, (PlaneTree(1, (path(3),)),)))), 5)
 @example(path(60), 12)  # objects deeper than the half-length are skipped
 @example(PlaneTree(1, (PlaneTree(1),) * 30), 6)  # a star: one object, leaf children only
 @example(leaning_tree(4), 0)
@@ -138,6 +175,67 @@ def test_deep_trees_compare_and_hash_without_recursion_errors():
     shallow = parse_tree("3(2(1) 1 2)")
     assert hash(shallow) == hash((3, shallow.children))
     assert hash(a.children[0]) == hash((1, a.children[0].children))
+
+
+@given(core_trees())
+@settings(max_examples=60, deadline=None)
+def test_plan_lists_each_labelled_shape_once(t):
+    assert len(subtree_plan(t)) == len(shape_codes(t))
+
+
+def test_plan_merges_equal_shapes_and_keeps_the_representatives_order():
+    # the same labelled shape built twice, and with its children in another order
+    a = parse_tree("4(2(1) 1 3(2 1))")
+    b = parse_tree("4(3(2 1) 2(1) 1)")
+    plan = subtree_plan(PlaneTree(5, (a, b, parse_tree("4(2(1) 1 3(1 2))"))))
+    assert [(format_tree(node), leaves, kids) for node, leaves, kids in plan] == [
+        ("2(1)", 1, []),
+        ("3(2 1)", 2, []),
+        ("4(2(1) 1 3(2 1))", 1, [0, 1]),  # the first met, in its own child order
+        ("5(4(2(1) 1 3(2 1)) 4(3(2 1) 2(1) 1) 4(2(1) 1 3(1 2)))", 0, [2, 2, 2]),
+    ]
+    assert node_count(plan[-1][0]) == 22 and max_degree(plan[-1][0]) == 4
+
+
+def test_plan_keeps_shapes_apart_that_differ_in_one_label():
+    for text, entries in [
+        ("5(2(1) 3(1) 2(1) 1)", ["2(1)", "3(1)"]),  # a node label
+        ("5(2(1) 2(2) 2(1))", ["2(1)", "2(2)"]),  # a leaf label
+        ("5(3(2 1) 3(1 1))", ["3(2 1)", "3(1 1)"]),  # one of several leaf labels
+    ]:
+        plan = subtree_plan(parse_tree(text))
+        assert [format_tree(node) for node, _, _ in plan[:-1]] == entries
+    # the witness carries the labels of every shape, 3(1) too
+    assert format_tree(uh_min(parse_tree("5(2(1) 3(1) 2(1) 1)")).witness) == "5(2(1) 2(1) 3(1) 1)"
+
+
+# sha256 of `eigen TREE --format json` and `uh TREE --format json` stdout,
+# recorded while the plan still listed each distinct subtree object
+PINNED_REPORTS = {
+    ("random 1", "eigen"): "43b63a47128620af25af8472183817b5f6d049f2460c8de9d292192694a97cd8",
+    ("random 1", "uh"): "b1e514b578e42839c4b1d7d9199d2e53276345fa2d145dd7eb7b91b5d746213f",
+    ("random 2", "eigen"): "d6769c1e6ae569013c7e25e684d999740b37744d09c23dc4d52566a7153f3c6e",
+    ("random 2", "uh"): "6f19152be31eb30c09143aef082d53a3a43d1d88681d2c7a99b6171dc1518c27",
+    ("random 3", "eigen"): "446a2d86de109db2f3d2229464c7ef9c74ee39e8da9089d1d3cdf81e0528406c",
+    ("random 3", "uh"): "38fa9a2e097e4600b87c7fc6775e2ede4c58edddf4911218932e2278b867adaf",
+    ("labelled", "eigen"): "30b7e47960dd1a99bf761eb8b2a07f428d9ffed67f79086032037e2e0cd4ec97",
+    ("labelled", "uh"): "6d755bc4909167facba4a01dd96af4adc1d8d12fd64b60c4e5ec6dbe8bd9b0ab",
+    ("path", "eigen"): "013e463d152507efebe053b0e4a2b79fa0f6dedd43059a0bad1ee9cd35562e0b",
+    ("path", "uh"): "d5237baa46fd4369383dbabb0f797dab2b42914838dd14d7182e600ccb4ccccf",
+}
+
+
+def test_eigen_and_uh_reports_are_pinned(capsys):
+    texts = {
+        f"random {seed}": format_tree(random_plane_tree(2000, random.Random(seed)))
+        for seed in (1, 2, 3)
+    }
+    texts["labelled"] = "5(2(1) 3(1) 2(1) 1)"
+    texts["path"] = format_tree(path(2000))
+    for (name, command), digest in PINNED_REPORTS.items():
+        assert cli.main([command, texts[name], "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
 
 
 def test_plan_lists_each_shared_object_once():
