@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LimitError, WalkError
-from .trees import PlaneTree, _fast_tree
+from .trees import PlaneTree, _count_over, _fast_tree
 
 #: move encoding for "ascend to the parent"
 UP = -1
 
-#: default caps for exhaustive walk enumeration
-WALK_LENGTH_LIMIT = 12
-WALK_ORDER_LIMIT = 6
+#: default cap on the exact number of walks one enumeration yields: the
+#: 429,939 of length 12 in the order-6 tree are admitted
+WALK_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,7 @@ def build_walk_from_tree(t: PlaneTree) -> Walk:
 
 
 def enumerate_closed_walks(
-    order: int,
-    length: int,
-    *,
-    max_length: int = WALK_LENGTH_LIMIT,
-    max_order: int = WALK_ORDER_LIMIT,
+    order: int, length: int, *, max_walks: float = WALK_LIMIT
 ) -> list[Walk]:
     """All closed root walks of the given even length, deterministically ordered.
 
@@ -171,27 +167,29 @@ def enumerate_closed_walks(
     so the output order is a depth-first lexicographic order on moves.  The
     search keeps its own stack, so the walk length is not bounded by the
     recursion limit; once only ascents can close the walk, they are appended
-    at once.
+    at once.  The walks, by the bijection the trees of length/2 + 1 nodes
+    with root label order + 1, must number at most ``max_walks``.
     """
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if length > max_length or order > max_order:
+    over = _count_over(max_walks, length // 2 + 1, order + 1, order + 1)
+    if over is not None:
         raise LimitError(
-            f"walk enumeration limited to length <= {max_length}, order <= {max_order}"
+            f"walk enumeration limited to {max_walks:,} walks "
+            f"(order {order}, length {length} gives {over})"
         )
     walks: list[Walk] = []
     moves: list[int] = []
     path = [order]  # orders of the vertices from the root to the current one
     left: list[int] = []  # order of the vertex each UP in ``moves`` left
-    tails = [(UP,) * depth for depth in range(length // 2 + 1)]
     move = 1  # next move to try here: ranks 1..order, then order + 1 for UP
     while True:
         depth = len(path) - 1
         current = path[-1]
         if len(moves) + depth == length:  # only the ascents home remain
-            walks.append(Walk(order, tuple(moves) + tails[depth]))
+            walks.append(Walk(order, tuple(moves) + (UP,) * depth))
         elif move <= current:
             moves.append(move)
             path.append(current - move)

@@ -6,11 +6,14 @@ are byte-deterministic (no timestamps), integer quantities are emitted as
 decimal strings, and floats use their shortest round-trip representation.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 size guard exceeded.  Size guards only loosen when
---unsafe-limits is given.  Every flag has an environment-variable mirror
-named PLANETREES_<FLAG> (e.g. PLANETREES_FORMAT); explicit flags win.  The
-variables are read on each call of ``main``, and a bad value is rejected as
-its flag would be: a usage error naming the variable, exit 2.
+2 usage error, 3 size guard exceeded.  Each size guard compares a count of
+what a command will produce (trees, walks, the moves of a walk listing,
+leaning-tree child references, walk-count work), exact or a lower bound,
+with a fixed cap, and --unsafe-limits lifts them all.  Every flag has an
+environment-variable mirror named PLANETREES_<FLAG> (e.g.
+PLANETREES_FORMAT); explicit flags win.  The variables are read on each
+call of ``main``, and a bad value is rejected as its flag would be: a
+usage error naming the variable, exit 2.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ EXIT_GUARD = 3
 
 ENV_PREFIX = "PLANETREES_"
 
+#: cap on the moves a walk listing prints, as many as ``bijection.WALK_LIMIT``
+#: walks of the default --max-len, 12
+LISTING_MOVE_LIMIT = 12 * bijection.WALK_LIMIT
+
 
 @dataclass
 class RunConfig:
@@ -42,22 +49,11 @@ class RunConfig:
     format: str = "text"
     #: None without --tol and PLANETREES_TOL: each command keeps its default
     tol: float | None = None
-    max_n: int | None = None
-    max_k: int | None = None
     unsafe_limits: bool = False
 
-    def enumeration_guards(self) -> dict[str, float]:
-        """Effective guards for brute-force tree enumeration: --unsafe-limits
-        lifts the cap on the number of trees, and lets --max-n/--max-k
-        replace the node and label caps."""
-        guards: dict[str, float] = {"max_trees": math.inf} if self.unsafe_limits else {}
-        node_cap = math.inf if self.unsafe_limits else trees.ENUMERATION_NODE_LIMIT
-        label_cap = math.inf if self.unsafe_limits else trees.ENUMERATION_LABEL_LIMIT
-        if self.max_n is not None:
-            guards["max_nodes"] = min(self.max_n, node_cap)
-        if self.max_k is not None:
-            guards["max_labels"] = min(self.max_k, label_cap)
-        return guards
+    def lifted(self, *guards: str) -> dict[str, float]:
+        """``guard=math.inf`` per named size guard under --unsafe-limits, else nothing."""
+        return dict.fromkeys(guards, math.inf) if self.unsafe_limits else {}
 
     def tolerance(self) -> dict[str, float]:
         """``tol=`` for a numerics call if a tolerance was given, else nothing."""
@@ -103,20 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
         "root and alpha; env PLANETREES_TOL)",
     )
     common.add_argument(
-        "--max-n",
-        type=int,
-        help="range/guard override for node counts (env PLANETREES_MAX_N)",
-    )
-    common.add_argument(
-        "--max-k",
-        type=int,
-        help="range/guard override for label bounds (env PLANETREES_MAX_K)",
-    )
-    common.add_argument(
         "--unsafe-limits",
         action="store_true",
         default=None,
-        help="allow --max-n/--max-k to loosen the built-in size guards",
+        help="lift every size guard: the tree and walk counts, the moves of a walk "
+        "listing, the leaning-tree size and the walk-count budgets",
     )
 
     parser = argparse.ArgumentParser(
@@ -137,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("table", parents=[common], help="grid of counts")
+    p.add_argument("--max-n", type=int, help="largest n (default 8; env PLANETREES_MAX_N)")
+    p.add_argument("--max-k", type=int, help="largest k (default 6; env PLANETREES_MAX_K)")
 
     p = sub.add_parser("series", parents=[common], help="counting series coefficients")
     p.add_argument("k", type=int, help="label bound")
@@ -248,21 +237,18 @@ def cmd_count(args, config: RunConfig) -> int:
         "series": lambda: series.count_trees(args.n, args.k),
         "compositions": lambda: series.count_trees_by_compositions(args.n, args.k),
         "enumerate": lambda: sum(
-            1 for _ in trees.iter_decreasing_trees(args.n, args.k, **config.enumeration_guards())
+            1 for _ in trees.iter_decreasing_trees(args.n, args.k, **config.lifted("max_trees"))
         ),
     }
     if args.all_methods:
         values: list[tuple[str, str]] = []
         numbers = set()
         for name, fn in methods.items():
-            if name == "enumerate":
-                try:
-                    value = fn()
-                except LimitError:
-                    values.append((name, "skipped (guard)"))
-                    continue
-            else:
+            try:
                 value = fn()
+            except LimitError:  # only enumeration has a guard
+                values.append((name, "skipped (guard)"))
+                continue
             numbers.add(value)
             values.append((name, int_to_str(value)))
         emit_object(config, values)
@@ -276,8 +262,8 @@ def cmd_count(args, config: RunConfig) -> int:
 
 
 def cmd_table(args, config: RunConfig) -> int:
-    max_n = config.max_n if config.max_n is not None else 8
-    max_k = config.max_k if config.max_k is not None else 6
+    max_n = args.max_n if args.max_n is not None else 8
+    max_k = args.max_k if args.max_k is not None else 6
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
@@ -356,33 +342,37 @@ def cmd_walks(args, config: RunConfig) -> int:
     if args.max_len < 0 or args.max_len % 2:
         raise ValueError("--max-len must be even and nonnegative")
     if args.list:
-        walks = enumerate_guarded_walks(args, config)
         columns = ["length", "walk"]
+        walks = enumerate_guarded_walks(args, config)
         rows = [[str(len(w)), bijection.format_walk(w)] for w in walks]
-        emit_table(config, columns, rows)
-        return EXIT_OK
-    tree = trees.leaning_tree(args.k)
-    budgets = {"max_work": math.inf, "max_growth": math.inf} if config.unsafe_limits else {}
-    table = spectral.walk_count_table(tree, args.max_len, **budgets)
-    columns = ["length", "count"]
-    rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]
+    else:
+        tree = trees.leaning_tree(args.k, **config.lifted("max_references"))
+        budgets = config.lifted("max_work", "max_growth")
+        table = spectral.walk_count_table(tree, args.max_len, **budgets)
+        columns = ["length", "count"]
+        rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]
     emit_table(config, columns, rows)
     return EXIT_OK
 
 
 def enumerate_guarded_walks(args, config: RunConfig) -> list[bijection.Walk]:
-    guards = {}
-    if config.unsafe_limits:
-        guards = {"max_length": max(args.max_len, 12), "max_order": max(args.k, 6)}
+    """The closed walks of every even length up to --max-len, shortest first.
+    Each length is enumerated under its exact-count guard, the longest (most
+    numerous) first, so that a refusal comes before the work."""
+    # the order-1 tree has a walk of every length, so the walk count does not
+    # bound the moves: from order 1 on, lengths up to 2h hold h(h + 1) or more
+    moves = args.max_len // 2 * (args.max_len // 2 + 1)
+    if moves > LISTING_MOVE_LIMIT and not config.unsafe_limits:
+        raise LimitError(f"walk listing limited to {LISTING_MOVE_LIMIT:,} moves ({moves:,} here)")
     walks: list[bijection.Walk] = []
-    for length in range(0, args.max_len + 1, 2):
-        walks.extend(bijection.enumerate_closed_walks(args.k, length, **guards))
+    for length in range(args.max_len, -1, -2):
+        walks[:0] = bijection.enumerate_closed_walks(args.k, length, **config.lifted("max_walks"))
     return walks
 
 
 def cmd_eigen(args, config: RunConfig) -> int:
     if args.leaning is not None:
-        tree = trees.leaning_tree(args.leaning)
+        tree = trees.leaning_tree(args.leaning, **config.lifted("max_references"))
         source = f"leaning:{args.leaning}"
     else:
         tree = trees.parse_tree(args.tree)
@@ -491,8 +481,6 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(
         format=args.format,
         tol=args.tol,
-        max_n=args.max_n,
-        max_k=args.max_k,
         unsafe_limits=args.unsafe_limits,
     )
     if config.tol is not None and not config.tol > 0:

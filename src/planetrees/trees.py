@@ -26,12 +26,13 @@ labels in {1..k} in canonical order: lexicographic by bracket text, so
 It builds each tree as it is yielded and holds only memoised pools of
 smaller subtrees, never the whole family; ``root_label=r`` generates just
 the trees with root label r.  ``enumerate_decreasing_trees`` is the same
-stream as a list.  Size guards (nodes, labels, and the exact number of
-trees) are checked when either is called.
+stream as a list.  The one size guard, the exact number of trees the call
+will yield, is checked when either is called.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -39,14 +40,12 @@ from typing import Iterable, Iterator
 from .errors import LimitError, TreeParseError
 from .series import count_trees, count_with_root_label
 
-#: default cap on the leaning-tree order (the tree has 2^k nodes)
-LEANING_ORDER_LIMIT = 24
-#: default caps for brute-force enumeration of decreasing trees
-ENUMERATION_NODE_LIMIT = 9
-ENUMERATION_LABEL_LIMIT = 7
+#: default cap on the k(k + 1)/2 child references of the leaning tree of order
+#: k, which building it and each plan pass touch (k = 2000: ``eigen`` in 2 s)
+LEANING_REFERENCE_LIMIT = 2_001_000
 #: default cap on the exact number of trees yielded, which sets the cost: at
-#: about 1.8 million trees a second (CPython 3.11, one core) the 5,510,096 of
-#: (n, k) = (8, 7) take 3 s, and the 51,911,249 of (9, 7) are refused
+#: about 4.5 million trees a second (CPython 3.11, one core) the 5,510,096 of
+#: (n, k) = (8, 7) take 1.2 s, and the 51,911,249 of (9, 7) are refused
 ENUMERATION_TREE_LIMIT = 6_000_000
 
 
@@ -281,19 +280,18 @@ def is_decreasing(t: PlaneTree, k: int) -> bool:
     return True
 
 
-def leaning_tree(k: int) -> PlaneTree:
+def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> PlaneTree:
     """Regular leaning tree of order k, with every node labelled order + 1.
 
     The labelling makes it a valid decreasing tree with root label k + 1:
     a node of order j has children of orders j-1, ..., 0.  Subtree objects
-    are shared, so this is O(k^2) to build despite the 2^k logical nodes.
+    are shared, so this is O(k^2) to build despite the 2^k logical nodes:
+    its k(k + 1)/2 child references must not exceed ``max_references``.
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
-    if k > LEANING_ORDER_LIMIT:
-        raise LimitError(
-            f"leaning tree order {k} exceeds the guard {LEANING_ORDER_LIMIT} (2^k nodes)"
-        )
+    if k * (k + 1) // 2 > max_references:
+        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
     levels: list[PlaneTree] = [PlaneTree(1)]
     for j in range(1, k + 1):
         levels.append(PlaneTree(j + 1, tuple(levels[i] for i in range(j - 1, -1, -1))))
@@ -305,52 +303,62 @@ def iter_decreasing_trees(
     k: int,
     *,
     root_label: int | None = None,
-    max_nodes: int = ENUMERATION_NODE_LIMIT,
-    max_labels: int = ENUMERATION_LABEL_LIMIT,
     max_trees: float = ENUMERATION_TREE_LIMIT,
 ) -> Iterator[PlaneTree]:
     """Every n-node decreasing tree with labels in {1..k}, each exactly once,
     streamed in canonical order (lexicographic by bracket text).
 
     With ``root_label`` only the trees with that root label are generated.
-    Arguments and guards are checked on the call itself; the trees are then
-    built one at a time, so memory is bounded by the pools of subtrees (at
-    most n-1 nodes, labels below k), not by the number of trees, which the
-    series counts beforehand; it must not exceed ``max_trees``.
+    Arguments and the guard are checked on the call itself; the trees are
+    then built one at a time, so memory is bounded by the pools of subtrees
+    (at most n-1 nodes, labels below k), not by the number of trees, which
+    must not exceed ``max_trees``.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     if root_label is not None and (not isinstance(root_label, int) or root_label < 1):
         raise ValueError(f"root_label must be a positive integer, got {root_label!r}")
-    if n > max_nodes or k > max_labels:
-        raise LimitError(
-            f"enumeration limited to n <= {max_nodes}, k <= {max_labels} (got n={n}, k={k})"
-        )
+    over = _count_over(max_trees, n, k, root_label)
+    if over is not None:
+        raise LimitError(f"enumeration limited to {max_trees:,} trees (n={n}, k={k} gives {over})")
     if root_label is None:
         labels = sorted(range(1, k + 1), key=str)
-        size = count_trees(n, k)
     else:
         labels = [root_label] if root_label <= k else []
-        size = count_with_root_label(n, root_label) if labels else 0
-    if size > max_trees:
-        raise LimitError(
-            f"enumeration limited to {max_trees:,} trees (n={n}, k={k} gives {size:,})"
-        )
     return _DecreasingTrees(n).stream(labels)
 
 
 def enumerate_decreasing_trees(
-    n: int,
-    k: int,
-    *,
-    max_nodes: int = ENUMERATION_NODE_LIMIT,
-    max_labels: int = ENUMERATION_LABEL_LIMIT,
-    max_trees: float = ENUMERATION_TREE_LIMIT,
+    n: int, k: int, *, max_trees: float = ENUMERATION_TREE_LIMIT
 ) -> list[PlaneTree]:
     """Every n-node decreasing tree with labels in {1..k}, as a list in the
     canonical order of ``iter_decreasing_trees``."""
-    guards = {"max_nodes": max_nodes, "max_labels": max_labels, "max_trees": max_trees}
-    return list(iter_decreasing_trees(n, k, **guards))
+    return list(iter_decreasing_trees(n, k, max_trees=max_trees))
+
+
+def _count_over(limit: float, n: int, k: int, root_label: int | None = None) -> str | None:
+    """The number of n-node decreasing trees with labels in {1..k} (and
+    root label r if given, else r = k) as text if over ``limit``, else None.
+    Lower bounds refuse first, without the series: (r - 1)^(n - 1), a root
+    over leaves, and C(k, n), chains (C(r - 1, n - 1) under a given root),
+    each stopped past the limit within a few dozen factors (C(m, j) >= 2^j
+    up to j = m/2, and the power doubles a factor from r = 3)."""
+    if limit == math.inf or (root_label is not None and root_label > k):
+        return None
+    r = k if root_label is None else root_label
+    pool, chosen = (k, n) if root_label is None else (r - 1, n - 1)
+    power = 1
+    for _ in range(n - 1 if r >= 3 else 0):
+        power *= r - 1
+        if power > limit:
+            return f"at least {power:,}"
+    chains = 1
+    for j in range(min(chosen, pool - chosen)):
+        chains = chains * (pool - j) // (j + 1)
+        if chains > limit:
+            return f"at least {chains:,}"
+    size = count_trees(n, k) if root_label is None else count_with_root_label(n, r)
+    return f"{size:,}" if size > limit else None
 
 
 class _DecreasingTrees:
@@ -374,7 +382,7 @@ class _DecreasingTrees:
         self._n = n
         self._pools: dict[tuple[int, int], list[PlaneTree]] = {}
         self._firsts: dict[tuple[int, int], list[tuple[PlaneTree, int]]] = {}
-        self._lists: dict[tuple[int, int], list[tuple[PlaneTree, ...]]] = {}
+        self._lists: dict[int, list[list[tuple[PlaneTree, ...]]]] = {}  # by bound, size
         self._text: dict[int, str] = {}
         # child lists this small are kept once built: they number about as
         # many as the subtree pools, and replaying a list is about twice as
@@ -395,6 +403,9 @@ class _DecreasingTrees:
 
     def _forests(self, m: int, bound: int) -> Iterator[tuple[PlaneTree, ...]]:
         # child lists of m nodes in total with labels <= bound, in text order
+        if bound == 1:  # leaves only: one list, built whole, as k = 2 admits any n
+            yield tuple(self._pool(1, 1)) * m
+            return
         for tree, size in self._first_children(m, bound):
             if size == m:
                 yield (tree,)
@@ -406,11 +417,12 @@ class _DecreasingTrees:
     def _forest_list(self, m: int, bound: int) -> Iterable[tuple[PlaneTree, ...]]:
         if m > self._kept:
             return self._forests(m, bound)
-        key = (m, bound)
-        cached = self._lists.get(key)
-        if cached is None:
-            cached = self._lists[key] = list(self._forests(m, bound))
-        return cached
+        # kept smallest first, so that each list is built from kept ones and
+        # the stack stays a few frames deep whatever m is
+        kept = self._lists.setdefault(bound, [[()]])
+        while len(kept) <= m:
+            kept.append(list(self._forests(len(kept), bound)))
+        return kept[m]
 
     def _first_children(self, m: int, bound: int) -> list[tuple[PlaneTree, int]]:
         # (subtree, size) for every subtree of at most m nodes with labels

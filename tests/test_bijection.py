@@ -82,10 +82,16 @@ def test_enumerate_closed_walks_smallest():
 
 
 def test_enumerate_closed_walks_guards():
+    with pytest.raises(LimitError, match="at least 823,543"):
+        enumerate_closed_walks(7, 14)  # 7^7 walks at least
+    with pytest.raises(LimitError, match="514,229"):
+        enumerate_closed_walks(2, 28)
+    # the cap compares with the exact count, the trees of the bijection
+    count = count_with_root_label(5, 3)
     with pytest.raises(LimitError):
-        enumerate_closed_walks(2, 14)
-    with pytest.raises(LimitError):
-        enumerate_closed_walks(7, 4)
+        enumerate_closed_walks(2, 8, max_walks=count - 1)
+    assert len(enumerate_closed_walks(2, 8, max_walks=count)) == count
+    assert len(enumerate_closed_walks(7, 4)) == count_with_root_label(3, 8)
     with pytest.raises(ValueError):
         enumerate_closed_walks(2, 3)
 
@@ -106,9 +112,9 @@ def test_enumeration_order_is_pinned():
 
 def test_enumeration_reaches_lengths_past_the_recursion_limit():
     length = 3 * sys.getrecursionlimit()
-    walks = enumerate_closed_walks(1, length, max_length=length)
+    walks = enumerate_closed_walks(1, length)
     assert [format_walk(w) for w in walks] == [" ".join(["+1 -"] * (length // 2))]
-    assert len(enumerate_closed_walks(2, 20, max_length=20)) == count_with_root_label(11, 3)
+    assert len(enumerate_closed_walks(2, 20)) == count_with_root_label(11, 3)
 
 
 def test_walk_counts_match_root_label_counts():

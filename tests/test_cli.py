@@ -181,6 +181,9 @@ def cli_calls(draw):
     if command == "count":
         argv = ["count", num(-2, 7), num(-2, 5)]
         argv += draw(st.sampled_from([[], ["--all-methods"], ["--method", "enumerate"]]))
+        if draw(st.booleans()):
+            # at most one tree of any size, so safe under --unsafe-limits too
+            argv = ["count", num(1, 3000), num(1, 2), "--method", "enumerate"]
     elif command == "table":
         argv = ["table", "--max-n", num(-1, 12), "--max-k", num(-1, 6)]
     elif command == "series":
@@ -297,7 +300,7 @@ def test_env_var_mirrors_flags(capsys, monkeypatch):
     "name, value, argv",
     [
         ("TOL", "abc", ["count", "3", "3"]),
-        ("MAX_N", "abc", ["count", "3", "3"]),
+        ("MAX_N", "abc", ["table"]),
         ("MAX_K", "1.5", ["table"]),
         ("METHOD", "foo", ["count", "3", "3"]),
         ("FORMAT", "xml", ["count", "3", "3"]),
@@ -344,13 +347,68 @@ def test_guard_exit_code(capsys):
 
 
 def test_unsafe_limits_loosens_guards(capsys):
-    code, _, _ = run_cli(capsys, "count", "10", "3", "--method", "enumerate")
-    assert code == 3
-    code, out, _ = run_cli(
-        capsys, "count", "10", "3", "--method", "enumerate",
-        "--max-n", "10", "--unsafe-limits",
-    )
+    code, out, _ = run_cli(capsys, "count", "10", "3", "--method", "enumerate")
     assert code == 0 and out.strip() == "4182"
+    # 6,610,331 trees, just past the count guard
+    code, _, err = run_cli(capsys, "count", "6", "14", "--method", "enumerate")
+    assert code == 3 and "6,610,331" in err
+    code, out, _ = run_cli(capsys, "count", "6", "14", "--method", "enumerate", "--unsafe-limits")
+    assert code == 0 and out.strip() == "6610331"
+
+
+def test_max_n_and_max_k_belong_to_table(capsys):
+    code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--max-k", "2", "--format", "csv")
+    assert code == 0 and out.splitlines() == ["n,k=1,k=2", "1,1,2", "2,0,1"]
+    for argv in (["count", "3", "3", "--max-n", "3"], ["walks", "2", "--list", "--max-k", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+def test_enumeration_past_the_recursion_limit(capsys):
+    # the child-list caches recursed once per size and overflowed near n = 500
+    for flags in ([], ["--unsafe-limits"]):
+        code, out, _ = run_cli(capsys, "count", "2000", "2", "--method", "enumerate", *flags)
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run_cli(capsys, "count", "2000", "1", "--method", "enumerate", *flags)
+        assert code == 0 and out.strip() == "0"
+
+
+#: just inside each guard of a guarded command, with the output it must give
+INSIDE_GUARDS = [
+    (["count", "12", "3", "--method", "enumerate"], "28658"),
+    (["count", "8", "6", "--method", "enumerate"], "1261070"),
+    (["walks", "6", "--list", "--max-len", "12", "--format", "csv"], "12," + "+6 - " * 5 + "+6 -"),
+    (["walks", "1", "--list", "--max-len", "4896", "--format", "csv"], "4896," + "+1 - " * 2447 + "+1 -"),
+    (["eigen", "--leaning", "1000", "--format", "csv"], "leaning:1000,"),
+]
+#: just outside a guard: each is refused before the work
+OUTSIDE_GUARDS = [
+    ["count", "9", "7", "--method", "enumerate"],
+    ["count", "24", "3", "--method", "enumerate"],
+    ["count", "3", "100000", "--method", "enumerate"],
+    ["walks", "7", "--list", "--max-len", "14"],
+    ["walks", "1000000", "--list", "--max-len", "2"],
+    ["walks", "1", "--list", "--max-len", "4898"],
+    ["eigen", "--leaning", "2001"],
+]
+
+
+@pytest.mark.parametrize("argv, expected", INSIDE_GUARDS)
+def test_just_inside_a_guard_prints(capsys, argv, expected):
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 30.0
+    lines = out.splitlines()
+    assert code == 0 and (expected in lines or lines[-1].startswith(expected))
+
+
+@pytest.mark.parametrize("argv", OUTSIDE_GUARDS)
+def test_just_outside_a_guard_exits_3_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == "" and "limited to" in err
 
 
 def test_verify_series_scope_passes(capsys):
@@ -559,5 +617,5 @@ def test_enumeration_guard_counts_trees(capsys):
     assert code == 0 and out.strip() == "1261070"
     code, out, _ = run_cli(capsys, "count", "9", "7", "--all-methods")
     assert code == 0 and "enumerate: skipped (guard)" in out
-    guards = cli.RunConfig(unsafe_limits=True).enumeration_guards()
-    assert guards == {"max_trees": math.inf}
+    assert cli.RunConfig().lifted("max_trees") == {}
+    assert cli.RunConfig(unsafe_limits=True).lifted("max_trees") == {"max_trees": math.inf}

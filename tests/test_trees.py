@@ -1,6 +1,7 @@
 """Plane tree representation, text format, leaning trees, enumeration."""
 
 import random
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -23,6 +24,8 @@ from planetrees import (
     parse_tree,
     random_plane_tree,
 )
+from planetrees import bijection, trees
+from planetrees.series import count_with_root_label
 from planetrees.trees import ENUMERATION_TREE_LIMIT
 
 
@@ -88,8 +91,13 @@ def test_leaning_tree_sizes_and_degrees():
 
 
 def test_leaning_tree_guard():
+    # order k has k(k + 1)/2 child references: 2,001,000 at k = 2000
+    assert len(leaning_tree(2000).children) == 2000
+    with pytest.raises(LimitError, match="2,001,000 child references"):
+        leaning_tree(2001)
     with pytest.raises(LimitError):
-        leaning_tree(25)
+        leaning_tree(3, max_references=5)
+    assert format_tree(leaning_tree(3, max_references=6)) == "4(3(2(1) 1) 2(1) 1)"
     with pytest.raises(ValueError):
         leaning_tree(-1)
 
@@ -134,10 +142,11 @@ def test_enumerate_roundtrips_through_text():
 
 def test_enumerate_guards():
     with pytest.raises(LimitError):
-        enumerate_decreasing_trees(10, 3)
+        enumerate_decreasing_trees(24, 3)
     with pytest.raises(LimitError):
-        enumerate_decreasing_trees(3, 8)
-    assert len(enumerate_decreasing_trees(10, 3, max_nodes=10)) == count_trees(10, 3)
+        enumerate_decreasing_trees(3, 100_000)
+    assert len(enumerate_decreasing_trees(10, 3)) == count_trees(10, 3)
+    assert len(enumerate_decreasing_trees(3, 8)) == count_trees(3, 8)
 
 
 @st.composite
@@ -168,24 +177,24 @@ def test_labels_must_be_positive():
 def test_stream_order_is_sorted_text_with_multidigit_labels():
     for n in range(1, 5):
         for k in range(1, 13):
-            texts = [format_tree(t) for t in iter_decreasing_trees(n, k, max_labels=12)]
+            texts = [format_tree(t) for t in iter_decreasing_trees(n, k)]
             assert texts == sorted(texts)
             assert len(texts) == count_trees(n, k)
 
 
 def test_stream_root_label_is_the_filtered_stream():
     for n, k in [(1, 1), (1, 11), (3, 11), (4, 11), (5, 1), (5, 3), (6, 5)]:
-        full = [(t.label, format_tree(t)) for t in iter_decreasing_trees(n, k, max_labels=11)]
+        full = [(t.label, format_tree(t)) for t in iter_decreasing_trees(n, k)]
         for r in range(1, k + 2):
-            only = iter_decreasing_trees(n, k, root_label=r, max_labels=11)
+            only = iter_decreasing_trees(n, k, root_label=r)
             assert [format_tree(t) for t in only] == [text for label, text in full if label == r]
 
 
 def test_stream_guards_raise_on_the_call():
     with pytest.raises(LimitError):
-        iter_decreasing_trees(10, 3)
+        iter_decreasing_trees(24, 3)
     with pytest.raises(LimitError):
-        iter_decreasing_trees(3, 8)
+        iter_decreasing_trees(3, 100_000)
     with pytest.raises(ValueError):
         iter_decreasing_trees(0, 3)
     with pytest.raises(ValueError):
@@ -203,11 +212,20 @@ def test_stream_is_lazy():
         tracemalloc.stop()
     assert len(first) == 1000
     assert peak < 8 * 2**20
+    # k = 2 admits any n, and its one tree must not cost a kept list of
+    # leaves per size, n^2/2 references in all
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_decreasing_trees(3000, 2)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_stream_guard_counts_the_trees():
-    # (9, 7) is inside the node and label caps but would yield 51,911,249
-    # trees; the exact count refuses it before any tree is built
+    # (9, 7) would yield 51,911,249 trees: no closed-form bound passes the
+    # cap there, and the exact count refuses it before any tree is built
     with pytest.raises(LimitError, match="51,911,249"):
         iter_decreasing_trees(9, 7)
     with pytest.raises(LimitError):
@@ -222,3 +240,52 @@ def test_stream_guard_counts_the_trees():
         iter_decreasing_trees(5, 4, root_label=4, max_trees=220)
     assert sum(1 for _ in iter_decreasing_trees(5, 4, root_label=4, max_trees=221)) == 221
     assert list(iter_decreasing_trees(5, 4, root_label=9, max_trees=0)) == []
+
+
+def test_stream_guard_bounds_never_pass_the_count():
+    # a lower bound above the exact count would refuse a call the count
+    # admits: at the count itself every call is admitted, one below refused
+    for n in range(1, 40):
+        for k in (1, 2, 3, 4, 7, 10):
+            for r in (None, *range(1, min(k, 3) + 1), k):
+                exact = count_trees(n, k) if r is None else count_with_root_label(n, r)
+                iter_decreasing_trees(n, k, root_label=r, max_trees=exact)
+                if exact:
+                    with pytest.raises(LimitError):
+                        iter_decreasing_trees(n, k, root_label=r, max_trees=exact - 1)
+
+
+def test_lower_bounds_refuse_without_the_series(monkeypatch):
+    def series(n, k):
+        raise AssertionError(f"the series was evaluated for ({n}, {k})")
+
+    monkeypatch.setattr(trees, "count_trees", series)
+    monkeypatch.setattr(trees, "count_with_root_label", series)
+    # the sizes of the counting workload's --all-methods calls among them
+    for n, k in [(24, 3), (3, 100_000), (120, 3), (1000, 3), (300, 6), (120, 24), (10**9, 10**9)]:
+        with pytest.raises(LimitError, match="at least"):
+            iter_decreasing_trees(n, k)
+    for order, length in [(7, 14), (10**6, 2), (2, 40)]:
+        with pytest.raises(LimitError, match="at least"):
+            bijection.enumerate_closed_walks(order, length)
+
+
+def test_stream_stack_depth_does_not_grow_with_n(monkeypatch):
+    # the kept child lists are filled smallest first: built on demand, each
+    # recursed into the next smaller one, and the stack overflowed near
+    # n = 500 (k = 2)
+    deepest = []
+    forests = trees._DecreasingTrees._forests
+
+    def measured(self, m, bound):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        deepest[-1] = max(deepest[-1], depth)
+        return forests(self, m, bound)
+
+    monkeypatch.setattr(trees._DecreasingTrees, "_forests", measured)
+    for n in (6, 12):
+        deepest.append(0)
+        assert sum(1 for _ in iter_decreasing_trees(n, 3)) == count_trees(n, 3)
+    assert deepest[1] <= deepest[0]
