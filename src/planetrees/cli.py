@@ -346,8 +346,12 @@ def cmd_walks(args, config: RunConfig) -> int:
         walks = enumerate_guarded_walks(args, config)
         rows = [[str(len(w)), bijection.format_walk(w)] for w in walks]
     else:
-        tree = trees.leaning_tree(args.k, **config.lifted("max_references"))
+        references = config.lifted("max_references")
         budgets = config.lifted("max_work", "max_growth")
+        # refuse from the 2^K node count before building the tree and its plan
+        trees._check_leaning_order(args.k, **references)
+        spectral._check_replay_budget(2**args.k, args.max_len, **budgets)
+        tree = trees.leaning_tree(args.k, **references)
         table = spectral.walk_count_table(tree, args.max_len, **budgets)
         columns = ["length", "count"]
         rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]

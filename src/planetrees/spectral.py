@@ -83,6 +83,22 @@ def walk_count_table(
     return _replay(t, node_count(t), max_length, vertex, max_work, max_growth)
 
 
+def _check_replay_budget(
+    size: int,
+    max_length: int,
+    max_work: float = WALK_WORK_LIMIT,
+    max_growth: float = WALK_GROWTH_LIMIT,
+) -> None:
+    """Raise ``LimitError`` if the replay of ``walk_count_table`` over
+    ``size`` nodes to ``max_length`` exceeds either budget.  It needs the
+    node count only, so a caller can refuse before building the tree."""
+    half = max_length // 2
+    if size * (half + 1) > max_work:
+        raise LimitError("walk-count budget exceeded (node count times half-length)")
+    if size * half * half > max_growth:
+        raise LimitError("walk-count budget exceeded (node count times half-length squared)")
+
+
 def _replay(
     t: PlaneTree, size: int, max_length: int, vertex: int, max_work: float, max_growth: float
 ) -> dict[int, int]:
@@ -91,11 +107,7 @@ def _replay(
         raise ValueError("max_length must be even and nonnegative")
     if not 0 <= vertex < size:
         raise ValueError(f"vertex {vertex} out of range")
-    half = max_length // 2
-    if size * (half + 1) > max_work:
-        raise LimitError("walk-count budget exceeded (node count times half-length)")
-    if size * half * half > max_growth:
-        raise LimitError("walk-count budget exceeded (node count times half-length squared)")
+    _check_replay_budget(size, max_length, max_work, max_growth)
     adj = adjacency_lists(t)
     counts = {0: 1}
     x = [0] * len(adj)

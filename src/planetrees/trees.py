@@ -280,6 +280,14 @@ def is_decreasing(t: PlaneTree, k: int) -> bool:
     return True
 
 
+def _check_leaning_order(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> None:
+    """Raise as ``leaning_tree(k, max_references=...)`` would, without building it."""
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if k * (k + 1) // 2 > max_references:
+        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
+
+
 def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> PlaneTree:
     """Regular leaning tree of order k, with every node labelled order + 1.
 
@@ -288,10 +296,7 @@ def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> 
     are shared, so this is O(k^2) to build despite the 2^k logical nodes:
     its k(k + 1)/2 child references must not exceed ``max_references``.
     """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if k * (k + 1) // 2 > max_references:
-        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
+    _check_leaning_order(k, max_references=max_references)
     levels: list[PlaneTree] = [PlaneTree(1)]
     for j in range(1, k + 1):
         levels.append(PlaneTree(j + 1, tuple(levels[i] for i in range(j - 1, -1, -1))))
@@ -486,5 +491,5 @@ def random_plane_tree(size: int, rng: random.Random) -> PlaneTree:
     # every node's children come after it, so build from the last node back
     built: list = [None] * size
     for i in range(size - 1, -1, -1):
-        built[i] = PlaneTree(1, tuple([built[c] for c in kids[i]]))
+        built[i] = _fast_tree(1, tuple([built[c] for c in kids[i]]))
     return built[0]

@@ -11,20 +11,24 @@ independently, and placing subtrees in descending order of their own minimal
 numbers is optimal by the standard exchange argument (verified against the
 brute-force sweep in the tests rather than assumed).  ``uh_number`` and
 ``uh_min`` compute each distinct labelled shape's minimal number once, over
-``trees.subtree_plan``, without recursion.  A shape's witness is built once
-and shared wherever the shape occurs; its text depends only on the shape,
-since leaves and tied siblings are put in text order.  The labels stay in
-the plan's shapes although the numbers ignore them, because the witness
-carries them.
+``trees.subtree_plan``, without recursion, and ``uh_min`` takes its number
+from the root shape's value.  A shape's witness is built once and shared
+wherever the shape occurs; its text depends only on the shape, since leaves
+and tied siblings are put in text order, and a shape that ties with a
+sibling is serialised once a call, however often it ties.  The witness is
+walked only when a report's ``labels`` are read.  The labels stay in the
+plan's shapes although the numbers ignore them, because the witness carries
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import LimitError
-from .trees import PlaneTree, format_tree, node_count, subtree_plan
+from .trees import PlaneTree, _fast_tree, format_tree, node_count, subtree_plan
 
 #: node-count cap for the brute-force ordering sweep
 BRUTEFORCE_NODE_LIMIT = 9
@@ -36,16 +40,19 @@ class UhReport:
 
     ``labels`` lists the assigned label of every witness node in preorder
     (root first, then each child subtree left to right); ``uh`` is their
-    maximum.
+    maximum.  The labels are computed from the witness when first read.
     """
 
     uh: int
     witness: PlaneTree
-    labels: tuple[int, ...]
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        return _preorder_labels(self.witness)
 
 
-def uh_ordered(t: PlaneTree) -> UhReport:
-    """Ulam-Harris number of an ordered tree, children taken as given."""
+def _preorder_labels(t: PlaneTree) -> tuple[int, ...]:
+    # the Ulam-Harris label of every node of ``t`` in preorder
     labels: list[int] = []
     stack = [(t, 1)]
     while stack:
@@ -54,7 +61,25 @@ def uh_ordered(t: PlaneTree) -> UhReport:
         kids = node.children
         # the last child is stacked first, with the largest label
         stack.extend(zip(reversed(kids), range(label + len(kids), label, -1)))
-    return UhReport(max(labels), t, tuple(labels))
+    return tuple(labels)
+
+
+def uh_ordered(t: PlaneTree) -> UhReport:
+    """Ulam-Harris number of an ordered tree, children taken as given.
+
+    The largest label sits on the last child of some node, so the number is
+    the maximum of label + child count over the internal nodes (1 for a
+    single node), and leaves are never stacked.
+    """
+    uh = 1
+    stack = [(t, 1)] if t.children else []
+    while stack:
+        node, label = stack.pop()
+        kids = node.children
+        if label + len(kids) > uh:
+            uh = label + len(kids)
+        stack.extend([(c, label + i) for i, c in enumerate(kids, 1) if c.children])
+    return UhReport(uh, t)
 
 
 def uh_number(t: PlaneTree) -> int:
@@ -79,25 +104,44 @@ def uh_min(t: PlaneTree) -> UhReport:
     Each subtree's minimal number is computed children first; sorting the
     children by that value, descending, is optimal because swapping any two
     children out of descending order never decreases the maximum of
-    position + subtree value.  Ties are broken by the bracket serialisation
-    of the reordered subtree, which makes the witness deterministic; only
-    siblings whose values tie are serialised.
+    position + subtree value.  The number is the root shape's value; the
+    witness is walked only when its ``labels`` are read.  Ties are broken by
+    the bracket serialisation of the reordered subtree, which makes the
+    witness deterministic; only shapes that tie with a sibling are
+    serialised, each at most once a call.
     """
     plan = subtree_plan(t)
+    if not plan:
+        return UhReport(1, t)
     values = _minimal_values(plan)
     witnesses: list[PlaneTree] = []
+    texts: dict[int, str] = {}  # plan entry -> the bracket text of its witness
+
+    def text(i: int) -> str:
+        known = texts.get(i)
+        if known is None:
+            known = texts[i] = format_tree(witnesses[i])
+        return known
+
     for node, leaves, kids in plan:
-        if not leaves and len(kids) == 1:  # a single child: nothing to order
-            witnesses.append(PlaneTree(node.label, (witnesses[kids[0]],)))
-            continue
-        ranked = sorted(kids, key=values.__getitem__, reverse=True)
-        # leaves have value 1, below every other child's
-        tops = [values[i] for i in ranked] + [1] * leaves
-        children = [witnesses[i] for i in ranked] + [c for c in node.children if not c.children]
-        witnesses.append(PlaneTree(node.label, tuple(_text_order_within_ties(tops, children))))
-    witness = witnesses[-1] if witnesses else t
-    report = uh_ordered(witness)
-    return UhReport(report.uh, witness, report.labels)
+        if len(kids) > 1:
+            kids = sorted(kids, key=values.__getitem__, reverse=True)
+            # each run of equal values in the order of its witness texts
+            start = 0
+            for end in range(1, len(kids) + 1):
+                if end == len(kids) or values[kids[end]] != values[kids[start]]:
+                    if end - start > 1:
+                        kids[start:end] = sorted(kids[start:end], key=text)
+                    start = end
+        children = [witnesses[i] for i in kids]
+        if leaves:
+            # leaves have value 1, below every other child's, and go last
+            tail = [c for c in node.children if not c.children]
+            if leaves > 1:
+                tail.sort(key=format_tree)
+            children += tail
+        witnesses.append(_fast_tree(node.label, tuple(children)))
+    return UhReport(values[-1], witnesses[-1])
 
 
 def _minimal_values(plan: list) -> list[int]:
@@ -111,21 +155,6 @@ def _minimal_values(plan: list) -> list[int]:
             best = max(best, position + value)
         values.append(best)
     return values
-
-
-def _text_order_within_ties(values: list[int], trees: list[PlaneTree]) -> list[PlaneTree]:
-    # ``trees`` is sorted by ``values``, descending; each run of equal values
-    # is put in the order of its bracket texts
-    ordered: list[PlaneTree] = []
-    start = 0
-    for end in range(1, len(values) + 1):
-        if end == len(values) or values[end] != values[start]:
-            run = trees[start:end]
-            if len(run) > 1:
-                run.sort(key=format_tree)
-            ordered += run
-            start = end
-    return ordered
 
 
 def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -> int:

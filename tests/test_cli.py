@@ -499,6 +499,23 @@ def test_walks_guard_counts_digit_growth(capsys):
     assert code == 3 and out == "" and "half-length squared" in err
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [(["2000", "--max-len", "2"], "half-length"), (["3", "--max-len", "100000"], "half-length squared")],
+)
+def test_walks_refuses_a_replay_before_building_the_tree(capsys, monkeypatch, argv, budget):
+    # the budgets are checked against the 2^K node count alone
+    import planetrees.trees as trees_mod
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("leaning_tree called for a refused replay")
+
+    monkeypatch.setattr(trees_mod, "leaning_tree", unbuildable)
+    code, out, err = run_cli(capsys, "walks", *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: walk-count budget exceeded (node count times {budget})\n"
+
+
 def test_walks_budgets_loosen_with_unsafe_limits(capsys):
     # node count times half-length squared: 8 * 7906^2 = 5.0004e8 > 5e8
     code, out, err = run_cli(capsys, "walks", "3", "--max-len", "15812")

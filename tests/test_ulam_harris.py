@@ -74,6 +74,45 @@ def test_witness_reproduces_the_minimum():
         assert max(report.labels) == report.uh
 
 
+def with_decreasing_labels(t, rng):
+    """``t`` relabelled at random so that labels decrease away from the root,
+    many of them 10 or more."""
+
+    def height(node):
+        return 1 + max((height(c) for c in node.children), default=0)
+
+    def relabel(node, cap):
+        label = rng.randint(height(node), cap)
+        return PlaneTree(label, tuple(relabel(c, label - 1) for c in node.children))
+
+    return relabel(t, height(t) + rng.randint(0, 20))
+
+
+def test_uh_agrees_with_the_labels():
+    # uh is read off the plan values and the internal nodes, not the labels
+    rng = random.Random(53)
+    trees = [with_decreasing_labels(random_plane_tree(rng.randint(1, 40), rng), rng) for _ in range(200)]
+    assert sum(t.label >= 10 for t in trees) >= 50  # the root label is the largest
+    path = PlaneTree(1)
+    for label in range(2, 2001):
+        path = PlaneTree(label, (path,))
+    for t in trees + [path]:
+        ordered = uh_ordered(t)
+        assert ordered.uh == max(ordered.labels)
+        report = uh_min(t)
+        assert report.uh == uh_ordered(report.witness).uh == max(report.labels)
+    assert uh_min(path).uh == 2000
+
+
+def test_witness_pin_with_nested_ties_and_two_digit_labels():
+    # ties at two nested levels, among leaves and among non-leaf shapes,
+    # broken by bracket text, so "10" and "20(" sort before "2" and "3("
+    report = uh_min(parse_tree("12(3(2(10 3) 10(2 11) 10 2) 20(10(2 11) 2(10 3) 5 12) 7 10 2)"))
+    assert report.uh == 7
+    assert format_tree(report.witness) == "12(20(10(11 2) 2(10 3) 12 5) 3(10(11 2) 2(10 3) 10 2) 10 2 7)"
+    assert report.labels == (1, 2, 3, 4, 5, 4, 5, 6, 5, 6, 3, 4, 5, 6, 5, 6, 7, 6, 7, 4, 5, 6)
+
+
 def test_shape_enumeration_counts():
     # rooted unordered trees on n nodes
     assert [len(enumerate_unordered_shapes(n)) for n in range(1, 9)] == [
