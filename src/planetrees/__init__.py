@@ -61,6 +61,7 @@ from .trees import (
     leaning_tree,
     max_degree,
     node_count,
+    parse_plan,
     parse_tree,
     random_plane_tree,
     subtree_plan,
@@ -113,6 +114,7 @@ __all__ = [
     "leaning_tree",
     "max_degree",
     "node_count",
+    "parse_plan",
     "parse_tree",
     "parse_walk",
     "random_plane_tree",

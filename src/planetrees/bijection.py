@@ -223,10 +223,11 @@ def parse_walk(text: str, order: int) -> Walk:
     stripped = text.strip()
     if stripped:
         for pos, token in enumerate(stripped.split()):
+            digits = token[1:]  # ASCII only: str.isdigit admits others
             if token == "-":
                 moves.append(UP)
-            elif token.startswith("+") and token[1:].isdigit() and int(token[1:]) >= 1:
-                moves.append(int(token[1:]))
+            elif token[0] == "+" and digits.isascii() and digits.isdigit() and int(digits) >= 1:
+                moves.append(int(digits))
             else:
                 raise WalkError(f"unrecognised walk token {token!r}", pos)
     walk = Walk(order, tuple(moves))

@@ -375,14 +375,14 @@ def enumerate_guarded_walks(args, config: RunConfig) -> list[bijection.Walk]:
 
 
 def cmd_eigen(args, config: RunConfig) -> int:
+    # one subtree plan serves size, degree, eigenvalue, uh and walk growth
     if args.leaning is not None:
         tree = trees.leaning_tree(args.leaning, **config.lifted("max_references"))
+        plan = trees.subtree_plan(tree)
         source = f"leaning:{args.leaning}"
     else:
-        tree = trees.parse_tree(args.tree)
-        source = trees.format_tree(tree)
-    # one subtree plan serves size, degree, eigenvalue, uh and walk growth
-    plan = trees.subtree_plan(tree)
+        tree, plan = trees.parse_plan(args.tree)
+        source = args.tree if _canonical(args.tree) else trees.format_tree(tree)
     size = trees.plan_node_count(plan)
     delta = trees.plan_max_degree(plan)
     lam = spectral._plan_lambda1(plan, **config.tolerance())
@@ -408,9 +408,15 @@ def cmd_eigen(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _canonical(text: str) -> bool:
+    """Whether parsed bracket text is what ``trees.format_tree`` prints for
+    it: the grammar leaves no freedom but zeros before a label."""
+    return text[0] != "0" and "(0" not in text and " 0" not in text
+
+
 def cmd_uh(args, config: RunConfig) -> int:
-    tree = trees.parse_tree(args.tree)
-    report = ulam_harris.uh_min(tree)
+    tree, plan = trees.parse_plan(args.tree)
+    report = ulam_harris._plan_uh_min(plan, tree)
     ordered = ulam_harris.uh_ordered(tree)
     emit_object(
         config,

@@ -14,7 +14,10 @@ multiset, however many objects carry it), children first, and the per-tree
 quantities (``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue
 pivots and root walk counts) are computed over that list: k shapes for the
 leaning tree of order k, not its 2^k nodes, and a parsed tree, whose every
-node is a fresh object, costs its distinct shapes too.  No traversal of a
+inner node is a fresh object, costs its distinct shapes too.  The parser
+builds that list as it reads bracket text, filing each node as its ``)``
+closes (``parse_plan``), so ``eigen`` and ``uh`` take the tree and its plan
+from one pass over their input and build no second plan.  No traversal of a
 given tree is bounded by the interpreter's recursion limit, only by memory:
 ``PlaneTree.__hash__`` fills the hashes children first, and
 ``PlaneTree.__eq__`` compares by recursive tuple comparison, its fast path,
@@ -47,6 +50,9 @@ LEANING_REFERENCE_LIMIT = 2_001_000
 #: about 4.5 million trees a second (CPython 3.11, one core) the 5,510,096 of
 #: (n, k) = (8, 7) take 1.2 s, and the 51,911,249 of (9, 7) are refused
 ENUMERATION_TREE_LIMIT = 6_000_000
+#: the characters of a label: ASCII digits only, where ``str.isdigit`` admits
+#: others that ``int`` reads or refuses
+_DIGITS = frozenset("0123456789")
 
 
 class PlaneTree:
@@ -138,40 +144,68 @@ def format_tree(t: PlaneTree) -> str:
 
 def parse_tree(text: str) -> PlaneTree:
     """Parse bracket notation, reporting the position of the first error."""
+    return parse_plan(text)[0]
+
+
+def parse_plan(text: str) -> tuple[PlaneTree, list[tuple[PlaneTree, int, list[int]]]]:
+    """Parse bracket notation into the tree and its ``subtree_plan``,
+    reporting the position of the first error.
+
+    Labels are ASCII decimal digits.  Each node is filed in the plan as its
+    ``)`` closes, the order in which ``subtree_plan`` meets the nodes of the
+    tree, so the one pass over the text gives the plan entry for entry as
+    ``subtree_plan`` of the tree would.  Leaves written alike are one object.
+    """
     pos = 0
     n = len(text)
-    # nodes whose child list is still open: (label, children so far)
-    stack: list[tuple[int, list[PlaneTree]]] = []
+    plan: list[tuple[PlaneTree, int, list[int]]] = []
+    entries: dict[tuple[int, ...], int] = {}
+    # nodes whose child list is still open: (label, children so far,
+    # positions of the non-leaf ones, the codes of all of them)
+    stack: list[tuple[int, list[PlaneTree], list[int], list[int]]] = []
+    leaves: dict[str, PlaneTree] = {}  # one leaf object per label text
     while True:
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise TreeParseError("expected a label", pos)
-        label = int(text[start:pos])
-        if label == 0:
-            raise TreeParseError("label 0 is not allowed", start)
         if pos < n and text[pos] == "(":
+            label = int(text[start:pos])
+            if label == 0:
+                raise TreeParseError("label 0 is not allowed", start)
             pos += 1
-            stack.append((label, []))
+            stack.append((label, [], [], []))
             continue
-        node = _fast_tree(label, ())  # labels are checked above
+        digits = text[start:pos]
+        node = leaves.get(digits)
+        if node is None:
+            label = int(digits)
+            if label == 0:
+                raise TreeParseError("label 0 is not allowed", start)
+            node = leaves[digits] = _fast_tree(label, ())
+        code = -node.label
         # hand the finished node to its parent, closing every list that ends here
         while stack:
-            stack[-1][1].append(node)
+            _, children, kids, codes = stack[-1]
+            children.append(node)
+            codes.append(code)
+            if code >= 0:
+                kids.append(code)
             if pos < n and text[pos] == " ":
                 pos += 1
                 break  # a sibling follows
             if pos >= n or text[pos] != ")":
                 raise TreeParseError("expected ')' or ' '", pos)
             pos += 1
-            label, children = stack.pop()
+            label, children, kids, codes = stack.pop()
             node = _fast_tree(label, tuple(children))
+            code = _file_shape(plan, entries, node, kids, codes)
         else:
             break  # the root is finished
     if pos != n:
         raise TreeParseError("trailing input after tree", pos)
-    return node
+    return node, plan
 
 
 def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
@@ -188,15 +222,14 @@ def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
     Ulam-Harris value and witness, pivots and walk counts wherever it
     occurs, so one pass over the list computes them at the cost of the
     distinct shapes: k entries for ``leaning_tree(k)``, and for a parsed
-    tree, a fresh object at every node, its shapes rather than its nodes.
+    tree, a fresh object at every inner node, its shapes rather than its
+    nodes.
     Leaves are not listed (callers take them as the base case), the root is
     the last entry, and a one-node tree gives an empty list.
     """
     plan: list[tuple[PlaneTree, int, list[int]]] = []
     if t.children:
         position: dict[int, int] = {}  # id of a finished object -> its entry
-        # a shape's key is its label followed by, sorted together, its leaf
-        # children's labels negated and its other children's positions
         entries: dict[tuple[int, ...], int] = {}
         # (node, its children not yet visited, positions of its listed
         # children, the codes of its children visited so far)
@@ -215,18 +248,29 @@ def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
                     codes.append(-child.label)
             else:
                 stack.pop()
-                codes.sort()
-                key = (node.label, *codes)
-                listed = entries.get(key)
-                if listed is None:
-                    listed = entries[key] = len(plan)
-                    plan.append((node, len(codes) - len(kids), kids))
-                position[id(node)] = listed
+                listed = position[id(node)] = _file_shape(plan, entries, node, kids, codes)
                 if stack:
                     parent = stack[-1]
                     parent[2].append(listed)
                     parent[3].append(listed)
     return plan
+
+
+def _file_shape(plan: list, entries: dict, node: PlaneTree, kids: list, codes: list) -> int:
+    """The plan entry of ``node``'s shape, listed last if it is new.
+
+    ``kids`` are the entries of its non-leaf children in its own child
+    order, and ``codes`` hold a code for every child: a leaf's label
+    negated, any other child's entry.  A shape's key in ``entries`` is its
+    label followed by its codes, sorted together.
+    """
+    codes.sort()
+    key = (node.label, *codes)
+    listed = entries.get(key)
+    if listed is None:
+        listed = entries[key] = len(plan)
+        plan.append((node, len(codes) - len(kids), kids))
+    return listed
 
 
 def node_count(t: PlaneTree) -> int:
@@ -347,7 +391,9 @@ def _count_over(limit: float, n: int, k: int, root_label: int | None = None) -> 
     Lower bounds refuse first, without the series: (r - 1)^(n - 1), a root
     over leaves, and C(k, n), chains (C(r - 1, n - 1) under a given root),
     each stopped past the limit within a few dozen factors (C(m, j) >= 2^j
-    up to j = m/2, and the power doubles a factor from r = 3)."""
+    up to j = m/2, and the power doubles a factor from r = 3).  A tree of at
+    most two nodes is a chain, so there the chain count is exact and the
+    series is not needed."""
     if limit == math.inf or (root_label is not None and root_label > k):
         return None
     r = k if root_label is None else root_label
@@ -362,7 +408,10 @@ def _count_over(limit: float, n: int, k: int, root_label: int | None = None) -> 
         chains = chains * (pool - j) // (j + 1)
         if chains > limit:
             return f"at least {chains:,}"
-    size = count_trees(n, k) if root_label is None else count_with_root_label(n, r)
+    if n <= 2:  # 0 if there are fewer labels than chain nodes
+        size = chains if chosen <= pool else 0
+    else:
+        size = count_trees(n, k) if root_label is None else count_with_root_label(n, r)
     return f"{size:,}" if size > limit else None
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import LimitError
-from .trees import PlaneTree, _fast_tree, format_tree, node_count, subtree_plan
+from .trees import PlaneTree, _fast_tree, format_tree, subtree_plan
 
 #: node-count cap for the brute-force ordering sweep
 BRUTEFORCE_NODE_LIMIT = 9
@@ -110,7 +110,11 @@ def uh_min(t: PlaneTree) -> UhReport:
     witness deterministic; only shapes that tie with a sibling are
     serialised, each at most once a call.
     """
-    plan = subtree_plan(t)
+    return _plan_uh_min(subtree_plan(t), t)
+
+
+def _plan_uh_min(plan: list, t: PlaneTree) -> UhReport:
+    # ``uh_min`` of ``t``, whose ``trees.subtree_plan`` is ``plan``
     if not plan:
         return UhReport(1, t)
     values = _minimal_values(plan)
@@ -159,8 +163,14 @@ def _minimal_values(plan: list) -> list[int]:
 
 def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -> int:
     """Minimum over all products of child permutations, by exhaustion."""
-    if node_count(t) > max_nodes:
-        raise LimitError(f"brute-force ordering sweep limited to {max_nodes} nodes")
+    # count the nodes only as far as the limit
+    seen = 0
+    stack = [t]
+    while stack:
+        seen += 1
+        if seen > max_nodes:
+            raise LimitError(f"brute-force ordering sweep limited to {max_nodes} nodes")
+        stack.extend(stack.pop().children)
 
     def minimal(node: PlaneTree) -> int:
         values = [minimal(child) for child in node.children]

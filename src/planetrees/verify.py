@@ -471,7 +471,9 @@ def check_uh_degree_bound() -> tuple[bool, str]:
     rng = random.Random(UH_DEGREE_SEED)
     for _ in range(500):
         t = trees.random_plane_tree(rng.randint(1, 30), rng)
-        uh = ulam_harris.uh_min(t).uh
-        if uh < trees.max_degree(t):
-            return False, f"uh {uh} below degree {trees.max_degree(t)} on {trees.format_tree(t)!r}"
+        plan = trees.subtree_plan(t)
+        uh = ulam_harris._plan_uh_min(plan, t).uh
+        delta = trees.plan_max_degree(plan)
+        if uh < delta:
+            return False, f"uh {uh} below degree {delta} on {trees.format_tree(t)!r}"
     return True, "uh >= max degree on 500 random trees up to 30 nodes"

@@ -72,6 +72,11 @@ def test_walk_text_roundtrip():
         parse_walk("+1 up", 3)
     with pytest.raises(WalkError):
         parse_walk("+0 -", 3)
+    # digits other than ASCII ones: int() refuses "²" and reads "٣" as 3
+    for token in ("+²", "+٣", "+０"):
+        with pytest.raises(WalkError) as err:
+            parse_walk(f"+1 - {token}", 3)
+        assert err.value.index == 2
 
 
 def test_enumerate_closed_walks_smallest():

@@ -14,10 +14,19 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from planetrees import asymptotics, cli, leaning_tree, series, verify, walk_count_table
+from planetrees import (
+    TreeParseError,
+    asymptotics,
+    cli,
+    leaning_tree,
+    series,
+    trees,
+    verify,
+    walk_count_table,
+)
 from planetrees.intstr import int_to_str
 from planetrees.series import TruncatedSeries
 
@@ -116,16 +125,19 @@ def exit_code(*argv):
             return exc.code
 
 
+# "²", "٣" and "０" are digits to str.isdigit but not labels or ranks
 WALK_TOKENS = ["+1", "+2", "+3", "+7", "-", "+0", "+", "-1", "+-1", "++1", "1", "x", "+1-", "()"]
+WALK_TOKENS += ["+²", "+٣", "+０"]
 walk_texts = st.one_of(
     st.lists(st.sampled_from(WALK_TOKENS), max_size=12).map(" ".join),
-    st.text(alphabet="+-0123456789 x\t", max_size=24),
+    st.text(alphabet="+-0123456789 x\t²٣０", max_size=24),
 )
 tree_texts = st.one_of(
-    st.lists(st.sampled_from(["1", "2", "3", "9", "0", "(", ")", " ", "x", "12("]), max_size=24).map(
-        "".join
-    ),
-    st.text(alphabet="0123456789() x-", max_size=24),
+    st.lists(
+        st.sampled_from(["1", "2", "3", "9", "0", "(", ")", " ", "x", "12(", "²", "٣", "０"]),
+        max_size=24,
+    ).map("".join),
+    st.text(alphabet="0123456789() x-²٣０", max_size=24),
 )
 
 
@@ -139,6 +151,40 @@ def test_bijection_p_fuzz_exits_cleanly(order, text):
 @settings(max_examples=200, deadline=None)
 def test_bijection_w_fuzz_exits_cleanly(text):
     assert exit_code("bijection", "w", text) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["eigen", "uh"])
+@pytest.mark.parametrize("text", ["²", "٣(1)", "2(1 ０)"])
+def test_digits_beyond_ascii_are_positioned_usage_errors(capsys, command, text):
+    code, out, err = run_cli(capsys, command, text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected a label (at position ")
+
+
+# bracket texts that parse: labels with or without leading zeros, any order
+labels = st.from_regex(r"0{0,2}[1-9][0-9]{0,2}", fullmatch=True)
+parsing_texts = st.recursive(
+    labels,
+    lambda inner: st.tuples(labels, st.lists(inner, min_size=1, max_size=4)).map(
+        lambda pair: f"{pair[0]}({' '.join(pair[1])})"
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.one_of(parsing_texts, tree_texts))
+@example("01(1)")
+@example("1(1 01(010))")
+@settings(max_examples=150, deadline=None)
+def test_eigen_prints_the_canonical_text_of_the_tree(text):
+    try:
+        tree = trees.parse_tree(text)
+    except TreeParseError:
+        assume(False)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(["eigen", text, "--format", "json"]) == 0
+    assert json.loads(buffer.getvalue())["tree"] == trees.format_tree(tree)
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1"])

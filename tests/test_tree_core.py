@@ -32,7 +32,7 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
-from planetrees import spectral
+from planetrees import spectral, trees
 from planetrees.spectral import _root_walk_counts
 
 
@@ -207,6 +207,55 @@ def test_plan_keeps_shapes_apart_that_differ_in_one_label():
         assert [format_tree(node) for node, _, _ in plan[:-1]] == entries
     # the witness carries the labels of every shape, 3(1) too
     assert format_tree(uh_min(parse_tree("5(2(1) 3(1) 2(1) 1)")).witness) == "5(2(1) 2(1) 3(1) 1)"
+
+
+def decreasing_tree(size, rng):
+    """Uniform attachment with decreasing labels of one to three digits:
+    each child's label is 1 or 2 below its parent's, so shapes recur."""
+    parent = [0] + [rng.randrange(i) for i in range(1, size)]
+    depth = [0] * size
+    for i in range(1, size):
+        depth[i] = depth[parent[i]] + 1
+    labels = [2 * max(depth) + rng.randint(1, 120)] + [0] * (size - 1)
+    kids = [[] for _ in range(size)]
+    for i in range(1, size):
+        labels[i] = labels[parent[i]] - rng.randint(1, 2)
+        kids[parent[i]].append(i)
+    built = [None] * size
+    for i in range(size - 1, -1, -1):
+        built[i] = PlaneTree(labels[i], tuple([built[c] for c in kids[i]]))
+    return built[0]
+
+
+def same_plan(plan, other):
+    """Entry for entry: the same representative objects, leaf counts and positions."""
+    return [(id(node), leaves, kids) for node, leaves, kids in plan] == [
+        (id(node), leaves, kids) for node, leaves, kids in other
+    ]
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_parse_plan_is_the_plan_of_the_parsed_tree(size, seed):
+    t = decreasing_tree(size, random.Random(seed))
+    tree, plan = trees.parse_plan(format_tree(t))
+    assert tree == t and same_plan(plan, subtree_plan(tree))
+
+
+def test_parse_plan_with_leading_zeros():
+    for text in ["01", "01(1)", "3(02(1) 2(01) 002(0001))", "10(010(1) 9(09 9(1)) 010(01))"]:
+        tree, plan = trees.parse_plan(text)
+        assert tree == parse_tree(text) and same_plan(plan, subtree_plan(tree))
+    # "1" and "01" are one label: one shape, whichever way its leaves are written
+    assert len(trees.parse_plan("3(2(1) 2(01))")[1]) == 2
+
+
+def test_parse_plan_of_a_deep_path_needs_no_recursion():
+    depth = 5000
+    text = "(".join(str(label) for label in range(depth, 0, -1)) + ")" * (depth - 1)
+    tree, plan = trees.parse_plan(text)
+    assert len(plan) == depth - 1 and same_plan(plan, subtree_plan(tree))
+    assert format_tree(tree) == text
 
 
 # sha256 of `eigen TREE --format json` and `uh TREE --format json` stdout,

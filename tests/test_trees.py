@@ -55,6 +55,15 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 4
 
 
+def test_labels_are_ascii_digits_only():
+    # str.isdigit admits these: int() refused "²" without a position, and
+    # read "٣" and "０" as 3 and 0
+    for text, position in [("²", 0), ("٣(1)", 0), ("2(1 ０)", 4), ("1２", 1), ("3(2(1²))", 5)]:
+        with pytest.raises(TreeParseError) as err:
+            parse_tree(text)
+        assert err.value.position == position, text
+
+
 def test_tree_equality_and_hash():
     a = parse_tree("3(2(1) 1)")
     b = parse_tree("3(2(1) 1)")
@@ -268,6 +277,30 @@ def test_lower_bounds_refuse_without_the_series(monkeypatch):
     for order, length in [(7, 14), (10**6, 2), (2, 40)]:
         with pytest.raises(LimitError, match="at least"):
             bijection.enumerate_closed_walks(order, length)
+
+
+def test_trees_of_at_most_two_nodes_are_counted_without_the_series(monkeypatch):
+    def series(n, k):
+        raise AssertionError(f"the series was evaluated for ({n}, {k})")
+
+    monkeypatch.setattr(trees, "count_trees", series)
+    monkeypatch.setattr(trees, "count_with_root_label", series)
+    # every tree of one or two nodes is a chain: k of one node, C(k, 2) of
+    # two, and under root label r, one and r - 1
+    for k in (1, 2, 3, 10, 10**6):
+        for n, exact in [(1, k), (2, k * (k - 1) // 2)]:
+            iter_decreasing_trees(n, k, max_trees=exact)
+            if exact:
+                with pytest.raises(LimitError, match=f" {exact:,}\\)"):
+                    iter_decreasing_trees(n, k, max_trees=exact - 1)
+        for r in sorted({1, min(2, k), k}):
+            for n, exact in [(1, 1), (2, r - 1)]:
+                iter_decreasing_trees(n, k, root_label=r, max_trees=exact)
+                if exact:
+                    with pytest.raises(LimitError, match=f" {exact:,}\\)"):
+                        iter_decreasing_trees(n, k, root_label=r, max_trees=exact - 1)
+    assert list(iter_decreasing_trees(2, 1, max_trees=0)) == []
+    assert sum(1 for _ in iter_decreasing_trees(1, 10**6)) == 10**6
 
 
 def test_stream_stack_depth_does_not_grow_with_n(monkeypatch):
