@@ -14,15 +14,15 @@ ascent, space separated (e.g. ``+1 +1 - -``).
 
 ``validate_walk`` is the one source of walk errors: ``build_tree_from_walk``
 range-checks each move in its single pass and, at the first invalid move,
-calls it for the message and the move index.
+calls it for the message and the move index.  Its leaves with labels up to
+64 are the process's shared leaf objects of ``trees`` (one per label), so a
+walk of length 2n allocates a node for its inner vertices only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LimitError, WalkError
-from .trees import PlaneTree, _count_over, _fast_tree
+from .trees import _LEAVES, PlaneTree, _count_over, _leaf
 
 #: move encoding for "ascend to the parent"
 UP = -1
@@ -32,19 +32,48 @@ UP = -1
 WALK_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
 class Walk:
-    """Move sequence in the leaning tree of the given order, starting at its root."""
+    """Move sequence in the leaning tree of the given order, starting at its root.
 
-    order: int
-    moves: tuple[int, ...]
+    An immutable record: equal, and hashed alike, by ``(order, moves)``.
+    """
 
-    def __post_init__(self):
-        if self.order < 0:
+    __slots__ = ("order", "moves")
+
+    def __init__(self, order: int, moves: tuple[int, ...]):
+        if order < 0:
             raise ValueError("ambient order must be nonnegative")
+        _set_order(self, order)
+        _set_moves(self, moves)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.moves) == (other.order, other.moves)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.moves))
+
+    def __repr__(self) -> str:
+        return f"Walk(order={self.order!r}, moves={self.moves!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses them
+        return Walk, (self.order, self.moves)
 
     def __len__(self) -> int:
         return len(self.moves)
+
+
+# the slots' own setters, which ``Walk.__setattr__`` refuses to call
+_set_order = Walk.order.__set__
+_set_moves = Walk.moves.__set__
 
 
 def validate_walk(walk: Walk) -> None:
@@ -80,6 +109,8 @@ def build_tree_from_walk(walk: Walk) -> PlaneTree:
     moves = walk.moves
     n = len(moves)
     new = PlaneTree.__new__  # nodes are built as trees._fast_tree does
+    leaves = _LEAVES  # the shared leaf of each label below len(leaves)
+    shared = len(leaves)
     # the open vertex, and the labels and child lists of the vertices above it
     label = walk.order + 1
     if not isinstance(label, int):
@@ -93,11 +124,8 @@ def build_tree_from_walk(walk: Walk) -> PlaneTree:
         i += 1
         if 0 < move < label and isinstance(move, int):
             if i < n and moves[i] == UP:  # a leaf, left at once
-                node = new(PlaneTree)
-                node.label = label - move
-                node.children = ()
-                node._hash = None
-                children.append(node)
+                leaf = label - move
+                children.append(leaves[leaf] if leaf < shared else _leaf(leaf))
                 i += 1
             else:
                 labels.append(label)
@@ -116,7 +144,11 @@ def build_tree_from_walk(walk: Walk) -> PlaneTree:
             break
     else:
         if not labels:
-            return _fast_tree(label, tuple(children))
+            node = new(PlaneTree)
+            node.label = label
+            node.children = tuple(children)
+            node._hash = None
+            return node
     validate_walk(walk)  # raises for every malformed walk
     raise ValueError(f"labels must be positive integers, got {label - move!r}")
 

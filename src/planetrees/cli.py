@@ -387,6 +387,8 @@ def cmd_eigen(args, config: RunConfig) -> int:
     delta = trees.plan_max_degree(plan)
     lam = spectral._plan_lambda1(plan, **config.tolerance())
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
+    if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
+        high = 1.0
     uh = ulam_harris._plan_uh_number(plan)
     leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
     pairs = [

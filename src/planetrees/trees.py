@@ -31,6 +31,11 @@ smaller subtrees, never the whole family; ``root_label=r`` generates just
 the trees with root label r.  ``enumerate_decreasing_trees`` is the same
 stream as a list.  The one size guard, the exact number of trees the call
 will yield, is checked when either is called.
+
+Leaves with labels up to ``SHARED_LEAF_MAX`` = 64 are one object per label
+for the whole process (``_leaf``): every enumerated tree and every tree
+that ``bijection.build_tree_from_walk`` builds holds these, so neither
+allocates a node per leaf, and equality meets a shared leaf by identity.
 """
 
 from __future__ import annotations
@@ -503,7 +508,7 @@ class _DecreasingTrees:
         if cached is None:
             text = self._text
             if size == 1:
-                cached = [_fast_tree(label, ())]
+                cached = [_leaf(label)]
                 text[id(cached[0])] = str(label)
             else:
                 cached = []
@@ -523,6 +528,17 @@ def _fast_tree(label: int, children: tuple[PlaneTree, ...]) -> PlaneTree:
     t.children = children
     t._hash = None
     return t
+
+
+#: leaves labelled 1..SHARED_LEAF_MAX are one shared object per label
+SHARED_LEAF_MAX = 64
+_LEAVES = (None,) + tuple(_fast_tree(label, ()) for label in range(1, SHARED_LEAF_MAX + 1))
+
+
+def _leaf(label: int) -> PlaneTree:
+    # the process's leaf labelled ``label`` (a positive int), or a fresh one
+    # above SHARED_LEAF_MAX
+    return _LEAVES[label] if label <= SHARED_LEAF_MAX else _fast_tree(label, ())
 
 
 def random_plane_tree(size: int, rng: random.Random) -> PlaneTree:

@@ -1,6 +1,8 @@
 """Walk validity, the two conversion algorithms, and their round trips."""
 
+import copy
 import hashlib
+import pickle
 import sys
 
 import pytest
@@ -61,6 +63,26 @@ def test_walk_from_tree_rejects_nondecreasing():
         build_walk_from_tree(parse_tree("2(2)"))
     with pytest.raises(ValueError):
         build_walk_from_tree(parse_tree("3(1(2))"))
+
+
+def test_walk_is_an_immutable_record():
+    w = Walk(2, (1, UP))
+    for name in ("order", "moves"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    assert w == Walk(2, (1, UP)) and hash(w) == hash(Walk(2, (1, UP)))
+    assert w != Walk(3, (1, UP)) and w != Walk(2, (2, UP))
+    assert Walk(2, ()) != (2, ()) and (2, ()) != Walk(2, ())
+    assert len({w, Walk(2, (1, UP)), Walk(2, ())}) == 2
+    assert repr(w) == "Walk(order=2, moves=(1, -1))"
+    assert len(w) == 2
+    assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+    with pytest.raises(ValueError, match="nonnegative"):
+        Walk(-1, ())
 
 
 def test_walk_text_roundtrip():
@@ -235,3 +257,28 @@ def test_path_walk_of_a_hundred_thousand_moves():
     assert tree.label == depth + 1 and node_count(tree) == depth + 1
     assert build_walk_from_tree(tree) == walk
     assert build_tree_from_walk(walk) == tree
+
+
+def test_roundtrip_across_the_shared_leaf_table():
+    # leaf labels 63 and 64 are shared objects, 65 and 100 fresh ones
+    text = "101(100 65 64 63(1) 2)"
+    walk = build_walk_from_tree(parse_tree(text))
+    assert walk == Walk(100, (1, UP, 36, UP, 37, UP, 38, 62, UP, UP, 99, UP))
+    tree = build_tree_from_walk(walk)
+    assert format_tree(tree) == text
+    leaf100, leaf65, leaf64, inner, _ = tree.children
+    assert leaf64 is build_tree_from_walk(Walk(64, (1, UP))).children[0]
+    assert inner.children[0] is build_tree_from_walk(Walk(1, (1, UP))).children[0]
+    assert leaf100 is not build_tree_from_walk(Walk(100, (1, UP))).children[0]
+    assert leaf65 == build_tree_from_walk(Walk(65, (1, UP))).children[0]
+    parsed = parse_tree(text)
+    assert tree == parsed and hash(tree) == hash(parsed)
+    assert build_tree_from_walk(Walk(100, walk.moves[:-2] + (98, UP))) != parsed
+
+
+def test_enumerated_and_built_trees_share_leaves():
+    built = build_tree_from_walk(Walk(4, (4, UP, 3, UP, 1, 3, UP, UP)))
+    assert format_tree(built) == "5(1 2 4(1))"
+    assert built.children[0] is built.children[2].children[0]
+    (listed,) = [t for t in enumerate_decreasing_trees(5, 5) if format_tree(t) == "5(1 2 4(1))"]
+    assert listed == built and listed.children[0] is built.children[0]

@@ -310,6 +310,18 @@ def test_eigen_report(capsys):
     assert abs(float(payload["lambda1"]) - 1.6180339887498949) < 1e-9
 
 
+@pytest.mark.parametrize("text", ["2(1)", "01(1)"])
+def test_eigen_degree_one_upper_end_is_the_eigenvalue(capsys, text):
+    # the single edge has lambda1 exactly 1; the degree formula's 2 sqrt(0)
+    # would put the upper end below it
+    code, out, _ = run_cli(capsys, "eigen", text, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_degree"] == "1"
+    assert payload["degree_lower"] == payload["degree_upper"] == "1.0"
+    assert float(payload["lambda1"]) <= float(payload["degree_upper"])
+
+
 def test_walks_table(capsys):
     code, out, _ = run_cli(capsys, "walks", "2", "--max-len", "8", "--format", "csv")
     assert code == 0
@@ -481,6 +493,37 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "series-complement" in out
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failing and "series-complement" in failing[0]
+
+
+def test_verify_bijection_scope_covers_every_walk_and_tree(capsys):
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--format", "json")
+    assert code == 0
+    details = {row["check"]: row["detail"] for row in json.loads(out)}
+    assert details["roundtrip-walks"] == "identity on 5794 walks"
+    assert details["roundtrip-trees"] == "identity on 191782 trees"
+
+
+def test_verify_detects_a_wrong_shared_leaf(capsys, monkeypatch):
+    # every leaf child of the root labelled L >= 2 becomes the shared leaf
+    # labelled L - 1: still a decreasing tree, and built of shared leaves
+    import planetrees.bijection as bijection_mod
+
+    original = bijection_mod.build_tree_from_walk
+
+    def broken(walk):
+        t = original(walk)
+        children = tuple(
+            trees._leaf(c.label - 1) if not c.children and c.label >= 2 else c
+            for c in t.children
+        )
+        return trees.PlaneTree(t.label, children)
+
+    monkeypatch.setattr(bijection_mod, "build_tree_from_walk", broken)
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--format", "csv")
+    assert code == 1
+    status = {line.split(",")[2]: line.split(",")[0] for line in out.splitlines()[1:]}
+    assert status["roundtrip-trees"] == "FAIL"
+    assert status["image-match"] == "FAIL"
 
 
 def test_verify_machine_formats_are_byte_deterministic(capsys):
