@@ -27,20 +27,21 @@ def int_to_str(value: int) -> str:
 def str_to_int(text: str) -> int:
     """Integer value of decimal text, however many digits it has.
 
-    Raises ValueError on text that ``int`` rejects for any reason other than
-    its length.
+    Decimal text is a ``str`` of an optional sign and ASCII digits, nothing
+    else: no whitespace, underscores or other scripts' digits, which
+    ``int`` would accept.  Raises ValueError on anything else.
     """
+    digits = text[1:] if isinstance(text, str) and text.startswith(("+", "-")) else text
+    if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected decimal text, got {text!r}")
+    value = _digits_to_int(digits)
+    return -value if text[0] == "-" else value
+
+
+def _digits_to_int(digits: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        if not isinstance(text, str):
-            raise
-        digits = text.strip()
-        sign = 1
-        if digits.startswith(("+", "-")):
-            sign = -1 if digits[0] == "-" else 1
-            digits = digits[1:]
-        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
-            raise
+        return int(digits)
+    except ValueError:  # past the digit limit
+        pass
     half = len(digits) // 2
-    return sign * (str_to_int(digits[:-half]) * 10**half + str_to_int(digits[-half:]))
+    return _digits_to_int(digits[:-half]) * 10**half + _digits_to_int(digits[-half:])

@@ -17,7 +17,7 @@ numbers live here:
     O(4^m) products for A_m, B_m and O(order * 2^(m-1)) for the reading;
   - labels m+1..k by k - m truncated series inversions, adding at each new
     top label a root followed by an arbitrary sequence of subtrees with
-    smaller labels, at O(order^2) products each.
+    smaller labels, at O(order^2) products each: g <- g + z/(1 - g).
 
   m is the largest label count with 2^(m-1) <= 3 * order / 4 (capped at k),
   so B_m stays shorter than the series while the inversions it replaces
@@ -28,14 +28,19 @@ numbers live here:
   compositions of n-1 (a bottom-up convolution by default, literal
   composition enumeration behind a flag for small n).
 
-Every inner product is one ``sum(map(operator.mul, ...))``, and the
-rational recurrence squares A and B by symmetry (each cross product once).
+The engines work on plain lists of Python ints, and every truncated
+inversion, in ``gk_series``, ``sk_series`` and ``series_invert_unit``,
+goes through the one kernel ``_inverse``.  ``count_trees_by_compositions``
+keeps its own convolution loop on purpose: it is the independent oracle
+of the three-way agreement, so it shares no code with the engine it
+checks.  Every inner product is one ``sum(map(operator.mul, ...))``, and
+the rational recurrence squares A and B by symmetry (each cross product
+once).
 
 ``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
 that it cross-checks both parts of ``gk_series``.  A third route,
-brute-force enumeration, lives in ``planetrees.trees``.  All coefficients
-are plain Python ints; the counts grow like (2k)^n and overflow any fixed
-width almost immediately.
+brute-force enumeration, lives in ``planetrees.trees``.  The counts grow
+like (2k)^n and overflow any fixed width almost immediately.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ class TruncatedSeries:
 
     ``coeffs[i]`` is the coefficient of z^i and ``order == len(coeffs)`` is
     the exclusive truncation index: the series is known modulo z^order.
+    The engines work on plain lists and build one record per result.
     """
 
     coeffs: tuple[int, ...]
@@ -71,41 +77,17 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @classmethod
-    def constant(cls, value: int, order: int) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        return cls((int(value),) + (0,) * (order - 1))
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+def _inverse(negated_tail: list[int]) -> list[int]:
+    """Inverse of 1 - sum_(i>=1) negated_tail[i-1] z^i, modulo z^(len + 1).
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(tuple(out))
-
-    def shifted(self) -> "TruncatedSeries":
-        """Multiply by z, truncating at the same order."""
-        return TruncatedSeries((0,) + self.coeffs[:-1])
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+    The one inversion kernel: t_0 = 1 and t_m = sum_(i=1..m) (-s_i) t_(m-i),
+    the negated tail against the inverse so far read backwards.
+    """
+    inv = [1]
+    for _ in negated_tail:
+        inv.append(sum(map(operator.mul, negated_tail, reversed(inv))))
+    return inv
 
 
 def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
@@ -116,13 +98,7 @@ def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.coeffs[0] != 1:
         raise ValueError("series_invert_unit requires constant term exactly 1")
-    # t_m = -sum_(i=1..m) s_i t_(m-i): the tail, negated once, against the
-    # inverse so far read backwards
-    negated_tail = [-c for c in s.coeffs[1:]]
-    inv = [1]
-    for _ in range(1, s.order):
-        inv.append(sum(map(operator.mul, negated_tail, reversed(inv))))
-    return TruncatedSeries(tuple(inv))
+    return TruncatedSeries(tuple(_inverse([-c for c in s.coeffs[1:]])))
 
 
 def gk_series(k: int, order: int) -> TruncatedSeries:
@@ -143,15 +119,16 @@ def gk_series(k: int, order: int) -> TruncatedSeries:
 
 
 def _gk_series(k: int, order: int, levels: int) -> TruncatedSeries:
-    # g_levels by the rational recurrence, then one inversion per label above
+    # g_levels by the rational recurrence, then g + z/(1 - g) per label
+    # above: g_0 = 0, so the tail of 1 - g, negated, is g's own tail
     g = _gk_series_rational(levels, order)
-    one = TruncatedSeries.constant(1, order)
     for _ in range(k - levels):
-        g = g + series_invert_unit(one - g).shifted()
-    return g
+        tail = g[1:]
+        g = [0, *map(operator.add, tail, _inverse(tail))]
+    return TruncatedSeries(tuple(g))
 
 
-def _gk_series_rational(k: int, order: int) -> TruncatedSeries:
+def _gk_series_rational(k: int, order: int) -> list[int]:
     # A_k and B_k modulo z^order: the recurrence below reads no coefficient
     # of index order or more
     a, b = [1, -1][:order], [1]
@@ -167,7 +144,7 @@ def _gk_series_rational(k: int, order: int) -> TruncatedSeries:
     c = [0] * deg
     for m in range(order):
         c.append(numerator[m] - sum(map(operator.mul, tail, c[m : m + deg])))
-    return TruncatedSeries(tuple(c[deg:]))
+    return c[deg:]
 
 
 def _poly_mul(p: list[int], q: list[int], order: int) -> list[int]:
@@ -209,14 +186,11 @@ def sk_series(k: int, order: int) -> TruncatedSeries:
     ``gk_series`` from 1, so the two code paths cross-check each other.
     """
     _require_positive(k=k, order=order)
-    coeffs = [0] * order
-    coeffs[0] = 1
-    if order > 1:
-        coeffs[1] = -1
-    s = TruncatedSeries(tuple(coeffs))
+    s = ([1, -1] + [0] * (order - 2))[:order]
     for _ in range(k - 1):
-        s = s - series_invert_unit(s).shifted()
-    return s
+        tail = s[1:]
+        s = [1, *map(operator.sub, tail, _inverse([-c for c in tail]))]
+    return TruncatedSeries(tuple(s))
 
 
 def count_trees(n: int, k: int) -> int:
@@ -311,6 +285,8 @@ def series_to_json(s: TruncatedSeries) -> str:
 
 
 def series_from_json(text: str) -> TruncatedSeries:
+    """Read ``series_to_json`` output: each item a string of an optional
+    sign and ASCII digits.  Raises ValueError on anything else."""
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of decimal strings")

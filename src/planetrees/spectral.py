@@ -123,11 +123,10 @@ def _replay(
 def walk_growth_estimate(
     t: PlaneTree,
     half_length: int,
-    vertex: int = 0,
     *,
     max_work: int = WALK_WORK_LIMIT,
 ) -> float:
-    """Single-vertex walk-growth estimate ``count^(1/length)``.
+    """Root walk-growth estimate ``count^(1/length)``.
 
     The root count comes from first return over the distinct labelled
     shapes (``_root_walk_counts``) when its work, the sum of
@@ -135,13 +134,13 @@ def walk_growth_estimate(
     half-length, is at most ``FIRST_RETURN_COST_RATIO`` times node count
     times half-length, the work of the adjacency replay of
     ``walk_count_table``, and at most ``max_work``, its budget.  Other
-    vertices and the other trees take the replay, under its own budgets.
-    Both give the same exact count.  The work is summed over shapes, not
-    objects, so a tree with many repeated subtrees takes first return, and
-    stays within the budget, at half-lengths where the replay is refused.
+    trees take the replay, under its own budgets.  Both give the same
+    exact count.  The work is summed over shapes, not objects, so a tree
+    with many repeated subtrees takes first return, and stays within the
+    budget, at half-lengths where the replay is refused.
     """
     plan = subtree_plan(t)
-    return _plan_walk_growth(t, plan, plan_node_count(plan), half_length, vertex, max_work)
+    return _plan_walk_growth(t, plan, plan_node_count(plan), half_length, max_work)
 
 
 def _plan_walk_growth(
@@ -149,19 +148,18 @@ def _plan_walk_growth(
     plan: list,
     size: int,
     half_length: int,
-    vertex: int = 0,
     max_work: int = WALK_WORK_LIMIT,
 ) -> float:
     """``walk_growth_estimate`` of ``t``, whose ``subtree_plan`` is ``plan``
     and node count ``size``."""
     length = 2 * half_length
-    if vertex == 0 and plan:
+    if plan:
         depths = _plan_depths(plan)
         work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
         if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
             count = _root_walk_counts(plan, half_length, depths)[half_length]
             return _int_root(count, 1.0 / length)
-    count = _replay(t, size, length, vertex, max_work, WALK_GROWTH_LIMIT)[length]
+    count = _replay(t, size, length, 0, max_work, WALK_GROWTH_LIMIT)[length]
     return _int_root(count, 1.0 / length)
 
 
