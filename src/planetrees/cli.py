@@ -8,12 +8,11 @@ decimal strings, and floats use their shortest round-trip representation.
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 size guard exceeded.  Each size guard compares a count of
 what a command will produce (trees, walks, the moves of a walk listing,
-leaning-tree child references, walk-count work), exact or a lower bound,
-with a fixed cap, and --unsafe-limits lifts them all.  Every flag has an
-environment-variable mirror named PLANETREES_<FLAG> (e.g.
-PLANETREES_FORMAT); explicit flags win.  The variables are read on each
-call of ``main``, and a bad value is rejected as its flag would be: a
-usage error naming the variable, exit 2.
+walk-count work), exact or a lower bound, with a fixed cap, and
+--unsafe-limits lifts them all.  Every flag has an environment-variable
+mirror named PLANETREES_<FLAG> (e.g. PLANETREES_FORMAT); explicit flags
+win.  The variables are read on each call of ``main``, and a bad value is
+rejected as its flag would be: a usage error naming the variable, exit 2.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=None,
         help="lift every size guard: the tree and walk counts, the moves of a walk "
-        "listing, the leaning-tree size and the walk-count budgets",
+        "listing and the walk-count budgets of walks and eigen",
     )
 
     parser = argparse.ArgumentParser(
@@ -267,8 +266,8 @@ def cmd_table(args, config: RunConfig) -> int:
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
-    # one series per column: coefficient n of g_k is count_trees(n, k)
-    by_k = [series.gk_series(k, max_n + 1).coeffs for k in range(1, max_k + 1)]
+    # one chain gives every column: coefficient n of g_k is count_trees(n, k)
+    by_k = series._gk_columns(max_k, max_n + 1)
     rows = [[str(n)] + [int_to_str(coeffs[n]) for coeffs in by_k] for n in range(1, max_n + 1)]
     emit_table(config, columns, rows)
     return EXIT_OK
@@ -346,15 +345,11 @@ def cmd_walks(args, config: RunConfig) -> int:
         walks = enumerate_guarded_walks(args, config)
         rows = [[str(len(w)), bijection.format_walk(w)] for w in walks]
     else:
-        references = config.lifted("max_references")
+        # the coefficients of 1/s_K off the label chain: no tree is built
         budgets = config.lifted("max_work", "max_growth")
-        # refuse from the 2^K node count before building the tree and its plan
-        trees._check_leaning_order(args.k, **references)
-        spectral._check_replay_budget(2**args.k, args.max_len, **budgets)
-        tree = trees.leaning_tree(args.k, **references)
-        table = spectral.walk_count_table(tree, args.max_len, **budgets)
+        table = spectral._leaning_walk_counts(args.k, args.max_len, **budgets)
         columns = ["length", "count"]
-        rows = [[str(length), int_to_str(table[length])] for length in sorted(table)]
+        rows = [[str(length), int_to_str(count)] for length, count in table.items()]
     emit_table(config, columns, rows)
     return EXIT_OK
 
@@ -375,25 +370,32 @@ def enumerate_guarded_walks(args, config: RunConfig) -> list[bijection.Walk]:
 
 
 def cmd_eigen(args, config: RunConfig) -> int:
-    # one subtree plan serves size, degree, eigenvalue, uh and walk growth
+    half = max(1, args.trace_n)
+    budgets = config.lifted("max_work", "max_growth")
     if args.leaning is not None:
-        tree = trees.leaning_tree(args.leaning, **config.lifted("max_references"))
-        plan = trees.subtree_plan(tree)
-        source = f"leaning:{args.leaning}"
+        # no tree: 2^K nodes, degree K, uh K + 1, the rest off the label chain
+        k = args.leaning
+        if k:
+            walks = spectral._leaning_walk_counts(k, 2 * half, **budgets)[2 * half]
+            growth = spectral._int_root(walks, 1.0 / (2 * half))
+        lam = spectral.leaning_lambda1(k, config.tol or 1e-10)
+        source, size, delta, uh = f"leaning:{k}", 2**k, k, k + 1
     else:
+        # one subtree plan serves size, degree, eigenvalue, uh and walk growth
         tree, plan = trees.parse_plan(args.tree)
         source = args.tree if _canonical(args.tree) else trees.format_tree(tree)
-    size = trees.plan_node_count(plan)
-    delta = trees.plan_max_degree(plan)
-    lam = spectral._plan_lambda1(plan, **config.tolerance())
+        size, delta = trees.plan_node_count(plan), trees.plan_max_degree(plan)
+        lam = spectral._plan_lambda1(plan, **config.tolerance())
+        uh = ulam_harris._plan_uh_number(plan)
+        if size > 1:
+            growth = spectral._plan_walk_growth(tree, plan, size, half, **budgets)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
         high = 1.0
-    uh = ulam_harris._plan_uh_number(plan)
     leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
     pairs = [
         ("tree", source),
-        ("nodes", str(size)),
+        ("nodes", int_to_str(size)),
         ("max_degree", str(delta)),
         ("lambda1", _fmt_float(lam)),
         ("degree_lower", _fmt_float(low)),
@@ -402,9 +404,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
         ("uh_bound", _fmt_float(leaning_bound)),
     ]
     if size > 1:
-        half = max(1, args.trace_n)
-        estimate = spectral._plan_walk_growth(tree, plan, size, half)
-        pairs.append(("walk_growth", _fmt_float(estimate)))
+        pairs.append(("walk_growth", _fmt_float(growth)))
         pairs.append(("walk_growth_halflen", str(half)))
     emit_object(config, pairs)
     return EXIT_OK

@@ -22,7 +22,10 @@ numbers live here:
   m is the largest label count with 2^(m-1) <= 3 * order / 4 (capped at k),
   so B_m stays shorter than the series while the inversions it replaces
   would each cost a full order^2 / 2.  m = k (few labels) and m = 1 (a
-  tiny order) are the two ends of the same code;
+  tiny order) are the two ends of the same code.  ``table`` reads g_1..g_k
+  off one pass, and 1/s_k = B_k/A_k (A_k(0) = 1), or above m one more
+  inversion, counts the trees with root label k + 1 at z^(n-1) and the
+  closed root walks of length 2h on the leaning tree of order k at z^h;
 
 * ``count_trees_by_compositions`` runs the scalar recurrence over
   compositions of n-1 (a bottom-up convolution by default, literal
@@ -38,9 +41,9 @@ the rational recurrence squares A and B by symmetry (each cross product
 once).
 
 ``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
-that it cross-checks both parts of ``gk_series``.  A third route,
-brute-force enumeration, lives in ``planetrees.trees``.  The counts grow
-like (2k)^n and overflow any fixed width almost immediately.
+that it cross-checks both parts of the chain and their readers.  A third
+route, brute-force enumeration, lives in ``planetrees.trees``.  The counts
+grow like (2k)^n and overflow any fixed width almost immediately.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterator
 
 from .errors import LimitError
@@ -102,48 +105,71 @@ def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def gk_series(k: int, order: int) -> TruncatedSeries:
-    """Counting series for decreasing-label trees with labels in {1..k}.
-
-    The coefficient of z^n is ``count_trees(n, k)``.  With one label the
-    series is z (a single node); each further label prepends the choice of
-    not using the new top label, plus a new root carrying it followed by any
-    sequence of subtrees over the smaller labels, realised as
-    z / (1 - previous series).  The first m = min(k, bit length of
-    3 * order // 4) labels (at least 1) come from the rational recurrence,
-    so that deg B_m = 2^(m-1) - 1 stays under three quarters of the order,
-    and the other k - m from truncated inversions (see the module
-    docstring).
+    """Counting series for decreasing-label trees with labels in {1..k}: the
+    coefficient of z^n is ``count_trees(n, k)``.  Each label above the first
+    adds a root carrying it over any sequence of subtrees with smaller
+    labels, g <- g + z/(1 - g); the first min(k, ``_split_label(order)``)
+    come from the rational recurrence instead (see the module docstring).
     """
     _require_positive(k=k, order=order)
-    return _gk_series(k, order, max(1, min(k, (3 * order // 4).bit_length())))
+    return _gk_series(k, order, min(k, _split_label(order)))
+
+
+def _split_label(order: int) -> int:
+    # the largest m >= 1 with 2^(m-1) <= 3 * order / 4 (see the module docstring)
+    return max(1, (3 * order // 4).bit_length())
 
 
 def _gk_series(k: int, order: int, levels: int) -> TruncatedSeries:
-    # g_levels by the rational recurrence, then g + z/(1 - g) per label
-    # above: g_0 = 0, so the tail of 1 - g, negated, is g's own tail
-    g = _gk_series_rational(levels, order)
-    for _ in range(k - levels):
-        tail = g[1:]
+    return TruncatedSeries(tuple(next(islice(_gk_chain(order, levels, levels), k - levels, None))))
+
+
+def _gk_columns(k: int, order: int) -> list[list[int]]:
+    """g_1, ..., g_k modulo z^order off one chain: the columns of ``table``."""
+    return list(islice(_gk_chain(order, min(k, _split_label(order))), k))
+
+
+def _gk_chain(order: int, levels: int, first: int = 1) -> Iterator[list[int]]:
+    """g_j, g_(j+1), ... modulo z^order without end, from j = min(first,
+    levels): up to g_levels by the rational recurrence, above by g + z/(1 - g)."""
+    for a, b in islice(_rational_pairs(order), min(first, levels), levels + 1):
+        g = _ratio(_poly_sub(b, a), b, order)
+        yield g
+    while True:
+        tail = g[1:]  # g_0 = 0, so the tail of 1 - g, negated, is g's own tail
         g = [0, *map(operator.add, tail, _inverse(tail))]
-    return TruncatedSeries(tuple(g))
+        yield g
 
 
-def _gk_series_rational(k: int, order: int) -> list[int]:
-    # A_k and B_k modulo z^order: the recurrence below reads no coefficient
-    # of index order or more
-    a, b = [1, -1][:order], [1]
-    for _ in range(k - 1):
+def _complement_inverse(k: int, order: int) -> list[int]:
+    """1/s_k modulo z^order, k >= 0: B_k/A_k (A_k(0) = 1) at or below the
+    split label, one more inversion of g_k's tail above it."""
+    levels = _split_label(order)
+    if k <= levels:
+        a, b = next(islice(_rational_pairs(order), k, None))
+        return _ratio(b, a, order)
+    return _inverse(_gk_series(k, order, levels).coeffs[1:])
+
+
+def _rational_pairs(order: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(A_k, B_k) modulo z^order for k = 0, 1, ..., from A_0 = B_0 = 1: the
+    recurrence reads no coefficient of index order or more."""
+    a, b = [1], [1]
+    while True:
+        yield a, b
         z_b2 = [0] + _poly_square(b, order - 1)
         a, b = _poly_sub(_poly_square(a, order), z_b2), _poly_mul(a, b, order)
-    numerator = _poly_sub(b, a)
-    numerator += [0] * (order - len(numerator))
-    # B_0 = 1, so c_m = N_m - sum_{j=1..deg B} B_j c_(m-j) is exact, with
-    # c_m = 0 for m < 0 kept as deg leading zeros
-    tail = b[:0:-1]  # B_deg, ..., B_1
+
+
+def _ratio(num: list[int], den: list[int], order: int) -> list[int]:
+    """num/den modulo z^order for den[0] = 1: c_m = num_m - sum_(j>=1) den_j
+    c_(m-j) is exact, with c_m = 0 for m < 0 kept as deg den leading zeros."""
+    num = num + [0] * (order - len(num))
+    tail = den[:0:-1]  # den_deg, ..., den_1
     deg = len(tail)
     c = [0] * deg
     for m in range(order):
-        c.append(numerator[m] - sum(map(operator.mul, tail, c[m : m + deg])))
+        c.append(num[m] - sum(map(operator.mul, tail, c[m : m + deg])))
     return c[deg:]
 
 
@@ -257,11 +283,10 @@ def _count_by_literal_compositions(n: int, k: int) -> int:
 
 
 def count_with_root_label(n: int, k: int) -> int:
-    """Number of n-node decreasing trees whose root label is exactly k."""
+    """Number of n-node decreasing trees whose root label is exactly k:
+    G_(n,k) - G_(n,k-1) = [z^n] z/s_(k-1), read off one chain."""
     _require_positive(n=n, k=k)
-    if k == 1:
-        return count_trees(n, 1)
-    return count_trees(n, k) - count_trees(n, k - 1)
+    return _complement_inverse(k - 1, n)[n - 1]
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:

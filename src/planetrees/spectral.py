@@ -24,7 +24,8 @@ by replaying the adjacency operator on every vertex, or, for root walks, by
 first return over the distinct labelled shapes, each solved only to the
 terms a root walk of the given length can use at its depth; root walks take
 first return unless its work is well above the replay's (see
-``walk_growth_estimate``).
+``walk_growth_estimate``).  On leaning trees the root walks of length 2h
+are [z^h] 1/s_K of ``series``, with no tree (``_leaning_walk_counts``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from itertools import islice
 from operator import mul
 
-from . import asymptotics
+from . import asymptotics, series
 from .errors import LimitError
 from .trees import PlaneTree, node_count, plan_max_degree, plan_node_count, subtree_plan
 
@@ -83,22 +84,6 @@ def walk_count_table(
     return _replay(t, node_count(t), max_length, vertex, max_work, max_growth)
 
 
-def _check_replay_budget(
-    size: int,
-    max_length: int,
-    max_work: float = WALK_WORK_LIMIT,
-    max_growth: float = WALK_GROWTH_LIMIT,
-) -> None:
-    """Raise ``LimitError`` if the replay of ``walk_count_table`` over
-    ``size`` nodes to ``max_length`` exceeds either budget.  It needs the
-    node count only, so a caller can refuse before building the tree."""
-    half = max_length // 2
-    if size * (half + 1) > max_work:
-        raise LimitError("walk-count budget exceeded (node count times half-length)")
-    if size * half * half > max_growth:
-        raise LimitError("walk-count budget exceeded (node count times half-length squared)")
-
-
 def _replay(
     t: PlaneTree, size: int, max_length: int, vertex: int, max_work: float, max_growth: float
 ) -> dict[int, int]:
@@ -107,7 +92,11 @@ def _replay(
         raise ValueError("max_length must be even and nonnegative")
     if not 0 <= vertex < size:
         raise ValueError(f"vertex {vertex} out of range")
-    _check_replay_budget(size, max_length, max_work, max_growth)
+    half = max_length // 2
+    if size * (half + 1) > max_work:
+        raise LimitError("walk-count budget exceeded (node count times half-length)")
+    if size * half * half > max_growth:
+        raise LimitError("walk-count budget exceeded (node count times half-length squared)")
     adj = adjacency_lists(t)
     counts = {0: 1}
     x = [0] * len(adj)
@@ -118,6 +107,32 @@ def _replay(
         if step % 2 == 0:
             counts[step] = x[vertex]
     return counts
+
+
+def _leaning_walk_counts(
+    order: int,
+    max_length: int,
+    *,
+    max_work: float = WALK_WORK_LIMIT,
+    max_growth: float = WALK_GROWTH_LIMIT,
+) -> dict[int, int]:
+    """``walk_count_table(leaning_tree(order), max_length)`` without the tree,
+    read off [z^h] 1/s_order.  Refused before any work when the chain's
+    product count P is over ``max_work``, or P times half the half-length
+    (the operands grow linearly along the series) is over ``max_growth``."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    half = max_length // 2
+    terms, split = half + 1, series._split_label(half + 1)
+    # reading B/A costs terms * deg A, each inversion above terms^2 / 2
+    products = terms * 2 ** min(order, split) // 2
+    if order > split:
+        products += (order - split + 1) * terms * terms // 2
+    if products > max_work:
+        raise LimitError(f"walk counts limited to {max_work:,} products ({products:,} here)")
+    if products * half // 2 > max_growth:
+        raise LimitError(f"walk counts limited to {max_growth:,} products times half-length / 2")
+    return {2 * h: count for h, count in enumerate(series._complement_inverse(order, terms))}
 
 
 def walk_growth_estimate(
@@ -148,10 +163,11 @@ def _plan_walk_growth(
     plan: list,
     size: int,
     half_length: int,
-    max_work: int = WALK_WORK_LIMIT,
+    max_work: float = WALK_WORK_LIMIT,
+    max_growth: float = WALK_GROWTH_LIMIT,
 ) -> float:
     """``walk_growth_estimate`` of ``t``, whose ``subtree_plan`` is ``plan``
-    and node count ``size``."""
+    and node count ``size``, the replay under ``max_growth`` too."""
     length = 2 * half_length
     if plan:
         depths = _plan_depths(plan)
@@ -159,7 +175,7 @@ def _plan_walk_growth(
         if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
             count = _root_walk_counts(plan, half_length, depths)[half_length]
             return _int_root(count, 1.0 / length)
-    count = _replay(t, size, length, 0, max_work, WALK_GROWTH_LIMIT)[length]
+    count = _replay(t, size, length, 0, max_work, max_growth)[length]
     return _int_root(count, 1.0 / length)
 
 

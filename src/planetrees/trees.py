@@ -49,7 +49,7 @@ from .errors import LimitError, TreeParseError
 from .series import count_trees, count_with_root_label
 
 #: default cap on the k(k + 1)/2 child references of the leaning tree of order
-#: k, which building it and each plan pass touch (k = 2000: ``eigen`` in 2 s)
+#: k, which building it and each plan pass touch (k = 2000: ``lambda1`` in 1 s)
 LEANING_REFERENCE_LIMIT = 2_001_000
 #: default cap on the exact number of trees yielded, which sets the cost: at
 #: about 4.5 million trees a second (CPython 3.11, one core) the 5,510,096 of
@@ -329,14 +329,6 @@ def is_decreasing(t: PlaneTree, k: int) -> bool:
     return True
 
 
-def _check_leaning_order(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> None:
-    """Raise as ``leaning_tree(k, max_references=...)`` would, without building it."""
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if k * (k + 1) // 2 > max_references:
-        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
-
-
 def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> PlaneTree:
     """Regular leaning tree of order k, with every node labelled order + 1.
 
@@ -345,7 +337,10 @@ def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> 
     are shared, so this is O(k^2) to build despite the 2^k logical nodes:
     its k(k + 1)/2 child references must not exceed ``max_references``.
     """
-    _check_leaning_order(k, max_references=max_references)
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if k * (k + 1) // 2 > max_references:
+        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
     levels: list[PlaneTree] = [PlaneTree(1)]
     for j in range(1, k + 1):
         levels.append(PlaneTree(j + 1, tuple(levels[i] for i in range(j - 1, -1, -1))))

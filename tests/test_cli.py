@@ -18,16 +18,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planetrees import (
+    LimitError,
     TreeParseError,
     asymptotics,
     cli,
     leaning_tree,
     series,
+    spectral,
     trees,
     verify,
     walk_count_table,
 )
-from planetrees.intstr import int_to_str
 from planetrees.series import TruncatedSeries
 
 
@@ -439,6 +440,7 @@ INSIDE_GUARDS = [
     (["walks", "6", "--list", "--max-len", "12", "--format", "csv"], "12," + "+6 - " * 5 + "+6 -"),
     (["walks", "1", "--list", "--max-len", "4896", "--format", "csv"], "4896," + "+1 - " * 2447 + "+1 -"),
     (["eigen", "--leaning", "1000", "--format", "csv"], "leaning:1000,"),
+    (["eigen", "--leaning", "2001", "--format", "csv"], "leaning:2001,"),
 ]
 #: just outside a guard: each is refused before the work
 OUTSIDE_GUARDS = [
@@ -448,7 +450,9 @@ OUTSIDE_GUARDS = [
     ["walks", "7", "--list", "--max-len", "14"],
     ["walks", "1000000", "--list", "--max-len", "2"],
     ["walks", "1", "--list", "--max-len", "4898"],
-    ["eigen", "--leaning", "2001"],
+    ["eigen", "--leaning", "100000"],
+    ["walks", "3", "--max-len", "100000"],
+    ["walks", "1000", "--max-len", "2000"],
 ]
 
 
@@ -583,39 +587,107 @@ def test_walk_counts_past_the_int_string_limit(capsys):
 
 
 def test_walks_guard_counts_digit_growth(capsys):
-    # within the linear budget, but the counts would reach 33,000 digits
+    # within the product budget, but the counts would reach 33,000 digits
     code, out, err = run_cli(capsys, "walks", "3", "--max-len", "100000")
-    assert code == 3 and out == "" and "half-length squared" in err
+    assert code == 3 and out == "" and "products times half-length / 2" in err
 
 
-@pytest.mark.parametrize(
-    "argv, budget",
-    [(["2000", "--max-len", "2"], "half-length"), (["3", "--max-len", "100000"], "half-length squared")],
-)
-def test_walks_refuses_a_replay_before_building_the_tree(capsys, monkeypatch, argv, budget):
-    # the budgets are checked against the 2^K node count alone
-    import planetrees.trees as trees_mod
-
+def test_walks_and_leaning_eigen_build_no_tree(capsys, monkeypatch):
+    # walks and eigen --leaning read the label chain: no tree, plan or replay
     def unbuildable(*args, **kwargs):
-        raise AssertionError("leaning_tree called for a refused replay")
+        raise AssertionError("a leaning tree, plan or replay was built")
 
-    monkeypatch.setattr(trees_mod, "leaning_tree", unbuildable)
-    code, out, err = run_cli(capsys, "walks", *argv)
-    assert code == 3 and out == ""
-    assert err == f"error: walk-count budget exceeded (node count times {budget})\n"
+    for module, name in ((trees, "leaning_tree"), (trees, "subtree_plan"), (spectral, "_replay")):
+        monkeypatch.setattr(module, name, unbuildable)
+    for argv, expected in (
+        (["walks", "3", "--max-len", "40"], 0),
+        (["walks", "2000", "--max-len", "2"], 0),
+        (["eigen", "--leaning", "24"], 0),
+        (["walks", "3", "--max-len", "100000"], 3),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected and (out != "") == (expected == 0), argv
+
+
+def test_leaning_walk_guard_admits_every_input_the_tree_guards_admitted(monkeypatch):
+    # the guard is a pure function of (K, half-length): with the chain
+    # stubbed out, walk the grids and check that no input the tree-based
+    # commands admitted is refused.  Their rules, as closed formulas:
+    # walks K replayed over 2^K nodes after building K(K + 1)/2 references;
+    # eigen --leaning K took first return, (h + 1)^2 for the root plus h^2
+    # for each of the K - 1 shapes at depth 1, when within 12 times the
+    # replay's work and the budget, else the replay.  Both rules admit a
+    # range of h (the first-return work over h grows with h), so each
+    # scan stops at the first refusal.
+    monkeypatch.setattr(series, "_complement_inverse", lambda k, terms: [])
+
+    def admitted(k, half):
+        try:
+            spectral._leaning_walk_counts(k, 2 * half)
+        except LimitError:
+            return False
+        return True
+
+    for k in range(40):
+        size = 2**k
+        for half in range(40_000):
+            if not (size * (half + 1) <= 5e6 and size * half**2 <= 5e8 and k * (k + 1) // 2 <= 2_001_000):
+                break
+            assert admitted(k, half), ("walks", k, half)
+    for k in range(1, 2001):
+        size = 2**k
+        for half in range(1, 3000):
+            first_return = (half + 1) ** 2 + (k - 1) * half**2
+            replay = size * (half + 1) <= 5e6 and size * half**2 <= 5e8
+            if not (first_return <= min(12 * size * half, 5e6) or replay):
+                break
+            assert admitted(k, half), ("eigen", k, half)
+
+
+@given(st.integers(0, 10), st.integers(0, 30))
+@example(5, 30)  # the split label for the 31 terms of length 60, and one above
+@example(6, 30)
+@example(3, 5)  # the split label for 6 terms, and one above
+@example(4, 5)
+@settings(max_examples=40, deadline=None)
+def test_walks_table_matches_the_replay(k, half):
+    assert series._split_label(31) == 5 and series._split_label(6) == 3
+    max_len = 2 * half
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["walks", str(k), "--max-len", str(max_len), "--format", "csv"]) == 0
+    table = walk_count_table(leaning_tree(k), max_len)
+    assert out.getvalue().splitlines() == ["length,count"] + [f"{m},{c}" for m, c in table.items()]
+
+
+@pytest.mark.parametrize("max_n, max_k", [(8, 6), (30, 12), (200, 40), (400, 10)])
+def test_table_matches_each_column_series(capsys, max_n, max_k):
+    code, out, _ = run_cli(capsys, "table", "--max-n", str(max_n), "--max-k", str(max_k), "--format", "csv")
+    assert code == 0
+    columns = [series.gk_series(k, max_n + 1).coeffs for k in range(1, max_k + 1)]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows == [[str(n)] + [str(c[n]) for c in columns] for n in range(1, max_n + 1)]
 
 
 def test_walks_budgets_loosen_with_unsafe_limits(capsys):
-    # node count times half-length squared: 8 * 7906^2 = 5.0004e8 > 5e8
-    code, out, err = run_cli(capsys, "walks", "3", "--max-len", "15812")
-    assert code == 3 and out == "" and "half-length squared" in err
-    code, out, _ = run_cli(capsys, "walks", "3", "--max-len", "15812", "--unsafe-limits", "--format", "csv")
+    # products times half-length / 2: at K = 1, 31,624 * 31,623 / 2 > 5e8,
+    # and every count is 1 (the walks of a single edge), so lifting is cheap
+    code, out, err = run_cli(capsys, "walks", "1", "--max-len", "63246")
+    assert code == 3 and out == "" and "products times half-length / 2" in err
+    code, out, _ = run_cli(capsys, "walks", "1", "--max-len", "63244", "--format", "csv")
+    assert code == 0 and out.splitlines()[-1] == "63244,1"
+    code, out, _ = run_cli(capsys, "walks", "1", "--max-len", "63246", "--unsafe-limits", "--format", "csv")
     assert code == 0
-    length, count = out.strip().splitlines()[-1].split(",")
-    assert length == "15812"
-    expected = series.count_trees(7907, 4) - series.count_trees(7907, 3)
-    assert int(count[-4000:]) == expected % 10**4000
-    assert len(count) == len(int_to_str(expected))
+    assert out.splitlines()[1:] == [f"{length},1" for length in range(0, 63247, 2)]
+
+
+def test_unsafe_limits_lift_the_eigen_walk_budgets(capsys):
+    # the replay of the star K_(1,3): 4 * 11181^2 > 5e8, and it counts 3^h
+    code, out, err = run_cli(capsys, "eigen", "1(1 1 1)", "--trace-n", "11181")
+    assert code == 3 and out == "" and "half-length squared" in err
+    code, out, _ = run_cli(capsys, "eigen", "1(1 1 1)", "--trace-n", "11181", "--unsafe-limits", "--format", "json")
+    assert code == 0
+    assert float(json.loads(out)["walk_growth"]) == pytest.approx(math.sqrt(3), rel=1e-12)
 
 
 DEEP = 100_000

@@ -266,6 +266,25 @@ def test_count_with_root_label():
             assert sum(count_with_root_label(n, j) for j in range(1, k + 1)) == count_trees(n, k)
 
 
+def test_count_with_root_label_on_both_sides_of_the_split():
+    # k - 1 labels at or below the split label read B/A, above it invert g
+    for n in range(1, 41):
+        split = series._split_label(n)
+        for k in range(1, split + 4):
+            expected = count_trees(n, k) - (count_trees(n, k - 1) if k > 1 else 0)
+            assert count_with_root_label(n, k) == expected, (n, k)
+
+
+def test_the_oracles_stay_off_the_chain_readers(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an independent route read the label chain")
+
+    expected = (sk_series(9, 40).coeffs, count_trees_by_compositions(30, 9))
+    for name in ("_complement_inverse", "_ratio"):
+        monkeypatch.setattr(series, name, forbidden)
+    assert (sk_series(9, 40).coeffs, count_trees_by_compositions(30, 9)) == expected
+
+
 def test_many_labels_at_order_four():
     # up to three nodes: one node takes any label, two a chain, and three
     # either a chain of three labels or a root j over two leaves below it,

@@ -303,14 +303,16 @@ def test_plan_lists_each_shared_object_once():
 
 
 def test_leaning_eigen_report_matches_the_counting_series(capsys):
-    # W(2n) = count(n+1, K+1) - count(n+1, K) is independent of both walk
-    # engines; K >= 6 runs first return, smaller K the replay
+    # eigen reads the walks W(2n) off 1/s_K and lambda1 off the chain's
+    # root, so W(2n) is checked against count(n+1, K+1) - count(n+1, K),
+    # the difference of two counting series, and lambda1 against uh_bound
     for k in range(0, 25):
         assert cli.main(["eigen", "--leaning", str(k), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["nodes"] == str(2**k)
         assert report["max_degree"] == str(k)
         assert report["uh"] == str(k + 1)
+        assert report["lambda1"] == report["uh_bound"]
         if k == 0:
             assert "walk_growth" not in report
             continue
