@@ -592,6 +592,33 @@ def test_walks_guard_counts_digit_growth(capsys):
     assert code == 3 and out == "" and "products times half-length / 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        # the work budget, linear in the half-length
+        pytest.param(
+            ["2000", "--max-len", "4000"], "5,000,000 products (3,986,030,019 here)", id="argv0-half-length"
+        ),
+        # the growth budget, products times the half-length again
+        pytest.param(
+            ["3", "--max-len", "100000"],
+            "500,000,000 products times half-length / 2",
+            id="argv1-half-length squared",
+        ),
+    ],
+)
+def test_walks_refuses_a_replay_before_building_the_tree(capsys, monkeypatch, argv, budget):
+    # the budgets are checked on the label chain's work alone
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("a leaning tree, plan or replay was built for a refused count")
+
+    for module, name in ((trees, "leaning_tree"), (trees, "subtree_plan"), (spectral, "_replay")):
+        monkeypatch.setattr(module, name, unbuildable)
+    code, out, err = run_cli(capsys, "walks", *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: walk counts limited to {budget}\n"
+
+
 def test_walks_and_leaning_eigen_build_no_tree(capsys, monkeypatch):
     # walks and eigen --leaning read the label chain: no tree, plan or replay
     def unbuildable(*args, **kwargs):
