@@ -136,15 +136,11 @@ def zstar_upper_bound(k: int) -> float:
     """Provable upper bound 1/(2k(1 - (4k)^(-1/4))) for the root of s_k.
 
     Follows from concavity of s_k on [0, root] together with the bound
-    s_k(1/(2k)) <= (4k)^(-1/4).  Reported as +inf if the parenthesis is not
-    positive (never the case for k >= 1).
+    s_k(1/(2k)) <= (4k)^(-1/4).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    parenthesis = 1.0 - (4.0 * k) ** -0.25
-    if parenthesis <= 0.0:
-        return math.inf
-    return 1.0 / (2.0 * k * parenthesis)
+    return 1.0 / (2.0 * k * (1.0 - (4.0 * k) ** -0.25))
 
 
 def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
@@ -342,7 +338,7 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     some ulps, so against 50-digit roots alpha is off by 8.3e-13 at k = 301,
     2.1e-12 at k = 501 and 9.1e-12 at k = 3001 (6.2e-14 relative at most
     for k <= 10^6), whatever ``tol`` is.  A smaller ``tol`` is not honoured
-    until the bracket is certified under rounding (ROADMAP item 1).  c is
+    until the bracket is certified under rounding (ROADMAP item 5).  c is
     1/g'_(k-1) at the midpoint, from one more derivative pass.
     """
     if k < 2:

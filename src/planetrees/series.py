@@ -32,16 +32,21 @@ numbers live here:
   composition enumeration behind a flag for small n).
 
 The engines work on plain lists of Python ints, and every truncated
-inversion, in ``gk_series``, ``sk_series`` and ``series_invert_unit``,
-goes through the one kernel ``_inverse``.  ``count_trees_by_compositions``
-keeps its own convolution loop on purpose: it is the independent oracle
-of the three-way agreement, so it shares no code with the engine it
-checks.  Every inner product is one ``sum(map(operator.mul, ...))``, and
-the rational recurrence squares A and B by symmetry (each cross product
-once).
+division goes through the one kernel ``_quotient``: the B/A reads of the
+rational part and of 1/s_k, the inversions above the split label,
+``sk_series``, ``series_invert_unit`` and the first-return walk series of
+``spectral``.  A denominator of deg B_m + 1 terms and one as long as the
+series run the same loop.  ``_complement_inverse_products`` prices a read
+of 1/s_k for the walk guard of ``spectral``, so the split rule is read in
+this module alone.  ``count_trees_by_compositions`` keeps its own
+convolution loop on purpose: it is the independent oracle of the
+three-way agreement, so it shares no code with the engine it checks.
+Every inner product is one ``sum(map(operator.mul, ...))``, and the
+rational recurrence squares A and B by symmetry (each cross product once).
 
-``sk_series`` stays on its own s -> s - z/s inversion chain at every k, so
-that it cross-checks both parts of the chain and their readers.  A third
+``sk_series`` stays on its own s -> s - z/s chain at every k, sharing
+only the division kernel, so that it cross-checks both parts of the chain
+and their readers.  A third
 route, brute-force enumeration, lives in ``planetrees.trees``.  The counts
 grow like (2k)^n and overflow any fixed width almost immediately.
 """
@@ -52,7 +57,7 @@ import json
 import operator
 from dataclasses import dataclass
 from itertools import islice, zip_longest
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import LimitError
 from .intstr import int_to_str, str_to_int
@@ -81,16 +86,19 @@ class TruncatedSeries:
         return len(self.coeffs)
 
 
-def _inverse(negated_tail: list[int]) -> list[int]:
-    """Inverse of 1 - sum_(i>=1) negated_tail[i-1] z^i, modulo z^(len + 1).
+def _quotient(num: Sequence[int], negated_tail: list[int], order: int) -> list[int]:
+    """num/den modulo z^order for den = 1 - sum_(j>=1) negated_tail[j-1] z^j.
 
-    The one inversion kernel: t_0 = 1 and t_m = sum_(i=1..m) (-s_i) t_(m-i),
-    the negated tail against the inverse so far read backwards.
+    The one division kernel: c_m = num_m + sum_(j>=1) t_j c_(m-j), each
+    step reading the negated tail t against the quotient so far, reversed,
+    so a denominator shorter than the series and one as long run the same
+    loop.
     """
-    inv = [1]
-    for _ in negated_tail:
-        inv.append(sum(map(operator.mul, negated_tail, reversed(inv))))
-    return inv
+    c: list[int] = []
+    leads = len(num)
+    for m in range(order):
+        c.append(sum(map(operator.mul, negated_tail, reversed(c)), num[m] if m < leads else 0))
+    return c
 
 
 def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
@@ -101,7 +109,7 @@ def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
     """
     if s.coeffs[0] != 1:
         raise ValueError("series_invert_unit requires constant term exactly 1")
-    return TruncatedSeries(tuple(_inverse([-c for c in s.coeffs[1:]])))
+    return TruncatedSeries(tuple(_quotient((1,), [-c for c in s.coeffs[1:]], s.order)))
 
 
 def gk_series(k: int, order: int) -> TruncatedSeries:
@@ -133,11 +141,11 @@ def _gk_chain(order: int, levels: int, first: int = 1) -> Iterator[list[int]]:
     """g_j, g_(j+1), ... modulo z^order without end, from j = min(first,
     levels): up to g_levels by the rational recurrence, above by g + z/(1 - g)."""
     for a, b in islice(_rational_pairs(order), min(first, levels), levels + 1):
-        g = _ratio(_poly_sub(b, a), b, order)
+        g = _quotient(_poly_sub(b, a), [-c for c in b[1:]], order)
         yield g
     while True:
         tail = g[1:]  # g_0 = 0, so the tail of 1 - g, negated, is g's own tail
-        g = [0, *map(operator.add, tail, _inverse(tail))]
+        g = [0, *map(operator.add, tail, _quotient((1,), tail, order - 1))]
         yield g
 
 
@@ -147,8 +155,18 @@ def _complement_inverse(k: int, order: int) -> list[int]:
     levels = _split_label(order)
     if k <= levels:
         a, b = next(islice(_rational_pairs(order), k, None))
-        return _ratio(b, a, order)
-    return _inverse(_gk_series(k, order, levels).coeffs[1:])
+        return _quotient(b, [-c for c in a[1:]], order)
+    return _quotient((1,), _gk_series(k, order, levels).coeffs[1:], order)
+
+
+def _complement_inverse_products(k: int, order: int) -> int:
+    """The products ``_complement_inverse(k, order)`` costs, as a budget:
+    reading B/A costs order * deg A, each inversion above order^2 / 2."""
+    levels = _split_label(order)
+    products = order * 2 ** min(k, levels) // 2
+    if k > levels:
+        products += (k - levels + 1) * order * order // 2
+    return products
 
 
 def _rational_pairs(order: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -159,18 +177,6 @@ def _rational_pairs(order: int) -> Iterator[tuple[list[int], list[int]]]:
         yield a, b
         z_b2 = [0] + _poly_square(b, order - 1)
         a, b = _poly_sub(_poly_square(a, order), z_b2), _poly_mul(a, b, order)
-
-
-def _ratio(num: list[int], den: list[int], order: int) -> list[int]:
-    """num/den modulo z^order for den[0] = 1: c_m = num_m - sum_(j>=1) den_j
-    c_(m-j) is exact, with c_m = 0 for m < 0 kept as deg den leading zeros."""
-    num = num + [0] * (order - len(num))
-    tail = den[:0:-1]  # den_deg, ..., den_1
-    deg = len(tail)
-    c = [0] * deg
-    for m in range(order):
-        c.append(num[m] - sum(map(operator.mul, tail, c[m : m + deg])))
-    return c[deg:]
 
 
 def _poly_mul(p: list[int], q: list[int], order: int) -> list[int]:
@@ -215,7 +221,7 @@ def sk_series(k: int, order: int) -> TruncatedSeries:
     s = ([1, -1] + [0] * (order - 2))[:order]
     for _ in range(k - 1):
         tail = s[1:]
-        s = [1, *map(operator.sub, tail, _inverse([-c for c in tail]))]
+        s = [1, *map(operator.sub, tail, _quotient((1,), [-c for c in tail], order - 1))]
     return TruncatedSeries(tuple(s))
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import mul
 
 from . import asymptotics, series
 from .errors import LimitError
@@ -123,11 +122,8 @@ def _leaning_walk_counts(
     if order < 0:
         raise ValueError("order must be nonnegative")
     half = max_length // 2
-    terms, split = half + 1, series._split_label(half + 1)
-    # reading B/A costs terms * deg A, each inversion above terms^2 / 2
-    products = terms * 2 ** min(order, split) // 2
-    if order > split:
-        products += (order - split + 1) * terms * terms // 2
+    terms = half + 1
+    products = series._complement_inverse_products(order, terms)
     if products > max_work:
         raise LimitError(f"walk counts limited to {max_work:,} products ({products:,} here)")
     if products * half // 2 > max_growth:
@@ -208,32 +204,27 @@ def _root_walk_counts(plan: list, half: int, depths: list[int] | None = None) ->
     with at most half - d pairs of steps left, so each distinct labelled
     shape of ``plan`` (``trees.subtree_plan``) is solved once, to half - d + 1
     terms at its smallest depth d (``depths``, from ``_plan_depths`` when not
-    given), and shapes deeper than half are skipped.  The series are exact
+    given), and shapes deeper than half are skipped.  Each R_v is one
+    division by the series kernel of ``series`` (``_quotient``), whose
+    negated denominator tail is the children's sum.  The series are exact
     integers, so the order in which a shape's children are summed does not
     matter.
     """
     if depths is None:
         depths = _plan_depths(plan)
-    series: list[list[int]] = []
+    solved: list[list[int]] = []
     for (_, leaves, kids), depth in zip(plan, depths):
         n = half - depth  # R_v needs the children's sum S to z^(n-1)
         if n < 0:
-            series.append([])  # no root walk of length 2*half gets here
+            solved.append([])  # no root walk of length 2*half gets here
             continue
-        if n == 0 or not kids:
-            # S = leaves gives R_v = 1/(1 - z * leaves); n = 0 needs R_0 = 1 only
-            series.append([leaves**m for m in range(n + 1)])
-            continue
-        # the children's series summed (leaf children add 1 to z^0); a
-        # child sits at most one level deeper, so it has at least n terms
-        s = [sum(col) for col in islice(zip(*[series[c] for c in kids]), n)]
+        # the children's series summed (none without children), and leaf
+        # children add 1 to z^0; a child sits at most one level deeper, so
+        # it has at least n terms
+        s = [sum(col) for col in islice(zip(*[solved[c] for c in kids]), n)] or [0]
         s[0] += leaves
-        # r_m = sum over j = 1..m of s_(j-1) r_(m-j), since R_v (1 - z S) = 1
-        r = [1]
-        for m in range(1, n + 1):
-            r.append(sum(map(mul, s[:m], reversed(r))))
-        series.append(r)
-    return series[-1]
+        solved.append(series._quotient((1,), s, n + 1))
+    return solved[-1]
 
 
 def _int_root(value: int, exponent: float) -> float:

@@ -73,6 +73,39 @@ def test_invert_roundtrip_big_coefficients(tail):
     assert product == (1,) + (0,) * len(tail)
 
 
+@st.composite
+def _divisions(draw):
+    """(num, negated tail, order): a denominator shorter than, as long as or
+    longer than the order, and a numerator up to longer than the order."""
+    order = draw(st.integers(min_value=0, max_value=24))
+    terms = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=max(order - 1, 1)),
+            st.just(max(order, 1)),
+            st.integers(min_value=order + 1, max_value=order + 8),
+        )
+    )
+    coeff = st.integers(min_value=-(2**70), max_value=2**70)
+    tail = draw(st.lists(coeff, min_size=terms - 1, max_size=terms - 1))
+    num = draw(st.lists(coeff, max_size=order + 8))
+    return num, tail, order
+
+
+@given(_divisions())
+@example(([], [], 0))
+@example(([1], [], 3))
+@example(([0, 1], [4], 1))
+@example(([3, 1, 4, 1, 5, 9, 2, 6], [1, 1], 5))
+@example(([1], [2, -7, 0, 4, -1, 8, 8], 3))
+@settings(max_examples=200)
+def test_quotient_times_denominator_is_the_numerator(division):
+    num, tail, order = division
+    quotient = series._quotient(num, tail, order)
+    assert len(quotient) == order
+    den = ([1] + [-t for t in tail] + [0] * order)[:order]
+    assert naive_product(den, quotient) == tuple((num + [0] * order)[:order])
+
+
 @given(
     st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=30),
     st.integers(min_value=1, max_value=64),
@@ -280,7 +313,7 @@ def test_the_oracles_stay_off_the_chain_readers(monkeypatch):
         raise AssertionError("an independent route read the label chain")
 
     expected = (sk_series(9, 40).coeffs, count_trees_by_compositions(30, 9))
-    for name in ("_complement_inverse", "_ratio"):
+    for name in ("_rational_pairs", "_complement_inverse"):
         monkeypatch.setattr(series, name, forbidden)
     assert (sk_series(9, 40).coeffs, count_trees_by_compositions(30, 9)) == expected
 
