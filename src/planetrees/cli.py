@@ -392,7 +392,11 @@ def cmd_eigen(args, config: RunConfig) -> int:
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
         high = 1.0
-    leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
+    if args.leaning is not None and (config.tol or 1e-10) <= 1e-10:
+        # the bound is leaning_lambda1(uh - 1 = K) at the tolerance lam used
+        leaning_bound = lam
+    else:
+        leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
     pairs = [
         ("tree", source),
         ("nodes", int_to_str(size)),

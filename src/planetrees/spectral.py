@@ -5,11 +5,15 @@ eigenvalue to the walk length, so floats would drop digits quickly);
 eigenvalue estimates are floats.  Vertices are addressed by preorder index,
 root = 0.
 
-The largest adjacency eigenvalue has one engine: bisection on whether every
+The largest adjacency eigenvalue has one engine: a bracket on whether every
 pivot of xI - A is positive, the pivots computed leaves upward by
 d(v) = x - sum over children c of 1/d(c) (Jacobs and Trevisan, "Locating the
 eigenvalues of trees", Linear Algebra Appl. 434 (2011) 81-88).  All pivots
-are positive exactly when x is above the largest eigenvalue.  On any tree
+are positive exactly when x is above the largest eigenvalue.  Where every
+pivot but the root's is positive, the root pivot is increasing and concave
+in x and crosses 0 at the eigenvalue, so once the lower end is there the
+next point is the Illinois regula-falsi point on the root pivot (Dowell and
+Jarratt, BIT 11 (1971) 168-174), and otherwise the midpoint.  On any tree
 each distinct labelled shape (``trees.subtree_plan``) is eliminated once per
 point, so trees with repeated subtrees, whether shared objects or parsed
 copies, cost their distinct shapes, not their logical size.  For
@@ -272,8 +276,17 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
 
 
 def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
-    """Bracket of width at most ``tol`` around the largest adjacency
-    eigenvalue of ``t``, by bisection on the pivots of xI - A."""
+    """Bracket of width at most ``tol`` (or two adjacent floats) around the
+    largest adjacency eigenvalue of ``t``: some pivot of xI - A is not
+    positive at its lower end, or that end is 0, and every pivot is positive
+    at its upper end.
+
+    From [0, 2 sqrt(delta) + 1], the next point is the Illinois regula-falsi
+    point on the root pivot, at least tol/2 inside the bracket, when that
+    pivot is known at the lower end (every other pivot is positive there),
+    and the midpoint otherwise or when the last two points together did not
+    halve the bracket; so any three points at least halve it.
+    """
     return _plan_lambda1_bracket(subtree_plan(t), tol)
 
 
@@ -292,16 +305,34 @@ def _plan_lambda1_bracket(plan: list, tol: float) -> tuple[float, float]:
         return (0.0, 0.0)  # a single vertex
     lo = 0.0  # a leaf's pivot is x itself, so the predicate fails: lo <= lambda1
     hi = 2.0 * math.sqrt(delta) + 1.0  # above the bound 2 sqrt(delta - 1)
-    if not _pivots_positive(hi, plan):
+    f_hi = _root_pivot(hi, plan)
+    if f_hi is None or f_hi <= 0.0:
         raise RuntimeError("seed bracket does not straddle the eigenvalue")
+    f_lo = None  # the root pivot at lo, once every other pivot is positive there
+    moved = 0  # the end the last point replaced: -1 lo, 1 hi
+    earlier = last = math.inf  # the bracket's width two points ago and one point ago
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        x = 0.5 * (lo + hi)
+        if f_lo is not None and hi - lo <= 0.5 * earlier:
+            # Illinois regula falsi, at least tol/2 inside the bracket
+            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            secant = min(max(secant, lo + 0.5 * tol), hi - 0.5 * tol)
+            if lo < secant < hi:
+                x = secant
+        if x <= lo or x >= hi:
             break  # float resolution floor
-        if _pivots_positive(mid, plan):
-            hi = mid
+        earlier, last = last, hi - lo
+        f_x = _root_pivot(x, plan)
+        if f_x is not None and f_x > 0.0:
+            hi, f_hi = x, f_x
+            if moved == 1 and f_lo is not None:
+                f_lo *= 0.5
+            moved = 1
         else:
-            lo = mid
+            lo, f_lo = x, f_x
+            if moved == -1:
+                f_hi *= 0.5
+            moved = -1
     return (lo, hi)
 
 
@@ -323,11 +354,13 @@ def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
     return leaning_lambda1(uh - 1, min(tol, 1e-10))
 
 
-def _pivots_positive(x: float, plan: list) -> bool:
-    """True iff every pivot of xI - A is positive, eliminating in the order
-    of ``trees.subtree_plan``: a labelled shape has the same pivot wherever
-    it occurs, so a repeated shape is eliminated once per point.  Each
-    entry's children are subtracted in its representative's child order.
+def _root_pivot(x: float, plan: list) -> float | None:
+    """The root's pivot of xI - A, or None if another pivot is not positive,
+    eliminating in the order of ``trees.subtree_plan``: a labelled shape has
+    the same pivot wherever it occurs, so a repeated shape is eliminated
+    once per point.  Each entry's children are subtracted in its
+    representative's child order.  Every pivot is positive, so x is above
+    the largest eigenvalue, exactly when the value returned is positive.
 
     ``x`` must be positive: it is the pivot of every leaf.
     """
@@ -338,6 +371,6 @@ def _pivots_positive(x: float, plan: list) -> bool:
         for c in kids:
             pivot -= inverse[c]
         if pivot <= 0.0:
-            return False
+            return pivot if len(inverse) == len(plan) - 1 else None
         inverse.append(1.0 / pivot)
-    return True
+    return pivot

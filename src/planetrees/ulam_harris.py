@@ -52,15 +52,18 @@ class UhReport:
 
 
 def _preorder_labels(t: PlaneTree) -> tuple[int, ...]:
-    # the Ulam-Harris label of every node of ``t`` in preorder
-    labels: list[int] = []
-    stack = [(t, 1)]
+    # the Ulam-Harris label of every node of ``t`` in preorder: one iterator
+    # of (label, child) pairs per inner node on the path from the root
+    labels = [1]
+    stack = [enumerate(t.children, 2)]
     while stack:
-        node, label = stack.pop()
-        labels.append(label)
-        kids = node.children
-        # the last child is stacked first, with the largest label
-        stack.extend(zip(reversed(kids), range(label + len(kids), label, -1)))
+        for label, child in stack[-1]:
+            labels.append(label)
+            if child.children:
+                stack.append(enumerate(child.children, label + 1))
+                break
+        else:
+            stack.pop()
     return tuple(labels)
 
 
@@ -69,16 +72,21 @@ def uh_ordered(t: PlaneTree) -> UhReport:
 
     The largest label sits on the last child of some node, so the number is
     the maximum of label + child count over the internal nodes (1 for a
-    single node), and leaves are never stacked.
+    single node); the walk keeps one iterator per internal node on the path
+    from the root.
     """
-    uh = 1
-    stack = [(t, 1)] if t.children else []
+    uh = 1 + len(t.children)
+    stack = [enumerate(t.children, 2)]
     while stack:
-        node, label = stack.pop()
-        kids = node.children
-        if label + len(kids) > uh:
-            uh = label + len(kids)
-        stack.extend([(c, label + i) for i, c in enumerate(kids, 1) if c.children])
+        for label, child in stack[-1]:
+            kids = child.children
+            if kids:
+                if label + len(kids) > uh:
+                    uh = label + len(kids)
+                stack.append(enumerate(kids, label + 1))
+                break
+        else:
+            stack.pop()
     return UhReport(uh, t)
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planetrees import (
     LimitError,
@@ -25,8 +27,10 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
+from planetrees import spectral
 from planetrees.asymptotics import zstar_lower_bound, zstar_upper_bound
 from planetrees.spectral import adjacency_lists, lambda1_bracket
+from planetrees.trees import plan_max_degree, subtree_plan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -47,6 +51,66 @@ def path(n):
     for _ in range(n - 1):
         t = PlaneTree(1, (t,))
     return t
+
+
+def from_parents(parents):
+    """The plane tree of a parent array with parents[v] < v, children in index order."""
+    kids = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        kids[parents[v]].append(v)
+    nodes = [None] * len(parents)
+    for v in range(len(parents) - 1, -1, -1):
+        nodes[v] = PlaneTree(1, tuple(nodes[c] for c in kids[v]))
+    return nodes[0]
+
+
+def broom(n, rng):
+    handle = rng.randint(1, n - 1)
+    return from_parents([-1] + list(range(handle - 1)) + [handle - 1] * (n - handle))
+
+
+def caterpillar(n, rng):
+    spine = rng.randint(1, n)
+    legs = [rng.randrange(spine) for _ in range(n - spine)]
+    return from_parents([-1] + list(range(spine - 1)) + legs)
+
+
+def binary(n, rng):
+    parents, free = [-1], [0, 0]  # a node offers two child slots
+    for v in range(1, n):
+        slot = rng.randrange(len(free))
+        parents.append(free[slot])
+        free[slot] = free[-1]
+        free[-1:] = [v, v]
+    return from_parents(parents)
+
+
+#: tree shapes for the eigenvalue bracket, each drawn as (node count, rng) -> tree
+SHAPES = {
+    "path": lambda n, rng: path(n),
+    "star": lambda n, rng: from_parents([-1] + [0] * (n - 1)),
+    "broom": broom,
+    "caterpillar": caterpillar,
+    "binary": binary,
+    "random": random_plane_tree,
+}
+
+
+def bisection_passes(plan, tol):
+    """Pivot passes of plain bisection on [0, 2 sqrt(delta) + 1] down to ``tol``."""
+    lo, hi = 0.0, 2.0 * math.sqrt(plan_max_degree(plan)) + 1.0
+    passes = 1  # the seed check at hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        passes += 1
+        top = spectral._root_pivot(mid, plan)
+        if top is not None and top > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return passes
 
 
 def test_walk_count_trivial_lengths():
@@ -132,6 +196,49 @@ def test_lambda1_matches_dense_oracle():
         assert abs(lambda1(t) - exact) < 1e-10
         lo, hi = lambda1_bracket(t, 1e-10)
         assert hi - lo <= 1e-10 and lo - 1e-12 <= exact <= hi + 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-13, 1e-300])
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), size=st.integers(2, 300), seed=st.integers(0, 2**32))
+def test_lambda1_bracket_is_certified(tol, shape, size, seed):
+    t = SHAPES[shape](size, random.Random(seed))
+    plan = subtree_plan(t)
+    lo, hi = lambda1_bracket(t, tol)
+    # every pivot positive at hi; some pivot not positive at lo, unless lo is 0
+    top = spectral._root_pivot(hi, plan)
+    assert top is not None and top > 0.0
+    if lo != 0.0:
+        bottom = spectral._root_pivot(lo, plan)
+        assert bottom is None or bottom <= 0.0
+    assert hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi)  # or the float floor
+    if size <= 60:
+        exact = dense_eigenvalue(t)
+        assert lo - 1e-12 <= exact <= hi + 1e-12
+
+
+def test_regula_falsi_saves_pivot_passes(monkeypatch):
+    real = spectral._root_pivot
+    calls = []
+
+    def counted(x, plan):
+        calls.append(x)
+        return real(x, plan)
+
+    monkeypatch.setattr(spectral, "_root_pivot", counted)
+    rng = random.Random(20231)
+    for shape, draw in SHAPES.items():
+        ours = bisection = 0
+        for _ in range(12):
+            t = draw(rng.randint(2, 1500), rng)
+            base = bisection_passes(subtree_plan(t), 1e-10)
+            calls.clear()
+            lambda1_bracket(t, 1e-10)
+            assert len(calls) <= base + 2, shape
+            ours += len(calls)
+            bisection += base
+        if shape in ("random", "star", "binary"):
+            assert 3 * ours <= 2 * bisection, shape
 
 
 def test_root_growth_estimate_close_at_length_40():

@@ -258,19 +258,29 @@ def test_parse_plan_of_a_deep_path_needs_no_recursion():
     assert format_tree(tree) == text
 
 
-# sha256 of `eigen TREE --format json` and `uh TREE --format json` stdout,
-# recorded while the plan still listed each distinct subtree object
+# sha256 of `eigen TREE --format json` and `uh TREE --format json` stdout: the
+# uh digests recorded while the plan still listed each distinct subtree
+# object, the eigen digests since the bracket takes regula-falsi points
 PINNED_REPORTS = {
-    ("random 1", "eigen"): "43b63a47128620af25af8472183817b5f6d049f2460c8de9d292192694a97cd8",
+    ("random 1", "eigen"): "df6e4361a68e4b8ffe5e2b4b6a83fe0860c2f02b6f5ce077dd963a5a54061126",
     ("random 1", "uh"): "b1e514b578e42839c4b1d7d9199d2e53276345fa2d145dd7eb7b91b5d746213f",
-    ("random 2", "eigen"): "d6769c1e6ae569013c7e25e684d999740b37744d09c23dc4d52566a7153f3c6e",
+    ("random 2", "eigen"): "66a357d248aeb5f2fe2c6acf566aa505b9b5835f1984bf8a418823a1a9a14234",
     ("random 2", "uh"): "6f19152be31eb30c09143aef082d53a3a43d1d88681d2c7a99b6171dc1518c27",
-    ("random 3", "eigen"): "446a2d86de109db2f3d2229464c7ef9c74ee39e8da9089d1d3cdf81e0528406c",
+    ("random 3", "eigen"): "029e24c09910ac5ce2921ef1c45eb9d8eb83ec3da05c028bf36cc1043fc87da9",
     ("random 3", "uh"): "38fa9a2e097e4600b87c7fc6775e2ede4c58edddf4911218932e2278b867adaf",
-    ("labelled", "eigen"): "30b7e47960dd1a99bf761eb8b2a07f428d9ffed67f79086032037e2e0cd4ec97",
+    ("labelled", "eigen"): "9228878734806bb61d95dbb94338ca0cad9752536558dd84f9910ec172b9e34d",
     ("labelled", "uh"): "6d755bc4909167facba4a01dd96af4adc1d8d12fd64b60c4e5ec6dbe8bd9b0ab",
-    ("path", "eigen"): "013e463d152507efebe053b0e4a2b79fa0f6dedd43059a0bad1ee9cd35562e0b",
+    ("path", "eigen"): "ac5622b58e723158dec6cefa7b2e0e83bc997e4c3ea7aae4ea47673c9b264d78",
     ("path", "uh"): "d5237baa46fd4369383dbabb0f797dab2b42914838dd14d7182e600ccb4ccccf",
+}
+#: lambda1 of the same eigen reports from plain bisection, before regula falsi
+#: moved each value inside its certified bracket of width 1e-10
+BISECTION_LAMBDA1 = {
+    "random 1": 4.172840481494346,
+    "random 2": 4.05178174399926,
+    "random 3": 4.0122831056788515,
+    "labelled": 2.188901059307682,
+    "path": 1.9999975350497774,
 }
 
 
@@ -285,6 +295,8 @@ def test_eigen_and_uh_reports_are_pinned(capsys):
         assert cli.main([command, texts[name], "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
+        if command == "eigen":
+            assert abs(float(json.loads(out)["lambda1"]) - BISECTION_LAMBDA1[name]) <= 1e-10
 
 
 def test_plan_lists_each_shared_object_once():
@@ -320,6 +332,27 @@ def test_leaning_eigen_report_matches_the_counting_series(capsys):
         walks = count_trees(half + 1, k + 1) - count_trees(half + 1, k)
         expected = math.exp(math.log(walks) / (2 * half))
         assert abs(float(report["walk_growth"]) - expected) <= 1e-12 * expected
+
+
+def test_leaning_eigen_report_calls_the_chain_root_once(capsys, monkeypatch):
+    # lambda1 and uh_bound are the same leaning_lambda1(K) call whenever the
+    # tolerances agree: without --tol, or with one at most 1e-10
+    real = spectral.leaning_lambda1
+    calls = []
+
+    def counted(order, tol=1e-12):
+        calls.append((order, tol))
+        return real(order, tol)
+
+    monkeypatch.setattr(spectral, "leaning_lambda1", counted)
+    for options, expected in (([], [(12, 1e-10)]), (["--tol", "1e-12"], [(12, 1e-12)]),
+                              (["--tol", "1e-6"], [(12, 1e-6), (12, 1e-10)])):
+        calls.clear()
+        assert cli.main(["eigen", "--leaning", "12", "--format", "json", *options]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == expected
+        assert report["lambda1"] == repr(real(12, expected[0][1]))
+        assert report["uh_bound"] == repr(real(12, expected[-1][1]))
 
 
 def test_leaning_24_eigen_report_takes_milliseconds(capsys):

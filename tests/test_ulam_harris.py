@@ -17,6 +17,7 @@ from planetrees import (
     uh_min_bruteforce,
     uh_ordered,
 )
+from planetrees.ulam_harris import _preorder_labels
 
 
 def chain(length):
@@ -164,3 +165,35 @@ def test_min_never_exceeds_any_ordering():
     for _ in range(100):
         t = random_plane_tree(rng.randint(1, 12), rng)
         assert uh_min(t).uh <= uh_ordered(t).uh
+
+
+def reference_labels(t):
+    # one (node, label) pair per node on the stack, the last child stacked first
+    labels = []
+    stack = [(t, 1)]
+    while stack:
+        node, label = stack.pop()
+        labels.append(label)
+        kids = node.children
+        stack.extend(zip(reversed(kids), range(label + len(kids), label, -1)))
+    return tuple(labels)
+
+
+def reference_uh(t):
+    # the maximum of label + child count over the internal nodes
+    uh = 1
+    stack = [(t, 1)]
+    while stack:
+        node, label = stack.pop()
+        uh = max(uh, label + len(node.children))
+        stack.extend((c, label + i) for i, c in enumerate(node.children, 1))
+    return uh
+
+
+def test_label_walks_match_reference_walks():
+    rng = random.Random(2311)
+    cases = [random_plane_tree(rng.randint(1, 3000), rng) for _ in range(40)]
+    cases += [chain(20_000), star(20_000), leaning_tree(12)]
+    for t in cases:
+        assert _preorder_labels(t) == reference_labels(t)
+        assert uh_ordered(t).uh == reference_uh(t)
