@@ -27,10 +27,12 @@ and finishes with an explicit stack where the trees are too deep for it.
 labels in {1..k} in canonical order: lexicographic by bracket text, so
 ``"1" < "10" < "2"`` and a label whose digits prefix another's comes first.
 It builds each tree as it is yielded and holds only memoised pools of
-smaller subtrees, never the whole family; ``root_label=r`` generates just
-the trees with root label r.  ``enumerate_decreasing_trees`` is the same
-stream as a list.  The one size guard, the exact number of trees the call
-will yield, is checked when either is called.
+subtrees of at most n - 2 nodes, never the whole family: a subtree of n - 1
+nodes is the single child of a root, met once, so it is built as the merge
+reaches it and dropped.  ``root_label=r`` generates just the trees with root
+label r.  ``enumerate_decreasing_trees`` is the same stream as a list.  The
+one size guard, the exact number of trees the call will yield, is checked
+when either is called.
 
 Leaves with labels up to ``SHARED_LEAF_MAX`` = 64 are one object per label
 for the whole process (``_leaf``): every enumerated tree and every tree
@@ -40,6 +42,7 @@ allocates a node per leaf, and equality meets a shared leaf by identity.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from operator import itemgetter
@@ -51,9 +54,10 @@ from .series import count_trees, count_with_root_label
 #: default cap on the k(k + 1)/2 child references of the leaning tree of order
 #: k, which building it and each plan pass touch (k = 2000: ``lambda1`` in 1 s)
 LEANING_REFERENCE_LIMIT = 2_001_000
-#: default cap on the exact number of trees yielded, which sets the cost: at
-#: about 4.5 million trees a second (CPython 3.11, one core) the 5,510,096 of
-#: (n, k) = (8, 7) take 1.2 s, and the 51,911,249 of (9, 7) are refused
+#: default cap on the exact number of trees yielded, which sets the cost: the
+#: 5,510,096 of (n, k) = (8, 7) take about 2.2 s and 34 MB peak RSS through
+#: ``count 8 7 --method enumerate`` (CPython 3.11.7, a shared 2-core Linux
+#: container), and the 51,911,249 of (9, 7) are refused
 ENUMERATION_TREE_LIMIT = 6_000_000
 #: the characters of a label: ASCII digits only, where ``str.isdigit`` admits
 #: others that ``int`` reads or refuses
@@ -360,7 +364,7 @@ def iter_decreasing_trees(
     With ``root_label`` only the trees with that root label are generated.
     Arguments and the guard are checked on the call itself; the trees are
     then built one at a time, so memory is bounded by the pools of subtrees
-    (at most n-1 nodes, labels below k), not by the number of trees, which
+    (at most n-2 nodes, labels below k), not by the number of trees, which
     must not exceed ``max_trees``.
     """
     if n < 1 or k < 1:
@@ -430,6 +434,19 @@ class _DecreasingTrees:
     small pool of possible first children and recursing on the remaining
     size yields child lists in order, without holding or sorting the whole
     family.
+
+    Subtrees of n - 1 nodes, most of what pools of every size would hold
+    (34,436 of 41,634 at (n, k) = (8, 6)), are not pooled: each is a root's
+    single child, used once.  A root's first children are one merge by text
+    of the pooled ones of at most n - 2 nodes and those of n - 1 nodes built
+    from ``_forests(n - 2, l - 1)`` label by label.  These come in text
+    order: a tree labelled l has a text that starts with str(l) followed by
+    '(' or its end, so each label's trees are one block and the blocks come
+    in the text order of the labels; within a block "l(X)" sorts as X, as
+    two child lists of one size differ before either ends or where one runs
+    on in a leaf label's digits, which ')' precedes.  A pooled first child T
+    sorts against such a subtree S as its list does: T is a prefix of S
+    only as a leaf, whose list goes on with ' ', before S's '('.
     """
 
     def __init__(self, n: int):
@@ -460,13 +477,29 @@ class _DecreasingTrees:
         if bound == 1:  # leaves only: one list, built whole, as k = 2 admits any n
             yield tuple(self._pool(1, 1)) * m
             return
-        for tree, size in self._first_children(m, bound):
+        root = m == self._n - 1 > 1  # a root's lists: their first children are merged
+        for tree, size in self._root_firsts(bound) if root else self._first_children(m, bound):
             if size == m:
                 yield (tree,)
             else:
                 head = (tree,)
                 for rest in self._forest_list(m - size, bound):
                     yield head + rest
+
+    def _root_firsts(self, bound: int) -> Iterator[tuple[PlaneTree, int]]:
+        # _first_children(n - 1, bound) without a pool of n - 1 nodes: those
+        # subtrees are built label by label, merged by a text made for the
+        # comparison, and dropped (see the class docstring for the order)
+        m = self._n - 1
+        text = self._text
+        largest = (
+            ("%d(%s)" % (label, " ".join([text[id(c)] for c in children])),
+             _fast_tree(label, children), m)
+            for label in sorted(range(1, bound + 1), key=str)
+            for children in self._forests(m - 1, label - 1)
+        )
+        pooled = ((text[id(tree)], tree, size) for tree, size in self._first_children(m - 1, bound))
+        return ((tree, size) for _, tree, size in heapq.merge(pooled, largest))
 
     def _forest_list(self, m: int, bound: int) -> Iterable[tuple[PlaneTree, ...]]:
         if m > self._kept:
@@ -508,7 +541,7 @@ class _DecreasingTrees:
             else:
                 cached = []
                 head = "%d(" % label
-                for children in self._forests(size - 1, label - 1):
+                for children in self._forest_list(size - 1, label - 1):
                     tree = _fast_tree(label, children)
                     text[id(tree)] = head + " ".join([text[id(c)] for c in children]) + ")"
                     cached.append(tree)

@@ -530,6 +530,28 @@ def test_verify_detects_a_wrong_shared_leaf(capsys, monkeypatch):
     assert status["image-match"] == "FAIL"
 
 
+@pytest.mark.parametrize("fault", ["repeat", "swap"])
+def test_verify_image_match_needs_the_canonical_order(monkeypatch, fault):
+    # the same set of trees is not enough: a repeated tree or two trees out of
+    # order in the family stream must fail image-match
+    original = trees.iter_decreasing_trees
+
+    def broken(n, k, **kwargs):
+        family = list(original(n, k, **kwargs))
+        if len(family) >= 2:
+            if fault == "repeat":
+                family.insert(1, family[0])
+            else:
+                family[0], family[1] = family[1], family[0]
+        return iter(family)
+
+    monkeypatch.setattr(trees, "iter_decreasing_trees", broken)
+    row = next(row for row in verify.CHECKS if row.name == "image-match")
+    result = verify.run_check(row)
+    assert not result.passed
+    assert result.detail == "image differs from the tree family at k=2, n=1"
+
+
 def test_verify_machine_formats_are_byte_deterministic(capsys):
     first = run_cli(capsys, "verify", "roots", "--format", "json")
     second = run_cli(capsys, "verify", "roots", "--format", "json")

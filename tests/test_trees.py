@@ -191,6 +191,24 @@ def test_stream_order_is_sorted_text_with_multidigit_labels():
             assert len(texts) == count_trees(n, k)
 
 
+def test_stream_order_is_sorted_text_at_many_labels():
+    # labels past 9 sort as '1' < '10' < '2', and the merged subtrees of
+    # n - 1 nodes interleave with the pooled first children in that order
+    for n, k, r in [(5, 14, 10), (5, 14, 12), (4, 20, None), (3, 120, 100)]:
+        stream = list(iter_decreasing_trees(n, k, root_label=r))
+        assert stream == sorted(stream, key=format_tree)
+        assert len({format_tree(t) for t in stream}) == len(stream)
+        assert len(stream) == (count_trees(n, k) if r is None else count_with_root_label(n, r))
+    # the 2,441,637 trees of (6, 12) are compared pairwise, not held: strictly
+    # increasing texts are the sorted order without repeats
+    last, size = "", 0
+    for t in iter_decreasing_trees(6, 12):
+        text = format_tree(t)
+        assert last < text
+        last, size = text, size + 1
+    assert size == count_trees(6, 12)
+
+
 def test_stream_root_label_is_the_filtered_stream():
     for n, k in [(1, 1), (1, 11), (3, 11), (4, 11), (5, 1), (5, 3), (6, 5)]:
         full = [(t.label, format_tree(t)) for t in iter_decreasing_trees(n, k)]
@@ -230,6 +248,29 @@ def test_stream_is_lazy():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_stream_pools_hold_at_most_n_minus_2_nodes():
+    # a subtree of n - 1 nodes is a root's single child, met once: it is
+    # built by the merge and dropped, never pooled or listed as a first child
+    for n, labels in [(8, sorted(range(1, 7), key=str)), (7, [6])]:
+        family = trees._DecreasingTrees(n)
+        size = sum(1 for _ in family.stream(labels))
+        assert size == (count_trees(8, 6) if n == 8 else count_with_root_label(7, 6))
+        assert family._pools and max(s for s, _ in family._pools) == n - 2
+        assert family._firsts and max(m for m, _ in family._firsts) == n - 2
+
+
+def test_stream_memory_is_bounded_by_the_smaller_pools():
+    # a drained (8, 6) stream, 1,261,070 trees, holds pools of at most six
+    # nodes: about 4 MB traced, where pooled seven-node subtrees take 16.9 MB
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_decreasing_trees(8, 6)) == count_trees(8, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_stream_guard_counts_the_trees():
