@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 size guard exceeded.  Each size guard compares a count of
 what a command will produce (trees, walks, the moves of a walk listing,
 walk-count work), exact or a lower bound, with a fixed cap, and
---unsafe-limits lifts them all.  Every flag has an environment-variable
-mirror named PLANETREES_<FLAG> (e.g. PLANETREES_FORMAT); explicit flags
-win.  The variables are read on each call of ``main``, and a bad value is
-rejected as its flag would be: a usage error naming the variable, exit 2.
+--unsafe-limits lifts them all.  Seven options have an environment mirror
+named PLANETREES_<OPTION> (e.g. PLANETREES_MAX_N): --format, --tol, --max-n,
+--max-k, --method, --order and --unsafe-limits, and explicit flags win.  The
+variables are read on each call of ``main``, and a bad value is rejected as
+its flag would be: a usage error naming the variable, exit 2.
 """
 
 from __future__ import annotations

@@ -24,15 +24,16 @@ given tree is bounded by the interpreter's recursion limit, only by memory:
 and finishes with an explicit stack where the trees are too deep for it.
 
 ``iter_decreasing_trees(n, k)`` streams every n-node decreasing tree with
-labels in {1..k} in canonical order: lexicographic by bracket text, so
-``"1" < "10" < "2"`` and a label whose digits prefix another's comes first.
-It builds each tree as it is yielded and holds only memoised pools of
-subtrees of at most n - 2 nodes, never the whole family: a subtree of n - 1
-nodes is the single child of a root, met once, so it is built as the merge
-reaches it and dropped.  ``root_label=r`` generates just the trees with root
-label r.  ``enumerate_decreasing_trees`` is the same stream as a list.  The
-one size guard, the exact number of trees the call will yield, is checked
-when either is called.
+labels in {1..k} in canonical order: by root label as a number, then child
+by child, a child ranked by its node count, then its root label, then its
+own children the same way, the order in which the recurrence composes a
+root over child subtrees.  It builds each tree as it is yielded and holds
+only memoised pools of subtrees of at most n - 2 nodes, never the whole
+family: a subtree of n - 1 nodes is the single child of a root, met once,
+so it is built when the stream reaches it and dropped.  ``root_label=r``
+generates just the trees with root label r.  ``enumerate_decreasing_trees``
+is the same stream as a list.  The one size guard, the exact number of
+trees the call will yield, is checked when either is called.
 
 Leaves with labels up to ``SHARED_LEAF_MAX`` = 64 are one object per label
 for the whole process (``_leaf``): every enumerated tree and every tree
@@ -42,10 +43,8 @@ allocates a node per leaf, and equality meets a shared leaf by identity.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import LimitError, TreeParseError
@@ -55,7 +54,7 @@ from .series import count_trees, count_with_root_label
 #: k, which building it and each plan pass touch (k = 2000: ``lambda1`` in 1 s)
 LEANING_REFERENCE_LIMIT = 2_001_000
 #: default cap on the exact number of trees yielded, which sets the cost: the
-#: 5,510,096 of (n, k) = (8, 7) take about 2.2 s and 34 MB peak RSS through
+#: 5,510,096 of (n, k) = (8, 7) take about 1.7 s and 24 MB peak RSS through
 #: ``count 8 7 --method enumerate`` (CPython 3.11.7, a shared 2-core Linux
 #: container), and the 51,911,249 of (9, 7) are refused
 ENUMERATION_TREE_LIMIT = 6_000_000
@@ -359,7 +358,8 @@ def iter_decreasing_trees(
     max_trees: float = ENUMERATION_TREE_LIMIT,
 ) -> Iterator[PlaneTree]:
     """Every n-node decreasing tree with labels in {1..k}, each exactly once,
-    streamed in canonical order (lexicographic by bracket text).
+    streamed in canonical order: by root label, then child by child, a
+    child ranked by node count, root label and its own children in turn.
 
     With ``root_label`` only the trees with that root label are generated.
     Arguments and the guard are checked on the call itself; the trees are
@@ -375,7 +375,7 @@ def iter_decreasing_trees(
     if over is not None:
         raise LimitError(f"enumeration limited to {max_trees:,} trees (n={n}, k={k} gives {over})")
     if root_label is None:
-        labels = sorted(range(1, k + 1), key=str)
+        labels = range(1, k + 1)
     else:
         labels = [root_label] if root_label <= k else []
     return _DecreasingTrees(n).stream(labels)
@@ -422,50 +422,34 @@ def _count_over(limit: float, n: int, k: int, root_label: int | None = None) -> 
 class _DecreasingTrees:
     """Memoised subtree pools behind ``iter_decreasing_trees``.
 
-    The canonical order splits into pieces.  Trees sort first by the text of
-    their root label (a label whose digits are a prefix of another's sorts
-    first, because '(' and the end of text precede every digit), then by the
-    text of their child list.  Child lists of a fixed total size sort by the
-    text of their first child, then by the rest: where one possible first
-    child's text is a prefix of another's, the shorter is a leaf, and the
-    separator after it sorts before what continues the longer (' ' precedes
-    '(' and every digit; ')' follows a leaf only in a one-node list, where
-    the longer is a leaf too and continues with a digit).  So sorting the
-    small pool of possible first children and recursing on the remaining
-    size yields child lists in order, without holding or sorting the whole
-    family.
+    Child lists of m nodes in total, labels up to a bound, come in canonical
+    order as their first children do, each followed by the lists of the
+    remaining size (of two lists of one total size neither is a proper
+    prefix of the other): the pools of sizes 1 .. m - 1, label by label,
+    then the subtrees of m nodes as single children.  A pool built from
+    lists in order is in order itself, so nothing is sorted.
 
     Subtrees of n - 1 nodes, most of what pools of every size would hold
     (34,436 of 41,634 at (n, k) = (8, 6)), are not pooled: each is a root's
-    single child, used once.  A root's first children are one merge by text
-    of the pooled ones of at most n - 2 nodes and those of n - 1 nodes built
-    from ``_forests(n - 2, l - 1)`` label by label.  These come in text
-    order: a tree labelled l has a text that starts with str(l) followed by
-    '(' or its end, so each label's trees are one block and the blocks come
-    in the text order of the labels; within a block "l(X)" sorts as X, as
-    two child lists of one size differ before either ends or where one runs
-    on in a leaf label's digits, which ')' precedes.  A pooled first child T
-    sorts against such a subtree S as its list does: T is a prefix of S
-    only as a leaf, whose list goes on with ' ', before S's '('.
+    single child, used once, and the last of a root's first children, so it
+    is built label by label as the stream reaches it, and dropped.
     """
 
     def __init__(self, n: int):
         self._n = n
         self._pools: dict[tuple[int, int], list[PlaneTree]] = {}
-        self._firsts: dict[tuple[int, int], list[tuple[PlaneTree, int]]] = {}
         self._lists: dict[int, list[list[tuple[PlaneTree, ...]]]] = {}  # by bound, size
-        self._text: dict[int, str] = {}
         # child lists this small are kept once built: they number about as
         # many as the subtree pools, and replaying a list is about twice as
         # fast as generating it again
         self._kept = n - 3
 
-    def stream(self, labels: list[int]) -> Iterator[PlaneTree]:
+    def stream(self, labels: Iterable[int]) -> Iterator[PlaneTree]:
         n = self._n
         # _fast_tree inlined: a call per tree costs about a tenth of the stream
         new = PlaneTree.__new__
         for label in labels:
-            for children in self._forests(n - 1, label - 1) if n > 1 else [()]:
+            for children in self._forests(n - 1, label - 1):
                 tree = new(PlaneTree)
                 tree.label = label
                 tree.children = children
@@ -473,33 +457,25 @@ class _DecreasingTrees:
                 yield tree
 
     def _forests(self, m: int, bound: int) -> Iterator[tuple[PlaneTree, ...]]:
-        # child lists of m nodes in total with labels <= bound, in text order
-        if bound == 1:  # leaves only: one list, built whole, as k = 2 admits any n
-            yield tuple(self._pool(1, 1)) * m
+        # child lists of m nodes in total with labels <= bound, in order
+        if m == 0 or bound == 1:  # empty or leaves only: one list, built whole (k = 2 admits any n)
+            yield (_leaf(1),) * m
             return
-        root = m == self._n - 1 > 1  # a root's lists: their first children are merged
-        for tree, size in self._root_firsts(bound) if root else self._first_children(m, bound):
-            if size == m:
-                yield (tree,)
-            else:
-                head = (tree,)
-                for rest in self._forest_list(m - size, bound):
-                    yield head + rest
+        for size in range(1, m + 1):
+            for label in range(1, bound + 1):
+                for tree in self._trees(size, label):
+                    head = (tree,)
+                    for rest in self._forest_list(m - size, bound):
+                        yield head + rest
 
-    def _root_firsts(self, bound: int) -> Iterator[tuple[PlaneTree, int]]:
-        # _first_children(n - 1, bound) without a pool of n - 1 nodes: those
-        # subtrees are built label by label, merged by a text made for the
-        # comparison, and dropped (see the class docstring for the order)
-        m = self._n - 1
-        text = self._text
-        largest = (
-            ("%d(%s)" % (label, " ".join([text[id(c)] for c in children])),
-             _fast_tree(label, children), m)
-            for label in sorted(range(1, bound + 1), key=str)
-            for children in self._forests(m - 1, label - 1)
-        )
-        pooled = ((text[id(tree)], tree, size) for tree, size in self._first_children(m - 1, bound))
-        return ((tree, size) for _, tree, size in heapq.merge(pooled, largest))
+    def _trees(self, size: int, label: int) -> Iterable[PlaneTree]:
+        # every tree of ``size`` nodes with root label ``label``, in order:
+        # a shared leaf, a pool, or at n - 1 nodes built as met and dropped
+        if size == 1:
+            return (_leaf(label),)
+        if size < self._n - 1:
+            return self._pool(size, label)
+        return (_fast_tree(label, children) for children in self._forests(size - 1, label - 1))
 
     def _forest_list(self, m: int, bound: int) -> Iterable[tuple[PlaneTree, ...]]:
         if m > self._kept:
@@ -511,41 +487,14 @@ class _DecreasingTrees:
             kept.append(list(self._forests(len(kept), bound)))
         return kept[m]
 
-    def _first_children(self, m: int, bound: int) -> list[tuple[PlaneTree, int]]:
-        # (subtree, size) for every subtree of at most m nodes with labels
-        # <= bound, sorted by text
-        key = (m, bound)
-        cached = self._firsts.get(key)
-        if cached is None:
-            text = self._text
-            entries = [
-                (text[id(tree)], tree, size)
-                for size in range(1, m + 1)
-                for label in range(1, bound + 1)
-                for tree in self._pool(size, label)
-            ]
-            entries.sort(key=itemgetter(0))
-            cached = self._firsts[key] = [(tree, size) for _, tree, size in entries]
-        return cached
-
     def _pool(self, size: int, label: int) -> list[PlaneTree]:
-        # every tree of ``size`` nodes with root label ``label``; their texts
-        # are recorded by id (pool trees stay alive with the pool)
+        # every tree of ``size`` (2 .. n - 2) nodes with root label ``label``
         key = (size, label)
         cached = self._pools.get(key)
         if cached is None:
-            text = self._text
-            if size == 1:
-                cached = [_leaf(label)]
-                text[id(cached[0])] = str(label)
-            else:
-                cached = []
-                head = "%d(" % label
-                for children in self._forest_list(size - 1, label - 1):
-                    tree = _fast_tree(label, children)
-                    text[id(tree)] = head + " ".join([text[id(c)] for c in children]) + ")"
-                    cached.append(tree)
-            self._pools[key] = cached
+            cached = self._pools[key] = [
+                _fast_tree(label, children) for children in self._forest_list(size - 1, label - 1)
+            ]
         return cached
 
 

@@ -68,26 +68,9 @@ def _preorder_labels(t: PlaneTree) -> tuple[int, ...]:
 
 
 def uh_ordered(t: PlaneTree) -> UhReport:
-    """Ulam-Harris number of an ordered tree, children taken as given.
-
-    The largest label sits on the last child of some node, so the number is
-    the maximum of label + child count over the internal nodes (1 for a
-    single node); the walk keeps one iterator per internal node on the path
-    from the root.
-    """
-    uh = 1 + len(t.children)
-    stack = [enumerate(t.children, 2)]
-    while stack:
-        for label, child in stack[-1]:
-            kids = child.children
-            if kids:
-                if label + len(kids) > uh:
-                    uh = label + len(kids)
-                stack.append(enumerate(kids, label + 1))
-                break
-        else:
-            stack.pop()
-    return UhReport(uh, t)
+    """Ulam-Harris number of an ordered tree, children taken as given: the
+    largest of its preorder labels."""
+    return UhReport(max(_preorder_labels(t)), t)
 
 
 def uh_number(t: PlaneTree) -> int:

@@ -232,8 +232,8 @@ def check_roundtrip_trees() -> tuple[bool, str]:
 
 def check_image_match() -> tuple[bool, str]:
     """The walk enumerator's image is exactly the enumerated tree family:
-    the family streams in strictly increasing text order, inside the image
-    and as large as it."""
+    the family streams in strictly increasing canonical order, and taking
+    each of its trees out of the image once leaves the image empty."""
     for k in range(1, 6):
         for n in range(0, 6):
             walks = bijection.enumerate_closed_walks(k, 2 * n)
@@ -241,17 +241,39 @@ def check_image_match() -> tuple[bool, str]:
             if len(image) != len(walks):
                 return False, f"duplicate image at k={k}, n={n}"
             differs = f"image differs from the tree family at k={k}, n={n}"
-            size = 0
-            last = ""
+            last = None
             for t in trees.iter_decreasing_trees(n + 1, k + 1, root_label=k + 1):
                 text = trees.format_tree(t)
-                if text <= last or text not in image:
+                if text not in image or (last is not None and not _precedes(last, t)):
                     return False, differs
-                last = text
-                size += 1
-            if size != len(image):
+                image.remove(text)
+                last = t
+            if image:
                 return False, differs
     return True, "image equals the tree family for k <= 5, n <= 5"
+
+
+def _precedes(a: trees.PlaneTree, b: trees.PlaneTree) -> bool:
+    """True iff ``a`` comes strictly before ``b`` in the canonical order of
+    ``trees.iter_decreasing_trees``: by root label, then at the first child
+    where the two differ, by its node count, root label and own children."""
+    if a.label != b.label:
+        return a.label < b.label
+    for x, y in zip(a.children, b.children):
+        if x is not y and x != y:
+            size_x, size_y = _size(x), _size(y)
+            return size_x < size_y if size_x != size_y else _precedes(x, y)
+    return len(a.children) < len(b.children)
+
+
+def _size(t: trees.PlaneTree) -> int:
+    # a plain walk: ``trees.node_count`` builds a subtree plan, far more
+    # than these trees of at most five nodes need
+    size, stack = 0, [t]
+    while stack:
+        size += 1
+        stack += stack.pop().children
+    return size
 
 
 # ----------------------------------------------------------------- roots --
@@ -423,7 +445,7 @@ def check_embedding_bound() -> tuple[bool, str]:
     for _ in range(200):
         t = trees.random_plane_tree(rng.randint(2, 30), rng)
         lam = spectral.lambda1(t)
-        uh = ulam_harris.uh_min(t).uh
+        uh = ulam_harris.uh_number(t)
         bound = spectral.leaning_eigen_bound(uh)
         if lam > bound + EMBEDDING_TOL:
             return False, (
@@ -467,7 +489,7 @@ def check_uh_leaning() -> tuple[bool, str]:
     """Leaning trees of order k have Ulam-Harris number k+1, already minimal."""
     for k in range(0, 11):
         tree = trees.leaning_tree(k)
-        if ulam_harris.uh_ordered(tree).uh != k + 1 or ulam_harris.uh_min(tree).uh != k + 1:
+        if ulam_harris.uh_ordered(tree).uh != k + 1 or ulam_harris.uh_number(tree) != k + 1:
             return False, f"mismatch at order {k}"
     return True, "uh = order + 1 for orders 0..10"
 
@@ -478,7 +500,7 @@ def check_uh_degree_bound() -> tuple[bool, str]:
     for _ in range(500):
         t = trees.random_plane_tree(rng.randint(1, 30), rng)
         plan = trees.subtree_plan(t)
-        uh = ulam_harris._plan_uh_min(plan, t).uh
+        uh = ulam_harris._plan_uh_number(plan)
         delta = trees.plan_max_degree(plan)
         if uh < delta:
             return False, f"uh {uh} below degree {delta} on {trees.format_tree(t)!r}"

@@ -133,6 +133,31 @@ def test_enumerate_one_label_dies_out():
         assert enumerate_decreasing_trees(n, 1) == []
 
 
+def _sized_key(t):
+    """``(node count, canonical_key(t))``, in one pass over ``t``."""
+    if not t.children:
+        return 1, (t.label, [])
+    keys = [_sized_key(c) for c in t.children]
+    return 1 + sum([size for size, _ in keys]), (t.label, keys)
+
+
+def canonical_key(t):
+    """The stream's order, built apart from the enumerator: the root label,
+    then the children in turn, each by node count, then its own key."""
+    return _sized_key(t)[1]
+
+
+def _before(a, b):
+    """``canonical_key(a) < canonical_key(b)``, reading only the keys of the
+    first child where the two trees differ."""
+    if a.label != b.label:
+        return a.label < b.label
+    for x, y in zip(a.children, b.children):
+        if x is not y and x != y:
+            return _sized_key(x) < _sized_key(y)
+    return len(a.children) < len(b.children)
+
+
 def test_enumerate_matches_counts():
     for n in range(1, 8):
         for k in range(1, 6):
@@ -141,7 +166,7 @@ def test_enumerate_matches_counts():
             assert all(is_decreasing(t, k) for t in ts)
             texts = [format_tree(t) for t in ts]
             assert len(set(texts)) == len(texts)  # no duplicates
-            assert texts == sorted(texts)  # canonical order
+            assert ts == sorted(ts, key=canonical_key)  # canonical order
 
 
 def test_enumerate_roundtrips_through_text():
@@ -183,30 +208,41 @@ def test_labels_must_be_positive():
         PlaneTree(-3)
 
 
-def test_stream_order_is_sorted_text_with_multidigit_labels():
+def test_stream_order_is_canonical_with_multidigit_labels():
     for n in range(1, 5):
         for k in range(1, 13):
-            texts = [format_tree(t) for t in iter_decreasing_trees(n, k)]
-            assert texts == sorted(texts)
-            assert len(texts) == count_trees(n, k)
+            stream = list(iter_decreasing_trees(n, k))
+            assert stream == sorted(stream, key=canonical_key)
+            assert len(stream) == count_trees(n, k)
 
 
-def test_stream_order_is_sorted_text_at_many_labels():
-    # labels past 9 sort as '1' < '10' < '2', and the merged subtrees of
-    # n - 1 nodes interleave with the pooled first children in that order
+def test_stream_order_is_canonical_at_many_labels():
+    # labels past 9 compare as numbers, and the subtrees of n - 1 nodes,
+    # built as met, follow the pooled first children of every size
     for n, k, r in [(5, 14, 10), (5, 14, 12), (4, 20, None), (3, 120, 100)]:
         stream = list(iter_decreasing_trees(n, k, root_label=r))
-        assert stream == sorted(stream, key=format_tree)
+        assert stream == sorted(stream, key=canonical_key)
         assert len({format_tree(t) for t in stream}) == len(stream)
         assert len(stream) == (count_trees(n, k) if r is None else count_with_root_label(n, r))
-    # the 2,441,637 trees of (6, 12) are compared pairwise, not held: strictly
-    # increasing texts are the sorted order without repeats
-    last, size = "", 0
+    # the 2,441,637 trees of (6, 12) are compared pairwise, not held: a
+    # strictly increasing stream is the sorted order without repeats
+    last, size = None, 0
     for t in iter_decreasing_trees(6, 12):
-        text = format_tree(t)
-        assert last < text
-        last, size = text, size + 1
+        assert last is None or _before(last, t)
+        last, size = t, size + 1
     assert size == count_trees(6, 12)
+
+
+def test_stream_labels_compare_as_numbers():
+    roots = [t.label for t in iter_decreasing_trees(2, 12)]
+    assert roots == sorted(roots)
+    assert roots.index(10) > roots.index(9)
+
+
+def test_stream_leaves_of_two_node_trees_are_shared():
+    for t in iter_decreasing_trees(2, 12):
+        (leaf,) = t.children
+        assert leaf is trees._leaf(leaf.label)
 
 
 def test_stream_root_label_is_the_filtered_stream():
@@ -252,25 +288,25 @@ def test_stream_is_lazy():
 
 def test_stream_pools_hold_at_most_n_minus_2_nodes():
     # a subtree of n - 1 nodes is a root's single child, met once: it is
-    # built by the merge and dropped, never pooled or listed as a first child
-    for n, labels in [(8, sorted(range(1, 7), key=str)), (7, [6])]:
+    # built as the stream reaches it and dropped, never pooled
+    for n, labels in [(8, range(1, 7)), (7, [6])]:
         family = trees._DecreasingTrees(n)
         size = sum(1 for _ in family.stream(labels))
         assert size == (count_trees(8, 6) if n == 8 else count_with_root_label(7, 6))
         assert family._pools and max(s for s, _ in family._pools) == n - 2
-        assert family._firsts and max(m for m, _ in family._firsts) == n - 2
 
 
 def test_stream_memory_is_bounded_by_the_smaller_pools():
     # a drained (8, 6) stream, 1,261,070 trees, holds pools of at most six
-    # nodes: about 4 MB traced, where pooled seven-node subtrees take 16.9 MB
+    # nodes and no text per subtree: about 2.3 MB traced, where pooled
+    # seven-node subtrees take 16.9 MB
     tracemalloc.start()
     try:
         assert sum(1 for _ in iter_decreasing_trees(8, 6)) == count_trees(8, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 3 * 2**20
 
 
 def test_stream_guard_counts_the_trees():
