@@ -29,6 +29,7 @@ from .bijection import (
     build_walk_from_tree,
     enumerate_closed_walks,
     format_walk,
+    iter_closed_walks,
     parse_walk,
     validate_walk,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "gk_series",
     "growth_constants",
     "is_decreasing",
+    "iter_closed_walks",
     "iter_decreasing_trees",
     "lambda1",
     "leaning_eigen_bound",

@@ -21,6 +21,8 @@ walk of length 2n allocates a node for its inner vertices only.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import LimitError, WalkError
 from .trees import _LEAVES, PlaneTree, _count_over, _leaf
 
@@ -190,17 +192,20 @@ def build_walk_from_tree(t: PlaneTree) -> Walk:
             pending = iters.pop()
 
 
-def enumerate_closed_walks(
+def iter_closed_walks(
     order: int, length: int, *, max_walks: float = WALK_LIMIT
-) -> list[Walk]:
-    """All closed root walks of the given even length, deterministically ordered.
+) -> Iterator[Walk]:
+    """Every closed root walk of the given even length, streamed in a fixed
+    depth-first order.
 
     At each step the descents are tried by ascending rank before the ascent,
-    so the output order is a depth-first lexicographic order on moves.  The
-    search keeps its own stack, so the walk length is not bounded by the
-    recursion limit; once only ascents can close the walk, they are appended
-    at once.  The walks, by the bijection the trees of length/2 + 1 nodes
-    with root label order + 1, must number at most ``max_walks``.
+    so the walks come in lexicographic order on moves with ``UP`` ranked
+    after every descent.  The search keeps its own stack, so the walk length
+    is not bounded by the recursion limit; once only ascents can close the
+    walk, they are appended at once.  Arguments and the guard are checked on
+    the call itself: the walks, by the bijection the trees of length/2 + 1
+    nodes with root label order + 1, must number at most ``max_walks``.
+    They are then built one at a time, in memory of the walk length.
     """
     if length < 0 or length % 2:
         raise ValueError("walk length must be even and nonnegative")
@@ -212,7 +217,10 @@ def enumerate_closed_walks(
             f"walk enumeration limited to {max_walks:,} walks "
             f"(order {order}, length {length} gives {over})"
         )
-    walks: list[Walk] = []
+    return _closed_walks(order, length)
+
+
+def _closed_walks(order: int, length: int) -> Iterator[Walk]:
     moves: list[int] = []
     path = [order]  # orders of the vertices from the root to the current one
     left: list[int] = []  # order of the vertex each UP in ``moves`` left
@@ -221,7 +229,7 @@ def enumerate_closed_walks(
         depth = len(path) - 1
         current = path[-1]
         if len(moves) + depth == length:  # only the ascents home remain
-            walks.append(Walk(order, tuple(moves) + (UP,) * depth))
+            yield Walk(order, tuple(moves) + (UP,) * depth)
         elif move <= current:
             moves.append(move)
             path.append(current - move)
@@ -233,7 +241,7 @@ def enumerate_closed_walks(
             move = 1
             continue
         if not moves:
-            return walks
+            return
         # backtrack: undo the last move and try the one after it
         last = moves.pop()
         if last == UP:
@@ -242,6 +250,13 @@ def enumerate_closed_walks(
         else:
             path.pop()
             move = last + 1
+
+
+def enumerate_closed_walks(
+    order: int, length: int, *, max_walks: float = WALK_LIMIT
+) -> list[Walk]:
+    """The walks of ``iter_closed_walks`` as a list, in its order."""
+    return list(iter_closed_walks(order, length, max_walks=max_walks))
 
 
 def format_walk(walk: Walk) -> str:

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import asymptotics, bijection, series, spectral, trees, ulam_harris, verify
 from .errors import LimitError, TreeParseError, WalkError
@@ -355,19 +357,21 @@ def cmd_walks(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def enumerate_guarded_walks(args, config: RunConfig) -> list[bijection.Walk]:
-    """The closed walks of every even length up to --max-len, shortest first.
-    Each length is enumerated under its exact-count guard, the longest (most
-    numerous) first, so that a refusal comes before the work."""
+def enumerate_guarded_walks(args, config: RunConfig) -> Iterator[bijection.Walk]:
+    """The closed walks of every even length up to --max-len, streamed
+    shortest first.  Each length's stream checks its exact-count guard when
+    called, and they are called longest (most numerous) first, so that a
+    refusal comes before the work."""
     # the order-1 tree has a walk of every length, so the walk count does not
     # bound the moves: from order 1 on, lengths up to 2h hold h(h + 1) or more
     moves = args.max_len // 2 * (args.max_len // 2 + 1)
     if moves > LISTING_MOVE_LIMIT and not config.unsafe_limits:
         raise LimitError(f"walk listing limited to {LISTING_MOVE_LIMIT:,} moves ({moves:,} here)")
-    walks: list[bijection.Walk] = []
-    for length in range(args.max_len, -1, -2):
-        walks[:0] = bijection.enumerate_closed_walks(args.k, length, **config.lifted("max_walks"))
-    return walks
+    streams = [
+        bijection.iter_closed_walks(args.k, length, **config.lifted("max_walks"))
+        for length in range(args.max_len, -1, -2)
+    ]
+    return itertools.chain.from_iterable(reversed(streams))
 
 
 def cmd_eigen(args, config: RunConfig) -> int:

@@ -208,7 +208,7 @@ def check_roundtrip_walks() -> tuple[bool, str]:
     the order-4 leaning tree."""
     total = 0
     for length in range(0, 11, 2):
-        for walk in bijection.enumerate_closed_walks(4, length):
+        for walk in bijection.iter_closed_walks(4, length):
             again = bijection.build_walk_from_tree(bijection.build_tree_from_walk(walk))
             if again != walk:
                 return False, f"round trip failed for {bijection.format_walk(walk)!r}"
@@ -231,26 +231,74 @@ def check_roundtrip_trees() -> tuple[bool, str]:
 
 
 def check_image_match() -> tuple[bool, str]:
-    """The walk enumerator's image is exactly the enumerated tree family:
-    the family streams in strictly increasing canonical order, and taking
-    each of its trees out of the image once leaves the image empty."""
+    """The tree map is a bijection from the enumerated walks onto the
+    enumerated tree family, for k <= 5 and n <= 5.
+
+    A counting argument over finite sets, in two streamed passes that hold
+    O(depth) memory.  Let V be the decreasing trees with n + 1 nodes and
+    root label k + 1, of size N = ``series.count_with_root_label(n + 1, k + 1)``.
+
+    - Family pass: every tree of the stream lies in V (one walk checks the
+      root label, strictly decreasing labels and the node count), comes
+      strictly after the one before under ``_precedes``, so none repeats,
+      and the stream holds N trees.  So the family F is V.
+    - Walk pass: every walk of ``bijection.iter_closed_walks(k, 2n)`` has
+      order k and length 2n, comes strictly after the one before in the
+      enumerator's depth-first order (``UP`` after every descent), and
+      ``walk(tree(w)) == w``, so the tree map is injective on the walks.
+      ``build_walk_from_tree`` refuses trees that are not decreasing, and
+      the walk's order and length fix tree(w)'s root label and size, so
+      tree(w) lies in V.  The stream holds N walks.
+
+    An injective map from N walks into a set of N trees is onto it, so the
+    tree map is a bijection from the walks onto V = F.  The family stream,
+    the walk enumerator, the predicate and the series count stay separate
+    code.
+    """
     for k in range(1, 6):
+        up = k + 1  # UP's rank in the enumerator's order: after every descent
         for n in range(0, 6):
-            walks = bijection.enumerate_closed_walks(k, 2 * n)
-            image = {trees.format_tree(bijection.build_tree_from_walk(w)) for w in walks}
-            if len(image) != len(walks):
-                return False, f"duplicate image at k={k}, n={n}"
+            size = series.count_with_root_label(n + 1, k + 1)
             differs = f"image differs from the tree family at k={k}, n={n}"
-            last = None
+            count, last = 0, None
             for t in trees.iter_decreasing_trees(n + 1, k + 1, root_label=k + 1):
-                text = trees.format_tree(t)
-                if text not in image or (last is not None and not _precedes(last, t)):
+                if not _in_family(t, n + 1, k + 1) or (last is not None and not _precedes(last, t)):
                     return False, differs
-                image.remove(text)
+                count += 1
                 last = t
-            if image:
+            if count != size:
+                return False, differs
+            count, last = 0, None
+            for w in bijection.iter_closed_walks(k, 2 * n):
+                key = [m if m > 0 else up for m in w.moves]
+                if last is not None and key <= last:
+                    return False, f"duplicate image at k={k}, n={n}" if key == last else differs
+                if w.order != k or len(w.moves) != 2 * n:
+                    return False, differs
+                if bijection.build_walk_from_tree(bijection.build_tree_from_walk(w)) != w:
+                    return False, differs
+                count += 1
+                last = key
+            if count != size:
                 return False, differs
     return True, "image equals the tree family for k <= 5, n <= 5"
+
+
+def _in_family(t: trees.PlaneTree, size: int, root_label: int) -> bool:
+    """True iff ``t`` has ``size`` nodes, root label ``root_label`` and
+    positive labels that strictly decrease away from the root."""
+    if t.label != root_label:
+        return False
+    count, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        count += 1
+        label = node.label
+        for child in node.children:
+            if not 0 < child.label < label:
+                return False
+        stack += node.children
+    return count == size
 
 
 def _precedes(a: trees.PlaneTree, b: trees.PlaneTree) -> bool:

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +23,12 @@ from planetrees import (
     format_tree,
     format_walk,
     is_decreasing,
+    iter_closed_walks,
     node_count,
     parse_tree,
     parse_walk,
     validate_walk,
+    verify,
 )
 
 
@@ -121,6 +124,43 @@ def test_enumerate_closed_walks_guards():
     assert len(enumerate_closed_walks(7, 4)) == count_with_root_label(3, 8)
     with pytest.raises(ValueError):
         enumerate_closed_walks(2, 3)
+
+
+def test_walk_stream_is_the_walk_list():
+    for order, length in ((0, 0), (0, 4), (1, 8), (3, 0), (3, 6), (4, 10), (6, 6)):
+        stream = iter_closed_walks(order, length)
+        assert not isinstance(stream, list)
+        assert list(stream) == enumerate_closed_walks(order, length)
+    assert list(iter_closed_walks(2, 8, max_walks=count_with_root_label(5, 3))) == (
+        enumerate_closed_walks(2, 8)
+    )
+
+
+def test_walk_stream_checks_its_guard_on_the_call():
+    # the refusal comes from the call itself, before any walk is asked for
+    with pytest.raises(LimitError, match="at least 823,543"):
+        iter_closed_walks(7, 14)
+    with pytest.raises(LimitError, match="514,229"):
+        iter_closed_walks(2, 28)
+    with pytest.raises(LimitError):
+        iter_closed_walks(2, 8, max_walks=count_with_root_label(5, 3) - 1)
+    with pytest.raises(ValueError):
+        iter_closed_walks(2, 3)
+    with pytest.raises(ValueError):
+        iter_closed_walks(-1, 2)
+
+
+def test_image_match_holds_no_walk_list():
+    # holding the walks of (5, 10) and a text per tree traced 4.6 MB
+    verify.check_image_match()
+    tracemalloc.start()
+    try:
+        ok, _ = verify.check_image_match()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 500_000
 
 
 def test_enumeration_order_is_pinned():

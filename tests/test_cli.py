@@ -552,6 +552,60 @@ def test_verify_image_match_needs_the_canonical_order(monkeypatch, fault):
     assert result.detail == "image differs from the tree family at k=2, n=1"
 
 
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        ("tree removed", "image differs from the tree family at k=4, n=3"),
+        ("tree grown", "image differs from the tree family at k=4, n=3"),
+        ("walk repeated", "duplicate image at k=4, n=3"),
+        ("walk removed", "image differs from the tree family at k=4, n=3"),
+        ("walks swapped", "image differs from the tree family at k=4, n=3"),
+        ("walk lengthened", "image differs from the tree family at k=4, n=3"),
+    ],
+)
+def test_verify_image_match_counts_both_streams(monkeypatch, fault, detail):
+    # one stream is broken at k=4, n=3 alone: the 4-node trees with root
+    # label 5 and the order-4 walks of length 6
+    import planetrees.bijection as bijection_mod
+
+    tree_stream, walk_stream = trees.iter_decreasing_trees, bijection_mod.iter_closed_walks
+
+    def broken_trees(n, k, **kwargs):
+        family = list(tree_stream(n, k, **kwargs))
+        if (n, k) == (4, 5) and fault == "tree removed":
+            del family[len(family) // 2]
+        elif (n, k) == (4, 5):
+            # one more leaf: still decreasing, and still after the tree before
+            last = family[-1]
+            family[-1] = trees.PlaneTree(last.label, last.children + (trees.PlaneTree(1),))
+        return iter(family)
+
+    def broken_walks(order, length, **kwargs):
+        walks = list(walk_stream(order, length, **kwargs))
+        if (order, length) == (4, 6):
+            middle = len(walks) // 2
+            if fault == "walk repeated":
+                walks.insert(middle, walks[middle])
+            elif fault == "walk removed":
+                del walks[middle]
+            elif fault == "walk lengthened":
+                # one more leaf at the end: a closed walk after the last one
+                last = walks[-1]
+                walks[-1] = bijection_mod.Walk(order, last.moves + last.moves[-2:])
+            else:
+                walks[middle - 1], walks[middle] = walks[middle], walks[middle - 1]
+        return iter(walks)
+
+    if fault.startswith("tree"):
+        monkeypatch.setattr(trees, "iter_decreasing_trees", broken_trees)
+    else:
+        monkeypatch.setattr(bijection_mod, "iter_closed_walks", broken_walks)
+    row = next(row for row in verify.CHECKS if row.name == "image-match")
+    result = verify.run_check(row)
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_verify_machine_formats_are_byte_deterministic(capsys):
     first = run_cli(capsys, "verify", "roots", "--format", "json")
     second = run_cli(capsys, "verify", "roots", "--format", "json")
