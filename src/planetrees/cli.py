@@ -4,6 +4,8 @@ Subcommands: count, table, series, root, alpha, walks, eigen, uh, bijection,
 verify.  Output formats are text (default), json, and csv; machine formats
 are byte-deterministic (no timestamps), integer quantities are emitted as
 decimal strings, and floats use their shortest round-trip representation.
+CSV fields that hold a comma, quote or line break are quoted, as the
+``csv`` module's minimal quoting does.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 size guard exceeded.  Each size guard compares a count of
@@ -19,6 +21,7 @@ its flag would be: a usage error naming the variable, exit 2.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -202,14 +205,17 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(rows: list[list[str]]) -> None:
+    # minimal quoting: only a field holding a comma, quote or line break is quoted
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def emit_table(config: RunConfig, columns: list[str], rows: list[list[str]]) -> None:
     if config.format == "json":
         payload = [dict(zip(columns, row)) for row in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif config.format == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(row))
+        _write_csv([columns, *rows])
     else:
         widths = [
             max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)
@@ -224,8 +230,7 @@ def emit_object(config: RunConfig, pairs: list[tuple[str, str]]) -> None:
     if config.format == "json":
         print(json.dumps(dict(pairs), sort_keys=True, indent=2))
     elif config.format == "csv":
-        print(",".join(key for key, _ in pairs))
-        print(",".join(value for _, value in pairs))
+        _write_csv([[key for key, _ in pairs], [value for _, value in pairs]])
     else:
         for key, value in pairs:
             print(f"{key}: {value}")

@@ -530,8 +530,10 @@ def random_plane_tree(size: int, rng: random.Random) -> PlaneTree:
     kids: list[list[int]] = [[] for _ in range(size)]
     for i in range(1, size):
         kids[rng.randrange(i)].append(i)
-    # every node's children come after it, so build from the last node back
-    built: list = [None] * size
+    # every node's children come after it, so build from the last node back;
+    # the leaves are the process's one leaf labelled 1
+    built = [_LEAVES[1]] * size
     for i in range(size - 1, -1, -1):
-        built[i] = _fast_tree(1, tuple([built[c] for c in kids[i]]))
+        if kids[i]:
+            built[i] = _fast_tree(1, tuple([built[c] for c in kids[i]]))
     return built[0]

@@ -153,7 +153,8 @@ def _minimal_values(plan: list) -> list[int]:
 
 
 def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -> int:
-    """Minimum over all products of child permutations, by exhaustion."""
+    """Minimum over all products of child permutations, by exhaustion: at
+    each node, every distinct ordering of its children's minimal numbers."""
     # count the nodes only as far as the limit
     seen = 0
     stack = [t]
@@ -168,7 +169,9 @@ def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -
         if not values:
             return 1
         best = None
-        for perm in permutations(values):
+        # an ordering's maximum depends only on its sequence of values, so
+        # each distinct sequence is tried once (all of a star's leaves give one)
+        for perm in set(permutations(values)):
             candidate = max(position + value for position, value in enumerate(perm, 1))
             if best is None or candidate < best:
                 best = candidate

@@ -423,9 +423,9 @@ def check_degree_sandwich() -> tuple[bool, str]:
     """sqrt(max degree) <= lambda1 <= 2 sqrt(max degree - 1) on leaning trees
     of orders 2..12, with the degree scanned from the tree itself."""
     for k in range(2, 13):
-        tree = trees.leaning_tree(k)
-        delta = trees.max_degree(tree)
-        lam = spectral.lambda1(tree)
+        plan = trees.subtree_plan(trees.leaning_tree(k))
+        delta = trees.plan_max_degree(plan)
+        lam = spectral._plan_lambda1(plan)
         low, high = spectral.stevanovic_bounds(delta)
         if not (low - SANDWICH_TOL <= lam <= high + SANDWICH_TOL):
             return False, f"lambda1={lam} outside [{low}, {high}] at order {k} (degree {delta})"
@@ -472,8 +472,9 @@ def check_trace_agreement() -> tuple[bool, str]:
     eigenvalue for orders up to 10."""
     for k in range(1, 11):
         tree = trees.leaning_tree(k)
-        estimate = spectral.walk_growth_estimate(tree, 20)
-        lam = spectral.lambda1(tree)
+        plan = trees.subtree_plan(tree)
+        estimate = spectral._plan_walk_growth(tree, plan, trees.plan_node_count(plan), 20)
+        lam = spectral._plan_lambda1(plan)
         if abs(estimate - lam) > TRACE_REL_TOL * lam:
             return False, f"estimate {estimate} vs lambda1 {lam} at order {k}"
     return True, "root growth estimate within 5% of pivot-bisection lambda1 for orders 1..10"
@@ -485,22 +486,29 @@ def check_embedding_bound() -> tuple[bool, str]:
     For 200 uniform-attachment trees on up to 30 nodes: lambda1(tree) is at
     most lambda1 of the leaning tree of order uh_min - 1 (plus float slack).
     Also reports how often the bound improves on the degree sandwich, and
-    whether the improvement cases match the predictor uh + 1 < 2 * degree."""
+    whether the improvement cases match the predictor uh + 1 < 2 * degree.
+
+    Each tree's subtree plan gives its eigenvalue, Ulam-Harris number and
+    degree, and each distinct uh is bounded once."""
     rng = random.Random(EMBEDDING_SEED)
     improved = 0
     predicted = 0
     predicted_and_improved = 0
+    bounds: dict[int, float] = {}
     for _ in range(200):
         t = trees.random_plane_tree(rng.randint(2, 30), rng)
-        lam = spectral.lambda1(t)
-        uh = ulam_harris.uh_number(t)
-        bound = spectral.leaning_eigen_bound(uh)
+        plan = trees.subtree_plan(t)
+        lam = spectral._plan_lambda1(plan)
+        uh = ulam_harris._plan_uh_number(plan)
+        if uh not in bounds:
+            bounds[uh] = spectral.leaning_eigen_bound(uh)
+        bound = bounds[uh]
         if lam > bound + EMBEDDING_TOL:
             return False, (
                 f"lambda1 {lam} exceeds leaning bound {bound} "
                 f"(uh {uh}) on {trees.format_tree(t)!r}"
             )
-        delta = trees.max_degree(t)
+        delta = trees.plan_max_degree(plan)
         degree_bound = spectral.stevanovic_bounds(delta)[1] if delta >= 2 else math.inf
         if bound < degree_bound:
             improved += 1

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
 import contextlib
+import csv
 import dataclasses
 import inspect
 import io
@@ -26,6 +27,7 @@ from planetrees import (
     series,
     spectral,
     trees,
+    ulam_harris,
     verify,
     walk_count_table,
 )
@@ -604,6 +606,64 @@ def test_verify_image_match_counts_both_streams(monkeypatch, fault, detail):
     result = verify.run_check(row)
     assert not result.passed
     assert result.detail == detail
+
+
+def _count_plans(monkeypatch) -> list:
+    # every module that builds plans calls its own binding of subtree_plan
+    made = []
+    original = trees.subtree_plan
+
+    def counted(t):
+        made.append(t)
+        return original(t)
+
+    for module in (trees, spectral, ulam_harris):
+        monkeypatch.setattr(module, "subtree_plan", counted)
+    return made
+
+
+def test_embedding_bound_reads_one_plan_per_tree(monkeypatch):
+    plans = _count_plans(monkeypatch)
+    bounded = []
+    original = spectral.leaning_eigen_bound
+
+    def counted(uh, *args, **kwargs):
+        bounded.append(uh)
+        return original(uh, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "leaning_eigen_bound", counted)
+    ok, detail = verify.check_embedding_bound()
+    assert ok and detail == (
+        "bound holds on 200 trees; beats the degree bound on 182/200; "
+        "uh+1 < 2*degree predicted 123, of which 123 actually improved"
+    )
+    assert len(plans) == 200
+    # one leaning bound per distinct Ulam-Harris value, 2..11 at this seed
+    assert sorted(bounded) == list(range(2, 12))
+
+
+@pytest.mark.parametrize(
+    "check, trees_read",
+    [(verify.check_degree_sandwich, 11), (verify.check_trace_agreement, 10)],
+)
+def test_spectral_rows_read_one_plan_per_leaning_tree(monkeypatch, check, trees_read):
+    plans = _count_plans(monkeypatch)
+    assert check()[0]
+    assert len(plans) == trees_read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", scope, "--format", "csv"] for scope in verify.SCOPES]
+    + [["count", "5", "3", "--all-methods", "--format", "csv"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_csv_rows_have_the_header_field_count(capsys, argv):
+    # details such as "exact for n <= 6, k <= 5" hold commas, so fields are quoted
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_verify_machine_formats_are_byte_deterministic(capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from planetrees import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "planetrees").glob("*.py"))
 
@@ -32,3 +34,20 @@ def test_the_package_declares_no_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert SOURCES and project.get("dependencies", []) == []
     assert "dependencies" not in project.get("dynamic", [])
+
+
+def test_the_bench_verify_table_lists_the_registry_rows():
+    # a drifted row name makes every bench verify operation read as wrong, so
+    # the table is read as literal data, without importing the bench
+    module = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    (table,) = [
+        ast.literal_eval(node.value)
+        for node in module.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "VERIFY_CHECKS" for target in node.targets)
+    ]
+    registry: dict[str, list[str]] = {}
+    for row in verify.CHECKS:
+        registry.setdefault(row.scope, []).append(row.name)
+    assert list(table) == list(registry) == list(verify.SCOPES)
+    assert {scope: list(names) for scope, names in table.items()} == registry
