@@ -338,10 +338,12 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     some ulps, so against 50-digit roots alpha is off by 8.3e-13 at k = 301,
     2.1e-12 at k = 501 and 9.1e-12 at k = 3001 (6.2e-14 relative at most
     for k <= 10^6), whatever ``tol`` is.  A smaller ``tol`` is not honoured
-    until the bracket is certified under rounding (ROADMAP item 5).  c is
-    1/g'_(k-1) at the midpoint, from one more derivative pass; of its 17
-    printed digits only about 12 are right near k = 300 (relative error
-    6.3e-13 at k = 301 against 50-digit references, 7.7e-15 at k = 101).
+    until the bracket is certified under rounding (the ROADMAP item "One
+    outward-rounded certificate for every root bracket and every lambda1
+    bracket").  c is 1/g'_(k-1) at the midpoint, from one more derivative
+    pass; of its 17 printed digits only about 12 are right near k = 300
+    (relative error 6.3e-13 at k = 301 against 50-digit references,
+    7.7e-15 at k = 101).
     """
     if k < 2:
         raise ValueError("growth constants are defined for k >= 2")

@@ -275,7 +275,7 @@ def cmd_table(args, config: RunConfig) -> int:
         raise ValueError("--max-n and --max-k must be positive")
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
     # one chain gives every column: coefficient n of g_k is count_trees(n, k)
-    by_k = series._gk_columns(max_k, max_n + 1)
+    by_k = series.gk_columns(max_k, max_n + 1)
     rows = [[str(n)] + [int_to_str(coeffs[n]) for coeffs in by_k] for n in range(1, max_n + 1)]
     emit_table(config, columns, rows)
     return EXIT_OK
@@ -355,7 +355,7 @@ def cmd_walks(args, config: RunConfig) -> int:
     else:
         # the coefficients of 1/s_K off the label chain: no tree is built
         budgets = config.lifted("max_work", "max_growth")
-        table = spectral._leaning_walk_counts(args.k, args.max_len, **budgets)
+        table = spectral.leaning_walk_counts(args.k, args.max_len, **budgets)
         columns = ["length", "count"]
         rows = [[str(length), int_to_str(count)] for length, count in table.items()]
     emit_table(config, columns, rows)
@@ -386,8 +386,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
         # no tree: 2^K nodes, degree K, uh K + 1, the rest off the label chain
         k = args.leaning
         if k:
-            walks = spectral._leaning_walk_counts(k, 2 * half, **budgets)[2 * half]
-            growth = spectral._int_root(walks, 1.0 / (2 * half))
+            growth = spectral.leaning_walk_growth(k, half, **budgets)
         lam = spectral.leaning_lambda1(k, config.tol or 1e-10)
         source, size, delta, uh = f"leaning:{k}", 2**k, k, k + 1
     else:
@@ -395,10 +394,10 @@ def cmd_eigen(args, config: RunConfig) -> int:
         tree, plan = trees.parse_plan(args.tree)
         source = args.tree if _canonical(args.tree) else trees.format_tree(tree)
         size, delta = trees.plan_node_count(plan), trees.plan_max_degree(plan)
-        lam = spectral._plan_lambda1(plan, **config.tolerance())
-        uh = ulam_harris._plan_uh_number(plan)
+        lam = spectral.plan_lambda1(plan, **config.tolerance())
+        uh = ulam_harris.plan_uh_number(plan)
         if size > 1:
-            growth = spectral._plan_walk_growth(tree, plan, size, half, **budgets)
+            growth = spectral.plan_walk_growth(plan, size, half, **budgets)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
         high = 1.0
@@ -432,7 +431,7 @@ def _canonical(text: str) -> bool:
 
 def cmd_uh(args, config: RunConfig) -> int:
     tree, plan = trees.parse_plan(args.tree)
-    report = ulam_harris._plan_uh_min(plan, tree)
+    report = ulam_harris.plan_uh_min(plan)
     ordered = ulam_harris.uh_ordered(tree)
     emit_object(
         config,

@@ -132,7 +132,7 @@ def _gk_series(k: int, order: int, levels: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(next(islice(_gk_chain(order, levels, levels), k - levels, None))))
 
 
-def _gk_columns(k: int, order: int) -> list[list[int]]:
+def gk_columns(k: int, order: int) -> list[list[int]]:
     """g_1, ..., g_k modulo z^order off one chain: the columns of ``table``."""
     return list(islice(_gk_chain(order, min(k, _split_label(order))), k))
 

@@ -16,11 +16,14 @@ next point is the Illinois regula-falsi point on the root pivot (Dowell and
 Jarratt, BIT 11 (1971) 168-174), and otherwise the midpoint.  On any tree
 each distinct labelled shape (``trees.subtree_plan``) is eliminated once per
 point, so trees with repeated subtrees, whether shared objects or parsed
-copies, cost their distinct shapes, not their logical size.  For
-leaning trees every vertex of order j has the same pivot, and under
-z = 1/x^2 these pivots are the complement chain of ``asymptotics``, so
-``leaning_lambda1`` reads its bracket off that chain's root routine (Newton,
-then a certificate): O(order) per point, at orders no tree can be built for.
+copies, cost their distinct shapes, not their logical size.  The ``plan_*``
+functions take the plan alone, its last entry the root, and
+``lambda1_bracket``, ``lambda1`` and ``walk_growth_estimate`` wrap them over
+``subtree_plan``.  For leaning trees every vertex of order j has the same
+pivot, and under z = 1/x^2 these pivots are the complement chain of
+``asymptotics``, so ``leaning_lambda1`` reads its bracket off that chain's
+root routine (Newton, then a certificate): O(order) per point, at orders no
+tree can be built for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
@@ -29,7 +32,8 @@ first return over the distinct labelled shapes, each solved only to the
 terms a root walk of the given length can use at its depth; root walks take
 first return unless its work is well above the replay's (see
 ``walk_growth_estimate``).  On leaning trees the root walks of length 2h
-are [z^h] 1/s_K of ``series``, with no tree (``_leaning_walk_counts``).
+are [z^h] 1/s_K of ``series``, with no tree (``leaning_walk_counts`` and
+``leaning_walk_growth``).
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def _replay(
     return counts
 
 
-def _leaning_walk_counts(
+def leaning_walk_counts(
     order: int,
     max_length: int,
     *,
@@ -135,6 +139,13 @@ def _leaning_walk_counts(
     return {2 * h: count for h, count in enumerate(series._complement_inverse(order, terms))}
 
 
+def leaning_walk_growth(order: int, half_length: int, **budgets: float) -> float:
+    """``walk_growth_estimate(leaning_tree(order), half_length)`` without the
+    tree, off ``leaning_walk_counts`` under its ``budgets``."""
+    length = 2 * half_length
+    return _int_root(leaning_walk_counts(order, length, **budgets)[length], 1.0 / length)
+
+
 def walk_growth_estimate(
     t: PlaneTree,
     half_length: int,
@@ -155,27 +166,25 @@ def walk_growth_estimate(
     budget, at half-lengths where the replay is refused.
     """
     plan = subtree_plan(t)
-    return _plan_walk_growth(t, plan, plan_node_count(plan), half_length, max_work)
+    return plan_walk_growth(plan, plan_node_count(plan), half_length, max_work)
 
 
-def _plan_walk_growth(
-    t: PlaneTree,
+def plan_walk_growth(
     plan: list,
     size: int,
     half_length: int,
     max_work: float = WALK_WORK_LIMIT,
     max_growth: float = WALK_GROWTH_LIMIT,
 ) -> float:
-    """``walk_growth_estimate`` of ``t``, whose ``subtree_plan`` is ``plan``
-    and node count ``size``, the replay under ``max_growth`` too."""
+    """``walk_growth_estimate`` of the tree whose ``subtree_plan`` is
+    ``plan`` and node count ``size``, the replay under ``max_growth`` too."""
     length = 2 * half_length
-    if plan:
-        depths = _plan_depths(plan)
-        work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
-        if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
-            count = _root_walk_counts(plan, half_length, depths)[half_length]
-            return _int_root(count, 1.0 / length)
-    count = _replay(t, size, length, 0, max_work, max_growth)[length]
+    depths = _plan_depths(plan)
+    work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
+    if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
+        count = _root_walk_counts(plan, half_length, depths)[half_length]
+    else:
+        count = _replay(plan[-1][0], size, length, 0, max_work, max_growth)[length]
     return _int_root(count, 1.0 / length)
 
 
@@ -287,16 +296,16 @@ def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
     and the midpoint otherwise or when the last two points together did not
     halve the bracket; so any three points at least halve it.
     """
-    return _plan_lambda1_bracket(subtree_plan(t), tol)
+    return plan_lambda1_bracket(subtree_plan(t), tol)
 
 
 def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:
     """Largest adjacency eigenvalue of ``t``: the midpoint of a bracket of
     width at most ``tol``."""
-    return _plan_lambda1(subtree_plan(t), tol)
+    return plan_lambda1(subtree_plan(t), tol)
 
 
-def _plan_lambda1_bracket(plan: list, tol: float) -> tuple[float, float]:
+def plan_lambda1_bracket(plan: list, tol: float = 1e-10) -> tuple[float, float]:
     """``lambda1_bracket`` of the tree whose ``subtree_plan`` is ``plan``."""
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -336,9 +345,9 @@ def _plan_lambda1_bracket(plan: list, tol: float) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _plan_lambda1(plan: list, tol: float = 1e-10) -> float:
+def plan_lambda1(plan: list, tol: float = 1e-10) -> float:
     """``lambda1`` of the tree whose ``subtree_plan`` is ``plan``."""
-    lo, hi = _plan_lambda1_bracket(plan, tol)
+    lo, hi = plan_lambda1_bracket(plan, tol)
     return 0.5 * (lo + hi)
 
 

@@ -14,10 +14,13 @@ multiset, however many objects carry it), children first, and the per-tree
 quantities (``node_count``, ``max_degree``, Ulam-Harris values, eigenvalue
 pivots and root walk counts) are computed over that list: k shapes for the
 leaning tree of order k, not its 2^k nodes, and a parsed tree, whose every
-inner node is a fresh object, costs its distinct shapes too.  The parser
-builds that list as it reads bracket text, filing each node as its ``)``
-closes (``parse_plan``), so ``eigen`` and ``uh`` take the tree and its plan
-from one pass over their input and build no second plan.  No traversal of a
+inner node is a fresh object, costs its distinct shapes too.  A plan
+ends with its root's entry, so ``plan[-1][0]`` is the tree (a one-node
+tree's plan is its root alone), and the ``plan_*`` functions here and in
+``spectral`` and ``ulam_harris`` take the plan alone.  The parser builds
+that list as it reads bracket text, filing each node as its ``)`` closes
+(``parse_plan``), so ``eigen`` and ``uh`` take the tree and its plan from
+one pass over their input and build no second plan.  No traversal of a
 given tree is bounded by the interpreter's recursion limit, only by memory:
 ``PlaneTree.__hash__`` fills the hashes children first, and
 ``PlaneTree.__eq__`` compares by recursive tuple comparison, its fast path,
@@ -162,7 +165,8 @@ def parse_plan(text: str) -> tuple[PlaneTree, list[tuple[PlaneTree, int, list[in
     Labels are ASCII decimal digits.  Each node is filed in the plan as its
     ``)`` closes, the order in which ``subtree_plan`` meets the nodes of the
     tree, so the one pass over the text gives the plan entry for entry as
-    ``subtree_plan`` of the tree would.  Leaves written alike are one object.
+    ``subtree_plan`` of the tree would, a one-node tree's root included.
+    Leaves written alike are one object.
     """
     pos = 0
     n = len(text)
@@ -213,6 +217,8 @@ def parse_plan(text: str) -> tuple[PlaneTree, list[tuple[PlaneTree, int, list[in
             break  # the root is finished
     if pos != n:
         raise TreeParseError("trailing input after tree", pos)
+    if not node.children:
+        plan.append((node, 0, []))  # a one-node tree: its root is its plan
     return node, plan
 
 
@@ -229,38 +235,40 @@ def subtree_plan(t: PlaneTree) -> list[tuple[PlaneTree, int, list[int]]]:
     when a child shape repeats.  A shape has the same size, degree,
     Ulam-Harris value and witness, pivots and walk counts wherever it
     occurs, so one pass over the list computes them at the cost of the
-    distinct shapes: k entries for ``leaning_tree(k)``, and for a parsed
-    tree, a fresh object at every inner node, its shapes rather than its
-    nodes.
-    Leaves are not listed (callers take them as the base case), the root is
-    the last entry, and a one-node tree gives an empty list.
+    distinct shapes: k entries for ``leaning_tree(k)`` (one at k = 0), and
+    for a parsed tree, a fresh object at every inner node, its shapes rather
+    than its nodes.  Leaves are not listed (callers take them as the base
+    case) except the root of a one-node tree, whose plan is
+    ``[(t, 0, [])]``: the root is always the last entry, so ``plan[-1][0]``
+    is ``t``.
     """
+    if not t.children:
+        return [(t, 0, [])]
     plan: list[tuple[PlaneTree, int, list[int]]] = []
-    if t.children:
-        position: dict[int, int] = {}  # id of a finished object -> its entry
-        entries: dict[tuple[int, ...], int] = {}
-        # (node, its children not yet visited, positions of its listed
-        # children, the codes of its children visited so far)
-        stack = [(t, iter(t.children), [], [])]
-        while stack:
-            node, pending, kids, codes = stack[-1]
-            for child in pending:
-                if child.children:
-                    listed = position.get(id(child))
-                    if listed is None:
-                        stack.append((child, iter(child.children), [], []))
-                        break
-                    kids.append(listed)  # an object already finished
-                    codes.append(listed)
-                else:
-                    codes.append(-child.label)
+    position: dict[int, int] = {}  # id of a finished object -> its entry
+    entries: dict[tuple[int, ...], int] = {}
+    # (node, its children not yet visited, positions of its listed
+    # children, the codes of its children visited so far)
+    stack = [(t, iter(t.children), [], [])]
+    while stack:
+        node, pending, kids, codes = stack[-1]
+        for child in pending:
+            if child.children:
+                listed = position.get(id(child))
+                if listed is None:
+                    stack.append((child, iter(child.children), [], []))
+                    break
+                kids.append(listed)  # an object already finished
+                codes.append(listed)
             else:
-                stack.pop()
-                listed = position[id(node)] = _file_shape(plan, entries, node, kids, codes)
-                if stack:
-                    parent = stack[-1]
-                    parent[2].append(listed)
-                    parent[3].append(listed)
+                codes.append(-child.label)
+        else:
+            stack.pop()
+            listed = position[id(node)] = _file_shape(plan, entries, node, kids, codes)
+            if stack:
+                parent = stack[-1]
+                parent[2].append(listed)
+                parent[3].append(listed)
     return plan
 
 
@@ -308,13 +316,11 @@ def plan_node_count(plan: list[tuple[PlaneTree, int, list[int]]]) -> int:
     sizes: list[int] = []
     for _, leaves, kids in plan:
         sizes.append(1 + leaves + sum([sizes[c] for c in kids]))
-    return sizes[-1] if sizes else 1
+    return sizes[-1]
 
 
 def plan_max_degree(plan: list[tuple[PlaneTree, int, list[int]]]) -> int:
     """``max_degree`` of the tree whose ``subtree_plan`` is ``plan``."""
-    if not plan:
-        return 0  # a single vertex
     return max([len(plan[-1][0].children)] + [len(node.children) + 1 for node, _, _ in plan[:-1]])
 
 

@@ -9,16 +9,16 @@ trees are ignored throughout this module; only the shape matters.
 The minimisation is exact: at each node the children may be ordered
 independently, and placing subtrees in descending order of their own minimal
 numbers is optimal by the standard exchange argument (verified against the
-brute-force sweep in the tests rather than assumed).  ``uh_number`` and
-``uh_min`` compute each distinct labelled shape's minimal number once, over
-``trees.subtree_plan``, without recursion, and ``uh_min`` takes its number
-from the root shape's value.  A shape's witness is built once and shared
-wherever the shape occurs; its text depends only on the shape, since leaves
-and tied siblings are put in text order, and a shape that ties with a
-sibling is serialised once a call, however often it ties.  The witness is
-walked only when a report's ``labels`` are read.  The labels stay in the
-plan's shapes although the numbers ignore them, because the witness carries
-them.
+brute-force sweep in the tests rather than assumed).  ``plan_uh_number`` and
+``plan_uh_min`` take a ``trees.subtree_plan`` alone, compute each distinct
+labelled shape's minimal number once, without recursion, and take the number
+from the root shape's value, the plan's last entry; ``uh_number`` and
+``uh_min`` wrap them.  A shape's witness is built once and shared wherever
+the shape occurs; its text depends only on the shape, since leaves and tied
+siblings are put in text order, and a shape that ties with a sibling is
+serialised once a call, however often it ties.  The witness is walked only
+when a report's ``labels`` are read.  The labels stay in the plan's shapes
+although the numbers ignore them, because the witness carries them.
 """
 
 from __future__ import annotations
@@ -80,13 +80,12 @@ def uh_number(t: PlaneTree) -> int:
     shape's minimal number is computed once, so ``leaning_tree(k)`` costs k
     shapes, not 2^k nodes.
     """
-    return _plan_uh_number(subtree_plan(t))
+    return plan_uh_number(subtree_plan(t))
 
 
-def _plan_uh_number(plan: list) -> int:
-    # ``uh_number`` of the tree whose ``trees.subtree_plan`` is ``plan``
-    values = _minimal_values(plan)
-    return values[-1] if values else 1
+def plan_uh_number(plan: list) -> int:
+    """``uh_number`` of the tree whose ``trees.subtree_plan`` is ``plan``."""
+    return _minimal_values(plan)[-1]
 
 
 def uh_min(t: PlaneTree) -> UhReport:
@@ -101,13 +100,11 @@ def uh_min(t: PlaneTree) -> UhReport:
     witness deterministic; only shapes that tie with a sibling are
     serialised, each at most once a call.
     """
-    return _plan_uh_min(subtree_plan(t), t)
+    return plan_uh_min(subtree_plan(t))
 
 
-def _plan_uh_min(plan: list, t: PlaneTree) -> UhReport:
-    # ``uh_min`` of ``t``, whose ``trees.subtree_plan`` is ``plan``
-    if not plan:
-        return UhReport(1, t)
+def plan_uh_min(plan: list) -> UhReport:
+    """``uh_min`` of the tree whose ``trees.subtree_plan`` is ``plan``."""
     values = _minimal_values(plan)
     witnesses: list[PlaneTree] = []
     texts: dict[int, str] = {}  # plan entry -> the bracket text of its witness
@@ -143,8 +140,9 @@ def _minimal_values(plan: list) -> list[int]:
     # the minimal Ulam-Harris number of each shape of ``trees.subtree_plan``
     values: list[int] = []
     for node, leaves, kids in plan:
-        # leaves (value 1) go last, the largest of them at the last position
-        best = len(node.children) + 1 if leaves else 0
+        # leaves (value 1) go last, the largest of them at the last position;
+        # a node without children has value 1
+        best = len(node.children) + 1 if leaves else 1
         ranked = sorted([values[c] for c in kids], reverse=True)
         for position, value in enumerate(ranked, start=1):
             best = max(best, position + value)
@@ -187,14 +185,20 @@ def enumerate_unordered_shapes(n: int) -> list[PlaneTree]:
     labels are 1 (shape-only semantics).  Counts follow the rooted-tree
     sequence 1, 1, 2, 4, 9, 20, 48, 115, ...
     """
+    return unordered_shape_levels(n)[-1]
+
+
+def unordered_shape_levels(n: int) -> list[list[PlaneTree]]:
+    """``enumerate_unordered_shapes(m)`` for m = 1..n, in that order, from
+    one build: each level is composed from the smaller ones."""
     if n < 1:
         raise ValueError("n must be positive")
-    catalog: list[list[PlaneTree]] = [[], [PlaneTree(1)]]  # by node count
+    levels: list[list[PlaneTree]] = [[PlaneTree(1)]]  # level m at index m - 1
     for size in range(2, n + 1):
         # pool of all candidate subtrees, smallest first, with a stable index,
-        # and their sizes: the catalog level each came from
-        pool = [tree for trees in catalog[1:size] for tree in trees]
-        sizes = [m for m in range(1, size) for _ in catalog[m]]
+        # and their sizes: the level each came from
+        pool = [tree for trees in levels for tree in trees]
+        sizes = [m for m, trees in enumerate(levels, 1) for _ in trees]
         shapes: list[PlaneTree] = []
 
         def choose(remaining: int, max_index: int, chosen: tuple[PlaneTree, ...]) -> None:
@@ -209,5 +213,5 @@ def enumerate_unordered_shapes(n: int) -> list[PlaneTree]:
 
         choose(size - 1, len(pool) - 1, ())
         # multisets chosen with nonincreasing pool index appear exactly once
-        catalog.append(shapes)
-    return catalog[n]
+        levels.append(shapes)
+    return levels

@@ -425,7 +425,7 @@ def check_degree_sandwich() -> tuple[bool, str]:
     for k in range(2, 13):
         plan = trees.subtree_plan(trees.leaning_tree(k))
         delta = trees.plan_max_degree(plan)
-        lam = spectral._plan_lambda1(plan)
+        lam = spectral.plan_lambda1(plan)
         low, high = spectral.stevanovic_bounds(delta)
         if not (low - SANDWICH_TOL <= lam <= high + SANDWICH_TOL):
             return False, f"lambda1={lam} outside [{low}, {high}] at order {k} (degree {delta})"
@@ -471,10 +471,9 @@ def check_trace_agreement() -> tuple[bool, str]:
     """Root walk growth at length 40 is within 5% of the pivot-bisection
     eigenvalue for orders up to 10."""
     for k in range(1, 11):
-        tree = trees.leaning_tree(k)
-        plan = trees.subtree_plan(tree)
-        estimate = spectral._plan_walk_growth(tree, plan, trees.plan_node_count(plan), 20)
-        lam = spectral._plan_lambda1(plan)
+        plan = trees.subtree_plan(trees.leaning_tree(k))
+        estimate = spectral.plan_walk_growth(plan, trees.plan_node_count(plan), 20)
+        lam = spectral.plan_lambda1(plan)
         if abs(estimate - lam) > TRACE_REL_TOL * lam:
             return False, f"estimate {estimate} vs lambda1 {lam} at order {k}"
     return True, "root growth estimate within 5% of pivot-bisection lambda1 for orders 1..10"
@@ -498,8 +497,8 @@ def check_embedding_bound() -> tuple[bool, str]:
     for _ in range(200):
         t = trees.random_plane_tree(rng.randint(2, 30), rng)
         plan = trees.subtree_plan(t)
-        lam = spectral._plan_lambda1(plan)
-        uh = ulam_harris._plan_uh_number(plan)
+        lam = spectral.plan_lambda1(plan)
+        uh = ulam_harris.plan_uh_number(plan)
         if uh not in bounds:
             bounds[uh] = spectral.leaning_eigen_bound(uh)
         bound = bounds[uh]
@@ -529,8 +528,8 @@ def check_embedding_bound() -> tuple[bool, str]:
 def check_uh_exhaustive() -> tuple[bool, str]:
     """Greedy minimisation equals brute force on every shape with <= 8 nodes."""
     tested = 0
-    for n in range(1, 9):
-        for shape in ulam_harris.enumerate_unordered_shapes(n):
+    for shapes in ulam_harris.unordered_shape_levels(8):
+        for shape in shapes:
             greedy = ulam_harris.uh_min(shape)
             brute = ulam_harris.uh_min_bruteforce(shape)
             if greedy.uh != brute:
@@ -556,7 +555,7 @@ def check_uh_degree_bound() -> tuple[bool, str]:
     for _ in range(500):
         t = trees.random_plane_tree(rng.randint(1, 30), rng)
         plan = trees.subtree_plan(t)
-        uh = ulam_harris._plan_uh_number(plan)
+        uh = ulam_harris.plan_uh_number(plan)
         delta = trees.plan_max_degree(plan)
         if uh < delta:
             return False, f"uh {uh} below degree {delta} on {trees.format_tree(t)!r}"

@@ -786,7 +786,7 @@ def test_leaning_walk_guard_admits_every_input_the_tree_guards_admitted(monkeypa
 
     def admitted(k, half):
         try:
-            spectral._leaning_walk_counts(k, 2 * half)
+            spectral.leaning_walk_counts(k, 2 * half)
         except LimitError:
             return False
         return True

@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its frontends reach
+the other modules through public names only."""
 
 import ast
 import sys
@@ -51,3 +52,32 @@ def test_the_bench_verify_table_lists_the_registry_rows():
         registry.setdefault(row.scope, []).append(row.name)
     assert list(table) == list(registry) == list(verify.SCOPES)
     assert {scope: list(names) for scope, names in table.items()} == registry
+
+
+def _private_names_of_package_modules(path: Path) -> list[str]:
+    """``module._name`` attributes of the package modules a module imports
+    (``from . import series``), and ``_name`` imports from them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verify.py"])
+def test_the_frontends_call_no_private_name_of_another_module(name):
+    path = ROOT / "src" / "planetrees" / name
+    assert _private_names_of_package_modules(path) == []

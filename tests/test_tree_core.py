@@ -32,7 +32,7 @@ from planetrees import (
     walk_count_table,
     walk_growth_estimate,
 )
-from planetrees import spectral, trees
+from planetrees import spectral, trees, ulam_harris
 from planetrees.spectral import _root_walk_counts
 
 
@@ -76,9 +76,10 @@ def labelled_tree(size, rng):
 
 
 def shape_codes(t):
-    """The canonical text of every non-leaf subtree of ``t``, its children's
-    texts sorted (the labelled form of the Aho-Hopcroft-Ullman tree codes),
-    collected children first without recursion."""
+    """The canonical text of every non-leaf subtree of ``t`` and of ``t``
+    itself, its children's texts sorted (the labelled form of the
+    Aho-Hopcroft-Ullman tree codes), collected children first without
+    recursion."""
     text, codes = {}, set()
     stack = [t]
     while stack:
@@ -91,9 +92,10 @@ def shape_codes(t):
         if node.children:
             inner = " ".join(sorted(text[id(c)] for c in node.children))
             text[id(node)] = f"{node.label}({inner})"
-            codes.add(text[id(node)])
         else:
             text[id(node)] = str(node.label)
+        if node.children or node is t:  # a one-node tree's root is its plan
+            codes.add(text[id(node)])
     return codes
 
 
@@ -133,10 +135,8 @@ SHARED = path(3)
 def test_first_return_root_counts_match_the_replay(t, half):
     table = walk_count_table(t, 2 * half)
     expected = [table[2 * m] for m in range(half + 1)]
-    plan = subtree_plan(t)
-    if plan:
-        assert _root_walk_counts(plan, half) == expected
-    else:
+    assert _root_walk_counts(subtree_plan(t), half) == expected
+    if node_count(t) == 1:
         assert expected == [1] + [0] * half  # a single vertex
 
 
@@ -301,9 +301,11 @@ def test_eigen_and_uh_reports_are_pinned(capsys):
 
 def test_plan_lists_each_shared_object_once():
     for k in range(0, 25):
-        plan = subtree_plan(leaning_tree(k))
-        assert len(plan) == k  # the order-0 leaves are not listed
-        assert [len(node.children) for node, _, _ in plan] == list(range(1, k + 1))
+        t = leaning_tree(k)
+        plan = subtree_plan(t)
+        # the order-0 leaves are not listed, but the order-0 tree is its root
+        assert len(plan) == max(k, 1) and plan[-1][0] is t
+        assert [len(node.children) for node, _, _ in plan] == (list(range(1, k + 1)) or [0])
     # a child object repeated under one parent is listed once, positions repeated
     shared = PlaneTree(2, (PlaneTree(1),))
     plan = subtree_plan(PlaneTree(3, (shared, PlaneTree(1), shared)))
@@ -312,6 +314,26 @@ def test_plan_lists_each_shared_object_once():
         ("3(2(1) 1 2(1))", 1, [0, 0]),
     ]
     assert node_count(plan[-1][0]) == 6
+
+
+def test_a_one_node_plan_is_its_root():
+    for text in ("4", "04"):
+        tree, plan = trees.parse_plan(text)
+        assert plan == [(tree, 0, [])] and same_plan(plan, subtree_plan(tree))
+    t = PlaneTree(4)
+    plan = subtree_plan(t)
+    assert plan == [(t, 0, [])] and plan[-1][0] is t
+    assert trees.plan_node_count(plan) == 1 and trees.plan_max_degree(plan) == 0
+    assert spectral.plan_lambda1_bracket(plan) == (0.0, 0.0) and spectral.plan_lambda1(plan) == 0.0
+    assert ulam_harris.plan_uh_number(plan) == 1
+    report = ulam_harris.plan_uh_min(plan)
+    assert report.uh == 1 and format_tree(report.witness) == "4" and report.labels == (1,)
+    for half in (1, 10, 40):
+        assert spectral.plan_walk_growth(plan, 1, half) == 0.0
+        assert walk_growth_estimate(t, half) == 0.0
+    # the tree-level wrappers read the same plan
+    assert (node_count(t), max_degree(t), uh_number(t), uh_min(t).uh) == (1, 0, 1, 1)
+    assert spectral.lambda1_bracket(t) == (0.0, 0.0)
 
 
 def test_leaning_eigen_report_matches_the_counting_series(capsys):

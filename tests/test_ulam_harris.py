@@ -17,7 +17,8 @@ from planetrees import (
     uh_min_bruteforce,
     uh_ordered,
 )
-from planetrees.ulam_harris import _preorder_labels
+from planetrees import verify
+from planetrees.ulam_harris import _preorder_labels, unordered_shape_levels
 
 
 def chain(length):
@@ -121,6 +122,26 @@ def test_shape_enumeration_counts():
     ]
     shapes = enumerate_unordered_shapes(5)
     assert len({format_tree(s) for s in shapes}) == len(shapes)
+
+
+def test_shape_levels_are_every_catalog_level_from_one_build(monkeypatch):
+    levels = unordered_shape_levels(8)
+    assert [len(level) for level in levels] == [1, 1, 2, 4, 9, 20, 48, 115]
+    for n, level in enumerate(levels, start=1):
+        assert level == enumerate_unordered_shapes(n)
+    # the verify row takes its 200 shapes from one build of the levels
+    calls = []
+    original = unordered_shape_levels
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(verify.ulam_harris, "unordered_shape_levels", counted)
+    monkeypatch.setattr(verify.ulam_harris, "enumerate_unordered_shapes", None)
+    ok, detail = verify.check_uh_exhaustive()
+    assert ok and detail == "greedy = brute on all 200 shapes with <= 8 nodes"
+    assert calls == [8]
 
 
 def test_greedy_equals_bruteforce_exhaustively():
