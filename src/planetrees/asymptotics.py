@@ -20,8 +20,13 @@ from k = 20, so one derivative pass finds the root for k >= 13: Newton
 returns its last iterate plus the step without evaluating there again.
 The certificate is the positivity predicate of the float chain
 (``_chain``), which is monotone in z and read at the two ends of a bracket
-centred on the Newton root: one chain pass per end.  c needs g'_(k-1) at
-the root, one more derivative pass at the bracket midpoint.
+centred on the Newton root: one chain pass per end.  For k <=
+EXACT_CERTIFICATE_MAX_K both ends are then checked by an outward-rounded
+fixed-point chain (``_chain_positive_certified``), exact rationals only
+when it cannot decide, so every root that ``_root`` returns there, for
+``zstar``, ``growth_constants`` and ``leaning_lambda1`` alike, is
+certified under rounding.  c needs g'_(k-1) at the root, one more
+derivative pass at the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ from dataclasses import dataclass
 
 #: default bracket width for root location (double precision)
 DEFAULT_ROOT_TOL = 1e-12
-#: largest k whose root brackets ``zstar`` checks in exact arithmetic
+#: largest k whose root brackets ``_root`` certifies rigorously: by the
+#: outward-rounded fixed-point chain, exact rationals only when it cannot decide
 EXACT_CERTIFICATE_MAX_K = 10
+#: fractional bits of the fixed-point interval chain of ``_chain_positive_certified``
+_CERTIFICATE_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -47,9 +55,10 @@ class RootBracket:
     """Certified interval [lo, hi] around the smallest positive root of s_k.
 
     The chain is verified positive at lo and verified to fail positivity at
-    hi, in exact arithmetic for k <= EXACT_CERTIFICATE_MAX_K and in floats
-    above (except in the exactly-solvable k = 1 case, where both endpoints
-    are the algebraic root 1).
+    hi: for k <= EXACT_CERTIFICATE_MAX_K by an outward-rounded fixed-point
+    chain, exact rationals only when it cannot decide, and in floats above
+    (except in the exactly-solvable k = 1 case, where both endpoints are the
+    algebraic root 1).
     """
 
     k: int
@@ -158,26 +167,21 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     lower bound, so no strictly-positive certificate to its left exists
     within the proved bounds.
 
-    For k <= EXACT_CERTIFICATE_MAX_K both endpoints are then checked in
-    exact rational arithmetic (every chain member positive at lo, not at
-    hi); an endpoint that fails, because rounding in the float chain
-    misjudged a point within a few ulps of the root, is stepped outward one
-    float at a time until it holds, so the bracket may end a few ulps wider
-    than ``tol``.  Above that limit the certificate is float-only: it rests
-    on the float evaluation of the chain, which is not rigorous under
-    rounding once the bracket is as narrow as the rounding error.
+    For k <= EXACT_CERTIFICATE_MAX_K ``_root`` then checks both endpoints
+    with an outward-rounded fixed-point chain, exact rationals only when it
+    cannot decide (every chain member positive at lo, not at hi); an
+    endpoint that fails, because rounding in the float chain misjudged a
+    point within a few ulps of the root, is stepped outward one float at a
+    time until it holds, so the bracket may end a few ulps wider than
+    ``tol``.  Above that limit the certificate is float-only: it rests on
+    the float evaluation of the chain, which is not rigorous under rounding
+    once the bracket is as narrow as the rounding error.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lo, hi = _root(k, tol)
-    if 1 < k <= EXACT_CERTIFICATE_MAX_K:
-        while not _chain_positive_exactly(lo, k):
-            lo = math.nextafter(lo, 0.0)
-        while _chain_positive_exactly(hi, k):
-            hi = math.nextafter(hi, math.inf)
-    return RootBracket(k, lo, hi)
+    return RootBracket(k, *_root(k, tol))
 
 
 #: alpha_(k+1) = 1/zstar_k = 2k - ln(k)/2 - C + (ln(k)/8 + B)/k
@@ -216,13 +220,21 @@ def _root(k: int, width: float) -> tuple[float, float]:
     three below.  [lo, hi] is centred on the root and holds the float
     certificate (chain positive at lo, not at hi, both inside the proved
     bounds); it is no wider than ``width`` unless the float floor of 16 ulps
-    stops it first.
+    stops it first.  For k <= EXACT_CERTIFICATE_MAX_K an end that
+    ``_chain_positive_certified`` rejects is stepped outward one float at a
+    time until it holds.
     """
     if k == 1:
         return 1.0, 1.0
     lower = zstar_lower_bound(k)
     upper = min(1.0, zstar_upper_bound(k))
-    return _certify(k, _newton(k, lower, upper), width, lower, upper)
+    lo, hi = _certify(k, _newton(k, lower, upper), width, lower, upper)
+    if k <= EXACT_CERTIFICATE_MAX_K:
+        while not _chain_positive_certified(lo, k):
+            lo = math.nextafter(lo, 0.0)
+        while _chain_positive_certified(hi, k):
+            hi = math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _seed(k: int) -> float:
@@ -307,13 +319,45 @@ def _certify(k: int, root: float, width: float, lower: float, upper: float) -> t
     return lo, hi
 
 
+def _chain_positive_certified(z: float, k: int) -> bool:
+    """Whether s_1(z), ..., s_k(z) are all positive: the verdict of
+    ``_chain_positive_exactly``, from an interval chain in fixed point.
+
+    Each member is held as [lo, hi] in units of 2^-_CERTIFICATE_BITS.  z is
+    a float, so z = p/2^e exactly, and s_1 = 1 - z is exact when e is at
+    most the bit count.  s -> s - z/s is increasing for s > 0 (Moore,
+    Interval Analysis, 1966), so [lo - ceil(z/lo), hi - floor(z/hi)] holds
+    the next member whenever lo > 0.  The chain is not positive once some
+    hi <= 0 and is positive if every lo > 0; an interval that straddles 0,
+    or a z too fine for the bit count, goes to the exact check.
+    """
+    p, q = z.as_integer_ratio()
+    shift = _CERTIFICATE_BITS - (q.bit_length() - 1)
+    if shift < 0:
+        return _chain_positive_exactly(z, k)
+    scaled = p << shift
+    lo = hi = (1 << _CERTIFICATE_BITS) - scaled
+    numerator = scaled << _CERTIFICATE_BITS
+    for _ in range(1, k):
+        if lo <= 0:
+            break
+        lo, hi = lo - -(-numerator // lo), hi - numerator // hi
+    if lo > 0:
+        return True
+    if hi <= 0:
+        return False
+    return _chain_positive_exactly(z, k)
+
+
 def _chain_positive_exactly(z: float, k: int) -> bool:
-    """Whether s_1(z), ..., s_k(z) are all positive, in exact arithmetic.
+    """Whether s_1(z), ..., s_k(z) are all positive, in exact arithmetic:
+    the fallback of ``_chain_positive_certified`` where its fixed-point
+    interval cannot decide.
 
     z = p/q is taken at its exact binary value and each chain member is
     carried as a/b with b > 0: s - z/s = (q a^2 - p b^2) / (q a b).  The
-    numerators roughly double in size at each step, so this is meant for
-    small k.
+    numerators roughly double in size at each step (about 1 ms a check at
+    k = 10), so this is meant for small k.
     """
     p, q = z.as_integer_ratio()
     a, b = q - p, q
@@ -332,13 +376,15 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
     precision at every ``tol``, so ``tol`` sets only the width of the
     certified bracket, tol * zlow^2 with zlow the proved lower bound, which
-    keeps the propagated error of alpha = 1/midpoint below ``tol`` as far
-    as the float chain goes.  It goes to about 1e-13 * alpha: rounding in
-    the chain moves the Newton root, and the float certificate with it, by
-    some ulps, so against 50-digit roots alpha is off by 8.3e-13 at k = 301,
-    2.1e-12 at k = 501 and 9.1e-12 at k = 3001 (6.2e-14 relative at most
-    for k <= 10^6), whatever ``tol`` is.  A smaller ``tol`` is not honoured
-    until the bracket is certified under rounding (the ROADMAP item "One
+    keeps the propagated error of alpha = 1/midpoint below ``tol``.  For
+    k - 1 <= EXACT_CERTIFICATE_MAX_K ``_root`` certifies that bracket under
+    rounding, as for ``zstar``; above, it holds as far as the float chain
+    goes, to about 1e-13 * alpha: rounding in the chain moves the Newton
+    root, and the float certificate with it, by some ulps, so against
+    50-digit roots alpha is off by 8.3e-13 at k = 301, 2.1e-12 at k = 501
+    and 9.1e-12 at k = 3001 (6.2e-14 relative at most for k <= 10^6),
+    whatever ``tol`` is.  A smaller ``tol`` is not honoured there until the
+    bracket is certified under rounding (the ROADMAP item "One
     outward-rounded certificate for every root bracket and every lambda1
     bracket").  c is 1/g'_(k-1) at the midpoint, from one more derivative
     pass; of its 17 printed digits only about 12 are right near k = 300

@@ -24,11 +24,11 @@ import argparse
 import csv
 import functools
 import itertools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import asymptotics, bijection, series, spectral, trees, ulam_harris, verify
@@ -210,10 +210,26 @@ def _write_csv(rows: list[list[str]]) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
+def _json_objects(columns: list[str], rows: list[list[str]], pad: str) -> list[str]:
+    """Each row as ``json.dumps(dict(zip(columns, row)), sort_keys=True,
+    indent=2)`` writes it nested at indent ``pad``, for distinct column
+    names.  That indented form runs CPython's pure-Python encoder; here the
+    C encoder of the compact form quotes each cell, and each key once."""
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    keys = [f"{pad}  {encode_basestring_ascii(columns[i])}: " for i in order]
+    if not keys:
+        return ["{}"] * len(rows)
+    return [
+        "{\n" + ",\n".join([key + encode_basestring_ascii(row[i]) for key, i in zip(keys, order)])
+        + f"\n{pad}}}"
+        for row in rows
+    ]
+
+
 def emit_table(config: RunConfig, columns: list[str], rows: list[list[str]]) -> None:
     if config.format == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        objects = _json_objects(columns, rows, "  ")
+        print("[\n  " + ",\n  ".join(objects) + "\n]" if objects else "[]")
     elif config.format == "csv":
         _write_csv([columns, *rows])
     else:
@@ -228,7 +244,7 @@ def emit_table(config: RunConfig, columns: list[str], rows: list[list[str]]) -> 
 
 def emit_object(config: RunConfig, pairs: list[tuple[str, str]]) -> None:
     if config.format == "json":
-        print(json.dumps(dict(pairs), sort_keys=True, indent=2))
+        print(_json_objects([key for key, _ in pairs], [[value for _, value in pairs]], "")[0])
     elif config.format == "csv":
         _write_csv([[key for key, _ in pairs], [value for _, value in pairs]])
     else:
@@ -296,9 +312,11 @@ def cmd_root(args, config: RunConfig) -> int:
     wider than the tolerance, or than 16 ulps of the root where the float
     resolution stops it first.  A row costs one derivative pass of k steps
     from the fitted seed (up to three for k < 13) and two chain passes for
-    the certificate.  Above ``asymptotics.EXACT_CERTIFICATE_MAX_K`` a
-    bracket rests on the float chain, so a tol near the float resolution
-    still gives only a float certificate there."""
+    the certificate.  Up to ``asymptotics.EXACT_CERTIFICATE_MAX_K`` both
+    ends are checked by an outward-rounded fixed-point chain, exact
+    rationals only when it cannot decide; above it a bracket rests on the
+    float chain, so a tol near the float resolution still gives only a
+    float certificate there."""
     if args.k < 1:
         raise ValueError("k must be positive")
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
@@ -321,10 +339,12 @@ def cmd_root(args, config: RunConfig) -> int:
 
 def cmd_alpha(args, config: RunConfig) -> int:
     """Growth constants for k = 2..K at float precision, alpha certified
-    within the tolerance by a root bracket as in ``cmd_root``, as far as the
-    float chain goes (about 1e-13 * alpha, see
-    ``asymptotics.growth_constants``), and c from one more derivative pass
-    at the bracket midpoint."""
+    within the tolerance by a root bracket as in ``cmd_root``: by the
+    outward-rounded fixed-point chain, exact rationals only when it cannot
+    decide, for k - 1 <= ``asymptotics.EXACT_CERTIFICATE_MAX_K``, and above
+    as far as the float chain goes (about 1e-13 * alpha, see
+    ``asymptotics.growth_constants``); c from one more derivative pass at
+    the bracket midpoint."""
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]

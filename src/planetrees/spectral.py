@@ -267,8 +267,9 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     Every order-j vertex has the pivot d_j = d_(j-1) - 1/d_(j-1), d_0 = x, so
     z = 1/x^2 and s_j = d_j/x give the complement chain s_j = s_(j-1) -
     z/s_(j-1) of ``asymptotics``, and the eigenvalue is 1/sqrt(zstar_order).
-    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi] no
-    wider than tol * zlow^(3/2), with zlow the proved lower bound on the
+    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi] (under
+    rounding up to ``asymptotics.EXACT_CERTIFICATE_MAX_K``, as for ``zstar``)
+    no wider than tol * zlow^(3/2), with zlow the proved lower bound on the
     root, read as x = [1/sqrt(hi), 1/sqrt(lo)]: since dx/dz = -x^3/2, that
     is at most tol/2 wide in x.  O(order) per point, so this works for
     orders far beyond what an explicit 2^order-vertex tree allows.

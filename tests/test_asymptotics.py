@@ -1,6 +1,7 @@
 """Root brackets, growth constants, and the derivative of the counting series."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from planetrees import (
     zstar_lower_bound,
     zstar_upper_bound,
 )
-from planetrees import asymptotics
+from planetrees import asymptotics, leaning_lambda1
 from planetrees.asymptotics import DEFAULT_ROOT_TOL, _chain
 
 ROOT2 = (3.0 - math.sqrt(5.0)) / 2.0  # solves (1-z)^2 = z
@@ -141,6 +142,87 @@ def test_zstar_brackets_are_certified_exactly():
             assert _chain_positive(bracket.lo, k), (k, tol)
             assert not _chain_positive(bracket.hi, k), (k, tol)
             assert bracket.width <= max(tol, 16 * math.ulp(bracket.hi)), (k, tol)
+
+
+def _certificate_points() -> list[tuple[float, int]]:
+    """Every ``zstar`` end for k = 2..10 at four tolerances with its float
+    neighbours two ulps out, and 300 seeded points a k within 1e-12
+    relative of the root."""
+    points = []
+    for k in range(2, 11):
+        for tol in (1e-9, 1e-12, 1e-16, 1e-20):
+            bracket = zstar(k, tol)
+            for end in (bracket.lo, bracket.hi):
+                near = [end]
+                for toward in (0.0, 1.0):
+                    near.append(math.nextafter(end, toward))
+                    near.append(math.nextafter(near[-1], toward))
+                points += [(z, k) for z in near]
+    rng = random.Random(2718)
+    for k in range(2, 11):
+        root = zstar(k, 1e-20).midpoint
+        points += [(root * (1.0 + rng.uniform(-1e-12, 1e-12)), k) for _ in range(300)]
+    return points
+
+
+CERTIFICATE_POINTS = _certificate_points()
+
+
+def test_fixed_point_certificate_gives_the_exact_verdict(monkeypatch):
+    def unreachable(z, k):
+        raise AssertionError(f"the fixed-point chain left z={z!r}, k={k} undecided")
+
+    monkeypatch.setattr(asymptotics, "_chain_positive_exactly", unreachable)
+    for z, k in CERTIFICATE_POINTS:
+        assert asymptotics._chain_positive_certified(z, k) == _chain_positive(z, k), (z, k)
+
+
+def test_fixed_point_certificate_falls_back_to_exact_rationals(monkeypatch):
+    # with 4 fractional bits the float points do not fit, and near the roots
+    # the sixteenths that do fit leave intervals straddling 0: both cases
+    # must reach the exact check and keep its verdict
+    undecided = []
+    exactly = asymptotics._chain_positive_exactly
+    monkeypatch.setattr(asymptotics, "_CERTIFICATE_BITS", 4)
+    monkeypatch.setattr(
+        asymptotics, "_chain_positive_exactly", lambda z, k: undecided.append(z) or exactly(z, k)
+    )
+    sixteenths = [(j / 16, k) for j in range(1, 16) for k in range(2, 11)]
+    for z, k in CERTIFICATE_POINTS[::7] + sixteenths:
+        assert asymptotics._chain_positive_certified(z, k) == _chain_positive(z, k), (z, k)
+    assert any(z.as_integer_ratio()[1] > 16 for z in undecided)
+    assert any(z.as_integer_ratio()[1] <= 16 for z in undecided)
+    for k in range(2, 11):
+        bracket = zstar(k, 1e-16)
+        assert _chain_positive(bracket.lo, k) and not _chain_positive(bracket.hi, k), k
+
+
+def test_small_k_roots_never_need_exact_rationals(monkeypatch):
+    def unreachable(z, k):
+        raise AssertionError(f"zstar({k}) reached the exact check at z={z!r}")
+
+    monkeypatch.setattr(asymptotics, "_chain_positive_exactly", unreachable)
+    for k in range(2, 11):
+        for tolerance in ({}, {"tol": 1e-16}, {"tol": 1e-20}):
+            zstar(k, **tolerance)
+
+
+def test_every_small_k_root_is_certified(monkeypatch):
+    # zstar, growth_constants and leaning_lambda1 share _root, and with it
+    # the certificate up to EXACT_CERTIFICATE_MAX_K
+    checked = []
+    certified = asymptotics._chain_positive_certified
+    monkeypatch.setattr(
+        asymptotics, "_chain_positive_certified", lambda z, k: checked.append(k) or certified(z, k)
+    )
+    for k in range(2, 13):
+        for root in (lambda: zstar(k), lambda: growth_constants(k + 1), lambda: leaning_lambda1(k)):
+            checked.clear()
+            root()
+            if k <= asymptotics.EXACT_CERTIFICATE_MAX_K:
+                assert len(checked) >= 2 and set(checked) == {k}, k
+            else:
+                assert not checked, k
 
 
 def test_growth_constants_match_separate_bisections():

@@ -666,6 +666,31 @@ def test_csv_rows_have_the_header_field_count(capsys, argv):
     assert rows and all(len(row) == len(header) for row in rows)
 
 
+TRICKY_CELLS = ['say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f", "été ☃ 𝄞", "a, b", "", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["k", "lo", "b"], []),
+        (["k", "lo", "b"], [["1", "2", "3"]]),
+        (["z", "é", 'q"', "a,b"], [TRICKY_CELLS[:4], TRICKY_CELLS[3:]]),
+        (["\\", "\x7f", "A", "a"], [TRICKY_CELLS[i : i + 4] for i in range(4)]),
+        ([], [[], []]),
+        ([], []),
+    ],
+)
+def test_json_output_is_the_sorted_indented_dump(capsys, columns, rows):
+    config = cli.RunConfig(format="json")
+    cli.emit_table(config, columns, rows)
+    payload = [dict(zip(columns, row)) for row in rows]
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for row in rows or [[]]:
+        cli.emit_object(config, list(zip(columns, row)))
+        expected = json.dumps(dict(zip(columns, row)), sort_keys=True, indent=2)
+        assert capsys.readouterr().out == expected + "\n"
+
+
 def test_verify_machine_formats_are_byte_deterministic(capsys):
     first = run_cli(capsys, "verify", "roots", "--format", "json")
     second = run_cli(capsys, "verify", "roots", "--format", "json")
