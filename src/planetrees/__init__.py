@@ -14,7 +14,6 @@ from .asymptotics import (
     alpha,
     alpha_bounds,
     ck,
-    eval_gk,
     eval_gk_with_derivative,
     eval_sk,
     growth_constants,
@@ -40,8 +39,6 @@ from .series import (
     count_trees_by_compositions,
     count_with_root_label,
     gk_series,
-    series_from_json,
-    series_invert_unit,
     series_to_json,
     sk_series,
 )
@@ -100,7 +97,6 @@ __all__ = [
     "enumerate_closed_walks",
     "enumerate_decreasing_trees",
     "enumerate_unordered_shapes",
-    "eval_gk",
     "eval_gk_with_derivative",
     "eval_sk",
     "format_tree",
@@ -120,8 +116,6 @@ __all__ = [
     "parse_tree",
     "parse_walk",
     "random_plane_tree",
-    "series_from_json",
-    "series_invert_unit",
     "series_to_json",
     "sk_series",
     "stevanovic_bounds",

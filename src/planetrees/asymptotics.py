@@ -18,21 +18,19 @@ Its correctness rests on neither the seed nor concavity.  The seed is a
 fitted large-k expansion of alpha, within 4.1e-11 relative of the root
 from k = 20, so one derivative pass finds the root for k >= 13: Newton
 returns its last iterate plus the step without evaluating there again.
-The certificate is the positivity predicate of the float chain
-(``_chain``), which is monotone in z and read at the two ends of a bracket
-centred on the Newton root: one chain pass per end.  For k <=
-EXACT_CERTIFICATE_MAX_K both ends are then checked by an outward-rounded
-fixed-point chain (``_chain_positive_certified``), exact rationals only
-when it cannot decide, so every root that ``_root`` returns there, for
-``zstar``, ``growth_constants`` and ``leaning_lambda1`` alike, is
-certified under rounding.  c needs g'_(k-1) at the root, one more
-derivative pass at the bracket midpoint.
+The certificate is a positivity test of the chain, monotone in z, read at
+the two ends of a bracket centred on the Newton root: one chain pass per
+end.  Which test, and what it proves, is the rule of ``RootBracket``; it
+holds for ``zstar``, ``growth_constants`` and ``leaning_lambda1`` alike.
+c needs g'_(k-1) at the root, one more derivative pass at the bracket
+midpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 #: default bracket width for root location (double precision)
 DEFAULT_ROOT_TOL = 1e-12
@@ -54,11 +52,15 @@ class BeyondRoot:
 class RootBracket:
     """Certified interval [lo, hi] around the smallest positive root of s_k.
 
-    The chain is verified positive at lo and verified to fail positivity at
-    hi: for k <= EXACT_CERTIFICATE_MAX_K by an outward-rounded fixed-point
-    chain, exact rationals only when it cannot decide, and in floats above
-    (except in the exactly-solvable k = 1 case, where both endpoints are the
-    algebraic root 1).
+    The certificate rule: one positivity test of the chain holds at lo and
+    fails at hi, and the bracket is no wider than the width asked for or
+    the float floor of 16 ulps, whichever is larger.  For k <=
+    EXACT_CERTIFICATE_MAX_K the test is the outward-rounded fixed-point
+    chain (``_chain_positive_certified``, exact rationals only when it
+    cannot decide), so the bracket is certified under rounding.  Above, it
+    is the sign of the float chain, which is not rigorous once the bracket
+    is as narrow as the rounding error.  k = 1 is exact: both ends are the
+    algebraic root 1.
     """
 
     k: int
@@ -100,11 +102,6 @@ def _chain(z: float, k: int) -> tuple[int, float]:
         if s <= 0.0:
             return j, s
     return k, s
-
-
-def eval_gk(z: float, k: int) -> float:
-    """Evaluate the counting series g_k(z) inside its disc of convergence."""
-    return eval_gk_with_derivative(z, k)[0]
 
 
 def eval_gk_with_derivative(z: float, k: int) -> tuple[float, float]:
@@ -153,29 +150,17 @@ def zstar_upper_bound(k: int) -> float:
 
 
 def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
-    """Certified bracket, no wider than ``tol``, for the smallest positive
-    root of s_k.
+    """Bracket for the smallest positive root of s_k, certified by the rule
+    of ``RootBracket`` and no wider than ``tol`` or 16 ulps.
 
     The bracket is centred on the Newton root of ``_root``, each end tol/4
-    from it but never closer than 8 ulps, with the float chain positive at
-    lo and not positive at hi, both inside the proved bounds; where the
-    float chain cannot tell points that close apart, it is narrowed by
-    bisection down to ``tol`` or to the float floor of 16 ulps.  That
-    usually costs one derivative pass and two chain passes of k steps
-    (from k = 13; up to three derivative passes below).  k = 1 is
-    returned exactly: s_1 = 1 - z has root 1, which coincides with the
-    lower bound, so no strictly-positive certificate to its left exists
-    within the proved bounds.
-
-    For k <= EXACT_CERTIFICATE_MAX_K ``_root`` then checks both endpoints
-    with an outward-rounded fixed-point chain, exact rationals only when it
-    cannot decide (every chain member positive at lo, not at hi); an
-    endpoint that fails, because rounding in the float chain misjudged a
-    point within a few ulps of the root, is stepped outward one float at a
-    time until it holds, so the bracket may end a few ulps wider than
-    ``tol``.  Above that limit the certificate is float-only: it rests on
-    the float evaluation of the chain, which is not rigorous under rounding
-    once the bracket is as narrow as the rounding error.
+    from it but never closer than 8 ulps, both inside the proved bounds;
+    where the chain test cannot tell points that close apart, it is
+    narrowed by bisection.  That usually costs one derivative pass and two
+    chain passes of k steps (from k = 13; up to three derivative passes
+    below).  k = 1 is returned exactly: s_1 = 1 - z has root 1, which
+    coincides with the lower bound, so no strictly-positive certificate to
+    its left exists within the proved bounds.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -213,28 +198,23 @@ _NEWTON_CURVATURE = 0.6
 
 
 def _root(k: int, width: float) -> tuple[float, float]:
-    """(lo, hi) around the smallest positive root of s_k.
+    """(lo, hi) around the smallest positive root of s_k, under the
+    certificate rule of ``RootBracket``.
 
     Newton finds the root to float precision whatever ``width`` is: from
     the fitted seed that takes one derivative pass for k >= 13, and at most
-    three below.  [lo, hi] is centred on the root and holds the float
-    certificate (chain positive at lo, not at hi, both inside the proved
-    bounds); it is no wider than ``width`` unless the float floor of 16 ulps
-    stops it first.  For k <= EXACT_CERTIFICATE_MAX_K an end that
-    ``_chain_positive_certified`` rejects is stepped outward one float at a
-    time until it holds.
+    three below.  The chain test is picked once, here:
+    ``_chain_positive_certified`` for k <= EXACT_CERTIFICATE_MAX_K and the
+    sign of the float chain above.  ``_certify`` reads every point with it,
+    so [lo, hi] passes it at lo, fails it at hi, lies inside the proved
+    bounds and is no wider than ``width`` or the float floor of 16 ulps.
     """
     if k == 1:
         return 1.0, 1.0
     lower = zstar_lower_bound(k)
     upper = min(1.0, zstar_upper_bound(k))
-    lo, hi = _certify(k, _newton(k, lower, upper), width, lower, upper)
-    if k <= EXACT_CERTIFICATE_MAX_K:
-        while not _chain_positive_certified(lo, k):
-            lo = math.nextafter(lo, 0.0)
-        while _chain_positive_certified(hi, k):
-            hi = math.nextafter(hi, math.inf)
-    return lo, hi
+    positive = _chain_positive_certified if k <= EXACT_CERTIFICATE_MAX_K else _float_chain_positive
+    return _certify(k, _newton(k, lower, upper), width, lower, upper, positive)
 
 
 def _seed(k: int) -> float:
@@ -278,15 +258,22 @@ def _newton(k: int, lo: float, hi: float) -> float:
         z = following
 
 
-def _certify(k: int, root: float, width: float, lower: float, upper: float) -> tuple[float, float]:
+def _certify(
+    k: int,
+    root: float,
+    width: float,
+    lower: float,
+    upper: float,
+    positive: Callable[[float, int], bool],
+) -> tuple[float, float]:
     """A bracket no wider than ``width``, or than the float floor of
-    2 * _ROUNDING_ULPS ulps, with the float chain positive at lo and not
-    positive at hi.
+    2 * _ROUNDING_ULPS ulps, with the chain test ``positive(z, k)`` true at
+    lo and false at hi.
 
     Tries root -/+ max(width/4, _ROUNDING_ULPS ulps) first.  An end the
-    float chain rejects is stepped outward, doubling its distance from the
-    root, until it holds; each rejected point then bounds the other side,
-    and bisection narrows what is left.  Ends never pass the proved bounds
+    test rejects is stepped outward, doubling its distance from the root,
+    until it holds; each rejected point then bounds the other side, and
+    bisection narrows what is left.  Ends never pass the proved bounds
     ``lower`` and ``upper``.
     """
     floor = _ROUNDING_ULPS * math.ulp(root)
@@ -295,7 +282,7 @@ def _certify(k: int, root: float, width: float, lower: float, upper: float) -> t
     reach = offset
     while lo is None:
         z = max(root - reach, lower)
-        if _chain(z, k)[1] > 0.0:
+        if positive(z, k):
             lo = z
         elif z == lower:
             raise RuntimeError(f"positivity fails at the lower seed {z} for k={k}")
@@ -304,7 +291,7 @@ def _certify(k: int, root: float, width: float, lower: float, upper: float) -> t
     reach = offset
     while hi is None:
         z = min(root + reach, upper)
-        if _chain(z, k)[1] <= 0.0:
+        if not positive(z, k):
             hi = z
         elif z == upper:
             raise RuntimeError(f"positivity unexpectedly holds at the upper seed {z} for k={k}")
@@ -312,11 +299,16 @@ def _certify(k: int, root: float, width: float, lower: float, upper: float) -> t
             lo, reach = z, 2.0 * reach
     while hi - lo > max(width, 2.0 * floor):
         mid = 0.5 * (lo + hi)
-        if _chain(mid, k)[1] > 0.0:
+        if positive(mid, k):
             lo = mid
         else:
             hi = mid
     return lo, hi
+
+
+def _float_chain_positive(z: float, k: int) -> bool:
+    """Whether s_1(z), ..., s_k(z) are all positive in the float chain."""
+    return _chain(z, k)[1] > 0.0
 
 
 def _chain_positive_certified(z: float, k: int) -> bool:
@@ -375,21 +367,20 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
 
     Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
     precision at every ``tol``, so ``tol`` sets only the width of the
-    certified bracket, tol * zlow^2 with zlow the proved lower bound, which
-    keeps the propagated error of alpha = 1/midpoint below ``tol``.  For
-    k - 1 <= EXACT_CERTIFICATE_MAX_K ``_root`` certifies that bracket under
-    rounding, as for ``zstar``; above, it holds as far as the float chain
-    goes, to about 1e-13 * alpha: rounding in the chain moves the Newton
-    root, and the float certificate with it, by some ulps, so against
-    50-digit roots alpha is off by 8.3e-13 at k = 301, 2.1e-12 at k = 501
-    and 9.1e-12 at k = 3001 (6.2e-14 relative at most for k <= 10^6),
-    whatever ``tol`` is.  A smaller ``tol`` is not honoured there until the
-    bracket is certified under rounding (the ROADMAP item "One
-    outward-rounded certificate for every root bracket and every lambda1
-    bracket").  c is 1/g'_(k-1) at the midpoint, from one more derivative
-    pass; of its 17 printed digits only about 12 are right near k = 300
-    (relative error 6.3e-13 at k = 301 against 50-digit references,
-    7.7e-15 at k = 101).
+    bracket, tol * zlow^2 with zlow the proved lower bound, which keeps the
+    propagated error of alpha = 1/midpoint below ``tol``.  The bracket is
+    certified by the rule of ``RootBracket``; where that rule rests on the
+    float chain (k - 1 > EXACT_CERTIFICATE_MAX_K), alpha holds only to
+    about 1e-13 * alpha: rounding in the chain moves the Newton root, and
+    the float certificate with it, by some ulps, so against 50-digit roots
+    alpha is off by 8.3e-13 at k = 301, 2.1e-12 at k = 501 and 9.1e-12 at
+    k = 3001 (6.2e-14 relative at most for k <= 10^6), whatever ``tol`` is.
+    A smaller ``tol`` is not honoured there until the bracket is certified
+    under rounding (the ROADMAP item "One outward-rounded certificate for
+    every root bracket and every lambda1 bracket").  c is 1/g'_(k-1) at the
+    midpoint, from one more derivative pass; of its 17 printed digits only
+    about 12 are right near k = 300 (relative error 6.3e-13 at k = 301
+    against 50-digit references, 7.7e-15 at k = 101).
     """
     if k < 2:
         raise ValueError("growth constants are defined for k >= 2")
@@ -404,10 +395,10 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
 def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Exponential growth rate of the counts with k labels: 1/zstar_(k-1).
 
-    The root is found to float precision and certified by a bracket narrow
-    enough to keep the propagated error of the reciprocal below ``tol``, as
-    far as the float chain goes: to about 1e-13 * alpha (see
-    ``growth_constants``).
+    The root is found to float precision and certified, by the rule of
+    ``RootBracket``, in a bracket narrow enough to keep the propagated
+    error of the reciprocal below ``tol``; where that rule rests on the
+    float chain, only to about 1e-13 * alpha (see ``growth_constants``).
     """
     return growth_constants(k, tol)[0]
 

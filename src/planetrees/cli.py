@@ -78,8 +78,8 @@ def _switch(raw: str) -> bool:
 _ENV_OPTIONS = {
     "format": (str, FORMATS, "text"),
     "tol": (float, None, None),
-    "max_n": (int, None, None),
-    "max_k": (int, None, None),
+    "max_n": (int, None, 8),
+    "max_k": (int, None, 6),
     "method": (str, METHODS, "series"),
     "order": (int, None, None),
     "unsafe_limits": (_switch, None, False),
@@ -285,8 +285,7 @@ def cmd_count(args, config: RunConfig) -> int:
 
 
 def cmd_table(args, config: RunConfig) -> int:
-    max_n = args.max_n if args.max_n is not None else 8
-    max_k = args.max_k if args.max_k is not None else 6
+    max_n, max_k = args.max_n, args.max_k
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
     columns = ["n"] + [f"k={k}" for k in range(1, max_k + 1)]
@@ -308,15 +307,11 @@ def cmd_series(args, config: RunConfig) -> int:
 
 
 def cmd_root(args, config: RunConfig) -> int:
-    """Root brackets of s_1..s_K, each centred on the Newton root and no
-    wider than the tolerance, or than 16 ulps of the root where the float
-    resolution stops it first.  A row costs one derivative pass of k steps
-    from the fitted seed (up to three for k < 13) and two chain passes for
-    the certificate.  Up to ``asymptotics.EXACT_CERTIFICATE_MAX_K`` both
-    ends are checked by an outward-rounded fixed-point chain, exact
-    rationals only when it cannot decide; above it a bracket rests on the
-    float chain, so a tol near the float resolution still gives only a
-    float certificate there."""
+    """Root brackets of s_1..s_K, each centred on the Newton root and
+    certified by the rule of ``asymptotics.RootBracket``: no wider than the
+    tolerance or 16 ulps.  A row costs one derivative pass of k steps from
+    the fitted seed (up to three for k < 13) and two chain passes for the
+    certificate."""
     if args.k < 1:
         raise ValueError("k must be positive")
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
@@ -339,12 +334,10 @@ def cmd_root(args, config: RunConfig) -> int:
 
 def cmd_alpha(args, config: RunConfig) -> int:
     """Growth constants for k = 2..K at float precision, alpha certified
-    within the tolerance by a root bracket as in ``cmd_root``: by the
-    outward-rounded fixed-point chain, exact rationals only when it cannot
-    decide, for k - 1 <= ``asymptotics.EXACT_CERTIFICATE_MAX_K``, and above
-    as far as the float chain goes (about 1e-13 * alpha, see
-    ``asymptotics.growth_constants``); c from one more derivative pass at
-    the bracket midpoint."""
+    within the tolerance by a root bracket as in ``cmd_root`` (where the
+    rule of ``asymptotics.RootBracket`` rests on the float chain, only to
+    about 1e-13 * alpha, see ``asymptotics.growth_constants``); c from one
+    more derivative pass at the bracket midpoint."""
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]

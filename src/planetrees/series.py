@@ -34,11 +34,11 @@ numbers live here:
 The engines work on plain lists of Python ints, and every truncated
 division goes through the one kernel ``_quotient``: the B/A reads of the
 rational part and of 1/s_k, the inversions above the split label,
-``sk_series``, ``series_invert_unit`` and the first-return walk series of
-``spectral``.  A denominator of deg B_m + 1 terms and one as long as the
-series run the same loop.  ``_complement_inverse_products`` prices a read
-of 1/s_k for the walk guard of ``spectral``, so the split rule is read in
-this module alone.  ``count_trees_by_compositions`` keeps its own
+``sk_series`` and the first-return walk series of ``spectral``.  A
+denominator of deg B_m + 1 terms and one as long as the series run the
+same loop.  ``_complement_inverse_products`` prices a read of 1/s_k for
+the walk guard of ``spectral``, so the split rule is read in this module
+alone.  ``count_trees_by_compositions`` keeps its own
 convolution loop on purpose: it is the independent oracle of the
 three-way agreement, so it shares no code with the engine it checks.
 Every inner product is one ``sum(map(operator.mul, ...))``, and the
@@ -60,7 +60,7 @@ from itertools import islice, zip_longest
 from typing import Iterator, Sequence
 
 from .errors import LimitError
-from .intstr import int_to_str, str_to_int
+from .intstr import int_to_str
 
 #: largest n for which the literal composition sweep (2^(n-2) terms) is allowed
 LITERAL_COMPOSITION_LIMIT = 12
@@ -99,17 +99,6 @@ def _quotient(num: Sequence[int], negated_tail: list[int], order: int) -> list[i
     for m in range(order):
         c.append(sum(map(operator.mul, negated_tail, reversed(c)), num[m] if m < leads else 0))
     return c
-
-
-def series_invert_unit(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo z^order of a series with constant term 1.
-
-    The inverse has integer coefficients and satisfies s * t == 1 modulo
-    z^order.  Rejects any other constant term.
-    """
-    if s.coeffs[0] != 1:
-        raise ValueError("series_invert_unit requires constant term exactly 1")
-    return TruncatedSeries(tuple(_quotient((1,), [-c for c in s.coeffs[1:]], s.order)))
 
 
 def gk_series(k: int, order: int) -> TruncatedSeries:
@@ -313,15 +302,6 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 def series_to_json(s: TruncatedSeries) -> str:
     """Serialise as a JSON array of decimal strings, preserving big integers."""
     return json.dumps([int_to_str(c) for c in s.coeffs], separators=(",", ":"))
-
-
-def series_from_json(text: str) -> TruncatedSeries:
-    """Read ``series_to_json`` output: each item a string of an optional
-    sign and ASCII digits.  Raises ValueError on anything else."""
-    data = json.loads(text)
-    if not isinstance(data, list) or not data:
-        raise ValueError("expected a nonempty JSON array of decimal strings")
-    return TruncatedSeries(tuple(str_to_int(item) for item in data))
 
 
 def _require_positive(**named: int) -> None:

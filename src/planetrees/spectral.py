@@ -45,7 +45,7 @@ from . import asymptotics, series
 from .errors import LimitError
 from .trees import PlaneTree, node_count, plan_max_degree, plan_node_count, subtree_plan
 
-#: default work cap for single-vertex walk counts (node count times half-length)
+#: work cap for single-vertex walk counts (node count times half-length)
 WALK_WORK_LIMIT = 5_000_000
 #: cap on node count times half-length squared for single-vertex walk counts:
 #: the counts gain digits at every step, so the arithmetic and the decimal
@@ -72,23 +72,16 @@ def adjacency_lists(t: PlaneTree) -> list[list[int]]:
     return adj
 
 
-def walk_count_table(
-    t: PlaneTree,
-    max_length: int,
-    vertex: int = 0,
-    *,
-    max_work: float = WALK_WORK_LIMIT,
-    max_growth: float = WALK_GROWTH_LIMIT,
-) -> dict[int, int]:
+def walk_count_table(t: PlaneTree, max_length: int, vertex: int = 0) -> dict[int, int]:
     """Closed-walk counts from ``vertex`` for every even length up to ``max_length``.
 
     One replay serves all lengths: after m applications of the adjacency
     operator to the indicator vector, the entry at ``vertex`` is the count of
-    closed m-walks.  The work is capped at ``max_work`` for node count times
-    half-length and at ``max_growth`` for node count times half-length
-    squared (pass ``math.inf`` to lift either cap).
+    closed m-walks.  The work is capped at ``WALK_WORK_LIMIT`` for node
+    count times half-length and at ``WALK_GROWTH_LIMIT`` for node count
+    times half-length squared.
     """
-    return _replay(t, node_count(t), max_length, vertex, max_work, max_growth)
+    return _replay(t, node_count(t), max_length, vertex, WALK_WORK_LIMIT, WALK_GROWTH_LIMIT)
 
 
 def _replay(
@@ -146,12 +139,7 @@ def leaning_walk_growth(order: int, half_length: int, **budgets: float) -> float
     return _int_root(leaning_walk_counts(order, length, **budgets)[length], 1.0 / length)
 
 
-def walk_growth_estimate(
-    t: PlaneTree,
-    half_length: int,
-    *,
-    max_work: int = WALK_WORK_LIMIT,
-) -> float:
+def walk_growth_estimate(t: PlaneTree, half_length: int) -> float:
     """Root walk-growth estimate ``count^(1/length)``.
 
     The root count comes from first return over the distinct labelled
@@ -159,14 +147,15 @@ def walk_growth_estimate(
     (half-length - depth + 1)^2 over the shapes no deeper than the
     half-length, is at most ``FIRST_RETURN_COST_RATIO`` times node count
     times half-length, the work of the adjacency replay of
-    ``walk_count_table``, and at most ``max_work``, its budget.  Other
-    trees take the replay, under its own budgets.  Both give the same
+    ``walk_count_table``, and at most ``WALK_WORK_LIMIT``, its budget.
+    Other trees take the replay, under its own budgets.  Both give the same
     exact count.  The work is summed over shapes, not objects, so a tree
     with many repeated subtrees takes first return, and stays within the
     budget, at half-lengths where the replay is refused.
     """
     plan = subtree_plan(t)
-    return plan_walk_growth(plan, plan_node_count(plan), half_length, max_work)
+    size = plan_node_count(plan)
+    return plan_walk_growth(plan, size, half_length, WALK_WORK_LIMIT, WALK_GROWTH_LIMIT)
 
 
 def plan_walk_growth(
@@ -267,12 +256,12 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     Every order-j vertex has the pivot d_j = d_(j-1) - 1/d_(j-1), d_0 = x, so
     z = 1/x^2 and s_j = d_j/x give the complement chain s_j = s_(j-1) -
     z/s_(j-1) of ``asymptotics``, and the eigenvalue is 1/sqrt(zstar_order).
-    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi] (under
-    rounding up to ``asymptotics.EXACT_CERTIFICATE_MAX_K``, as for ``zstar``)
-    no wider than tol * zlow^(3/2), with zlow the proved lower bound on the
-    root, read as x = [1/sqrt(hi), 1/sqrt(lo)]: since dx/dz = -x^3/2, that
-    is at most tol/2 wide in x.  O(order) per point, so this works for
-    orders far beyond what an explicit 2^order-vertex tree allows.
+    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi], by
+    the rule of ``asymptotics.RootBracket``, no wider than tol * zlow^(3/2),
+    with zlow the proved lower bound on the root, read as
+    x = [1/sqrt(hi), 1/sqrt(lo)]: since dx/dz = -x^3/2, that is at most
+    tol/2 wide in x.  O(order) per point, so this works for orders far
+    beyond what an explicit 2^order-vertex tree allows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -53,8 +53,8 @@ from typing import Iterable, Iterator
 from .errors import LimitError, TreeParseError
 from .series import count_trees, count_with_root_label
 
-#: default cap on the k(k + 1)/2 child references of the leaning tree of order
-#: k, which building it and each plan pass touch (k = 2000: ``lambda1`` in 1 s)
+#: cap on the k(k + 1)/2 child references of the leaning tree of order k,
+#: which building it and each plan pass touch (k = 2000: ``lambda1`` in 1 s)
 LEANING_REFERENCE_LIMIT = 2_001_000
 #: default cap on the exact number of trees yielded, which sets the cost: the
 #: 5,510,096 of (n, k) = (8, 7) take about 1.7 s and 24 MB peak RSS through
@@ -338,18 +338,19 @@ def is_decreasing(t: PlaneTree, k: int) -> bool:
     return True
 
 
-def leaning_tree(k: int, *, max_references: float = LEANING_REFERENCE_LIMIT) -> PlaneTree:
+def leaning_tree(k: int) -> PlaneTree:
     """Regular leaning tree of order k, with every node labelled order + 1.
 
     The labelling makes it a valid decreasing tree with root label k + 1:
     a node of order j has children of orders j-1, ..., 0.  Subtree objects
     are shared, so this is O(k^2) to build despite the 2^k logical nodes:
-    its k(k + 1)/2 child references must not exceed ``max_references``.
+    its k(k + 1)/2 child references must not exceed ``LEANING_REFERENCE_LIMIT``.
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
-    if k * (k + 1) // 2 > max_references:
-        raise LimitError(f"leaning tree limited to {max_references:,} child references (order {k})")
+    limit = LEANING_REFERENCE_LIMIT
+    if k * (k + 1) // 2 > limit:
+        raise LimitError(f"leaning tree limited to {limit:,} child references (order {k})")
     levels: list[PlaneTree] = [PlaneTree(1)]
     for j in range(1, k + 1):
         levels.append(PlaneTree(j + 1, tuple(levels[i] for i in range(j - 1, -1, -1))))

@@ -150,16 +150,17 @@ def _minimal_values(plan: list) -> list[int]:
     return values
 
 
-def uh_min_bruteforce(t: PlaneTree, *, max_nodes: int = BRUTEFORCE_NODE_LIMIT) -> int:
+def uh_min_bruteforce(t: PlaneTree) -> int:
     """Minimum over all products of child permutations, by exhaustion: at
-    each node, every distinct ordering of its children's minimal numbers."""
+    each node, every distinct ordering of its children's minimal numbers,
+    for trees of at most ``BRUTEFORCE_NODE_LIMIT`` nodes."""
     # count the nodes only as far as the limit
     seen = 0
     stack = [t]
     while stack:
         seen += 1
-        if seen > max_nodes:
-            raise LimitError(f"brute-force ordering sweep limited to {max_nodes} nodes")
+        if seen > BRUTEFORCE_NODE_LIMIT:
+            raise LimitError(f"brute-force ordering sweep limited to {BRUTEFORCE_NODE_LIMIT} nodes")
         stack.extend(stack.pop().children)
 
     def minimal(node: PlaneTree) -> int:

@@ -12,7 +12,6 @@ from planetrees import (
     alpha,
     alpha_bounds,
     ck,
-    eval_gk,
     eval_gk_with_derivative,
     eval_sk,
     gk_series,
@@ -208,21 +207,58 @@ def test_small_k_roots_never_need_exact_rationals(monkeypatch):
 
 
 def test_every_small_k_root_is_certified(monkeypatch):
-    # zstar, growth_constants and leaning_lambda1 share _root, and with it
-    # the certificate up to EXACT_CERTIFICATE_MAX_K
-    checked = []
-    certified = asymptotics._chain_positive_certified
+    # zstar, growth_constants and leaning_lambda1 share _root, which picks
+    # one chain test per root: the fixed-point chain up to
+    # EXACT_CERTIFICATE_MAX_K, where the float chain is never read, and the
+    # float chain alone above.  A Newton root moved off by 1e-9 relative
+    # makes _certify step outward and bisect, so those loops read the test too
+    checked, floated = [], []
+    certified, chain = asymptotics._chain_positive_certified, asymptotics._chain
+    newton = asymptotics._newton
     monkeypatch.setattr(
         asymptotics, "_chain_positive_certified", lambda z, k: checked.append(k) or certified(z, k)
     )
-    for k in range(2, 13):
-        for root in (lambda: zstar(k), lambda: growth_constants(k + 1), lambda: leaning_lambda1(k)):
-            checked.clear()
-            root()
-            if k <= asymptotics.EXACT_CERTIFICATE_MAX_K:
-                assert len(checked) >= 2 and set(checked) == {k}, k
-            else:
-                assert not checked, k
+    monkeypatch.setattr(asymptotics, "_chain", lambda z, k: floated.append(k) or chain(z, k))
+    for shift in (0.0, 1e-9, -1e-9):
+        monkeypatch.setattr(asymptotics, "_newton", lambda *args: newton(*args) * (1 + shift))
+        reads = 2 if shift == 0.0 else 5
+        for k in range(2, 13):
+            small = k <= asymptotics.EXACT_CERTIFICATE_MAX_K
+            roots = (lambda: zstar(k), lambda: growth_constants(k + 1), lambda: leaning_lambda1(k))
+            for root in roots:
+                checked.clear()
+                floated.clear()
+                root()
+                used, unused = (checked, floated) if small else (floated, checked)
+                assert len(used) >= reads and set(used) == {k} and not unused, (k, shift)
+            if small:
+                bracket = zstar(k, 1e-16)
+                assert _chain_positive(bracket.lo, k) and not _chain_positive(bracket.hi, k), k
+
+
+def test_small_k_brackets_meet_the_width_rule(monkeypatch):
+    # every bracket that zstar, growth_constants and leaning_lambda1 take
+    # from _root is at most max(width, 16 ulps) wide and passes the
+    # fixed-point chain at lo, not at hi
+    brackets = []
+    root = asymptotics._root
+
+    def recorded(k, width):
+        brackets.append((k, width, root(k, width)))
+        return brackets[-1][2]
+
+    monkeypatch.setattr(asymptotics, "_root", recorded)
+    for k in range(2, 11):
+        for tol in (1e-6, 1e-12, 1e-16, 1e-20, 1e-30):
+            brackets.clear()
+            zstar(k, tol)
+            growth_constants(k + 1, tol)
+            leaning_lambda1(k, tol)
+            assert [entry[0] for entry in brackets] == [k, k, k], (k, tol)
+            for _, width, (lo, hi) in brackets:
+                assert hi - lo <= max(width, 16 * math.ulp(hi)), (k, tol, width)
+                assert asymptotics._chain_positive_certified(lo, k), (k, tol, width)
+                assert not asymptotics._chain_positive_certified(hi, k), (k, tol, width)
 
 
 def test_growth_constants_match_separate_bisections():
@@ -250,7 +286,8 @@ def test_dual_derivative_matches_finite_differences():
     for i in range(1, 11):
         z = root * i / 11.0
         derivative = eval_gk_with_derivative(z, k)[1]
-        numeric = (eval_gk(z + step, k) - eval_gk(z - step, k)) / (2 * step)
+        above, below = eval_gk_with_derivative(z + step, k), eval_gk_with_derivative(z - step, k)
+        numeric = (above[0] - below[0]) / (2 * step)
         assert derivative == pytest.approx(numeric, rel=1e-5)
 
 
@@ -360,12 +397,12 @@ def test_eval_gk_matches_series_partial_sums():
     z = 0.05
     g = gk_series(4, 60)
     partial = sum(c * z**i for i, c in enumerate(g.coeffs))
-    assert eval_gk(z, 4) == pytest.approx(partial, rel=1e-12)
+    assert eval_gk_with_derivative(z, 4)[0] == pytest.approx(partial, rel=1e-12)
 
 
 def test_eval_gk_rejects_pole():
     with pytest.raises(ValueError):
-        eval_gk(0.9, 3)  # beyond the first chain root
+        eval_gk_with_derivative(0.9, 3)  # beyond the first chain root
 
 
 def test_alpha_values():

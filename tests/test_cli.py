@@ -417,6 +417,24 @@ def test_unsafe_limits_loosens_guards(capsys):
     assert code == 0 and out.strip() == "6610331"
 
 
+def test_table_defaults_live_in_the_environment_table(capsys, monkeypatch):
+    assert cli._ENV_OPTIONS["max_n"][2] == 8 and cli._ENV_OPTIONS["max_k"][2] == 6
+    _, default, _ = run_cli(capsys, "table", "--format", "csv")
+    _, flagged, _ = run_cli(capsys, "table", "--max-n", "8", "--max-k", "6", "--format", "csv")
+    assert default == flagged and len(default.splitlines()) == 9
+    assert default.splitlines()[0] == "n,k=1,k=2,k=3,k=4,k=5,k=6"
+    monkeypatch.setenv("PLANETREES_MAX_N", "3")
+    monkeypatch.setenv("PLANETREES_MAX_K", "2")
+    assert run_cli(capsys, "table", "--format", "csv")[1].splitlines() == [
+        "n,k=1,k=2",
+        "1,1,2",
+        "2,0,1",
+        "3,0,1",
+    ]
+    _, flagged, _ = run_cli(capsys, "table", "--max-n", "8", "--max-k", "6", "--format", "csv")
+    assert flagged == default
+
+
 def test_max_n_and_max_k_belong_to_table(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--max-k", "2", "--format", "csv")
     assert code == 0 and out.splitlines() == ["n,k=1,k=2", "1,1,2", "2,0,1"]

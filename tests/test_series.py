@@ -1,5 +1,7 @@
 """Series arithmetic and the three counting routes."""
 
+import json
+import sys
 from math import comb
 
 import pytest
@@ -13,8 +15,6 @@ from planetrees import (
     count_trees_by_compositions,
     count_with_root_label,
     gk_series,
-    series_from_json,
-    series_invert_unit,
     series_to_json,
     sk_series,
 )
@@ -32,45 +32,41 @@ def naive_product(a, b):
     return tuple(out)
 
 
+def invert_unit(coeffs):
+    """The inverse modulo z^len(coeffs) of a series with constant term 1,
+    from the division kernel."""
+    assert coeffs[0] == 1
+    return tuple(series._quotient((1,), [-c for c in coeffs[1:]], len(coeffs)))
+
+
 def test_invert_geometric():
-    s = TruncatedSeries((1, -1, 0, 0, 0, 0))
-    assert series_invert_unit(s).coeffs == (1, 1, 1, 1, 1, 1)
+    assert invert_unit((1, -1, 0, 0, 0, 0)) == (1, 1, 1, 1, 1, 1)
 
 
 def test_invert_identity():
-    one = TruncatedSeries((1, 0, 0, 0))
-    assert series_invert_unit(one).coeffs == (1, 0, 0, 0)
+    assert invert_unit((1, 0, 0, 0)) == (1, 0, 0, 0)
 
 
 def test_invert_fibonacci():
-    s = TruncatedSeries((1, -1, -1, 0, 0))
-    inv = series_invert_unit(s)
-    assert inv.coeffs == (1, 1, 2, 3, 5)
+    s = (1, -1, -1, 0, 0)
+    inv = invert_unit(s)
+    assert inv == (1, 1, 2, 3, 5)
     # multiply back: must be 1 modulo z^5
-    assert naive_product(s.coeffs, inv.coeffs) == (1, 0, 0, 0, 0)
-
-
-def test_invert_rejects_nonunit():
-    with pytest.raises(ValueError):
-        series_invert_unit(TruncatedSeries((2, 1)))
-    with pytest.raises(ValueError):
-        series_invert_unit(TruncatedSeries((0, 1)))
+    assert naive_product(s, inv) == (1, 0, 0, 0, 0)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=10))
 @settings(max_examples=200)
 def test_invert_roundtrip_random_units(tail):
-    s = TruncatedSeries((1, *tail))
-    product = naive_product(s.coeffs, series_invert_unit(s).coeffs)
-    assert product == (1,) + (0,) * len(tail)
+    s = (1, *tail)
+    assert naive_product(s, invert_unit(s)) == (1,) + (0,) * len(tail)
 
 
 @given(st.lists(st.integers(min_value=-(2**200), max_value=2**200), min_size=0, max_size=40))
 @settings(max_examples=100)
 def test_invert_roundtrip_big_coefficients(tail):
-    s = TruncatedSeries((1, *tail))
-    product = naive_product(s.coeffs, series_invert_unit(s).coeffs)
-    assert product == (1,) + (0,) * len(tail)
+    s = (1, *tail)
+    assert naive_product(s, invert_unit(s)) == (1,) + (0,) * len(tail)
 
 
 @st.composite
@@ -340,17 +336,22 @@ def test_parameter_validation():
             gk_series(1, bad)
 
 
+def read_series_json(text):
+    """The coefficients of ``series_to_json`` text, read with the standard library."""
+    return tuple(int(item) for item in json.loads(text))
+
+
 def test_series_json_roundtrip():
     s = gk_series(3, 4)
     text = series_to_json(s)
     assert text == '["0","3","3","6"]'
-    assert series_from_json(text) == s
+    assert read_series_json(text) == s.coeffs
 
 
 def test_series_json_preserves_big_integers():
     s = gk_series(4, 61)
     assert s.coeffs[60] > 10**30  # far beyond any fixed-width integer
-    assert series_from_json(series_to_json(s)) == s
+    assert read_series_json(series_to_json(s)) == s.coeffs
 
 
 def test_count_by_compositions_needs_no_recursion():
@@ -362,29 +363,13 @@ def test_count_by_compositions_needs_no_recursion():
 def test_series_json_roundtrip_past_the_int_string_limit():
     big = 7 ** 6000  # 5071 decimal digits, over CPython's default 4300
     s = TruncatedSeries((1, big, -big))
-    text = series_to_json(s)
+    text = series_to_json(s)  # written under the default limit
     assert len(text) > 2 * 5000
-    assert series_from_json(text) == s
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1.5, 2]",  # a float would be truncated by int()
-        "[true]",  # a bool is an int
-        '["\u0663"]',  # ARABIC-INDIC DIGIT THREE: int() reads 3
-        '["1_000"]',  # int() allows underscores
-        '[" 4 "]',  # int() strips whitespace
-        "[3]",  # a number, not a decimal string
-        '["", "1"]',
-        '["+"]',
-        '["1e3"]',
-    ],
-)
-def test_series_json_accepts_only_decimal_strings(text):
-    with pytest.raises(ValueError):
-        series_from_json(text)
-
-
-def test_series_json_reads_signs():
-    assert series_from_json('["1","-2","+3","007"]').coeffs == (1, -2, 3, 7)
+    # CPython 3.11 and later limit int(text); lifted only to read the text back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        assert read_series_json(text) == s.coeffs
+    finally:
+        set_limit(limit)

@@ -144,11 +144,17 @@ def test_walk_count_table_consistency():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_walk_count_rejects_odd_and_budget():
+def test_walk_count_rejects_odd_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         walk_count_table(leaning_tree(2), 3)
-    with pytest.raises(LimitError):
-        walk_count_table(leaning_tree(10), 40, max_work=100)
+    # 4096 nodes: 4096 * 351 = 1,437,696 <= 5,000,000 and
+    # 4096 * 350^2 = 501,760,000 > 500,000,000
+    with pytest.raises(LimitError, match="half-length squared"):
+        walk_count_table(leaning_tree(12), 700)
+    # the caps are read on each call
+    monkeypatch.setattr(spectral, "WALK_WORK_LIMIT", 100)
+    with pytest.raises(LimitError, match=r"\(node count times half-length\)"):
+        walk_count_table(leaning_tree(10), 40)
 
 
 def test_walk_budget_is_checked_before_building():

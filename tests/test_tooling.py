@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import planetrees
 from planetrees import verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,3 +82,16 @@ def _private_names_of_package_modules(path: Path) -> list[str]:
 def test_the_frontends_call_no_private_name_of_another_module(name):
     path = ROOT / "src" / "planetrees" / name
     assert _private_names_of_package_modules(path) == []
+
+
+def test_the_exports_are_sorted_and_are_what_the_package_imports():
+    # a function deleted from its module cannot linger as an export
+    tree = ast.parse((ROOT / "src" / "planetrees" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert planetrees.__all__ == sorted(planetrees.__all__)
+    assert set(planetrees.__all__) == imported

@@ -399,21 +399,25 @@ def test_walk_growth_dispatch_gives_the_replay_value(monkeypatch):
     # under the cost rule, a 2000-node path at half-length 10 first return;
     # a 100-node path at half-length 30 would take first return, but its
     # work of 10,416 is over the budget of 5,000 that the replay's 3,100 fits
+    # (that budget is plan_walk_growth's; walk_growth_estimate has the default)
     routes = []
     replay, first_return = spectral._replay, spectral._root_walk_counts
     monkeypatch.setattr(spectral, "_replay", lambda *a: routes.append("replay") or replay(*a))
     monkeypatch.setattr(
         spectral, "_root_walk_counts", lambda *a: routes.append("first return") or first_return(*a)
     )
-    default = spectral.WALK_WORK_LIMIT
     cases = [
-        (random_plane_tree(100, random.Random(7)), 80, default, "replay"),
-        (path(2000), 10, default, "first return"),
+        (random_plane_tree(100, random.Random(7)), 80, None, "replay"),
+        (path(2000), 10, None, "first return"),
+        (path(100), 30, None, "first return"),
         (path(100), 30, 5000, "replay"),
     ]
     for t, half, budget, route in cases:
         count = walk_count_table(t, 2 * half)[2 * half]
         routes.clear()
-        estimate = walk_growth_estimate(t, half, max_work=budget)
+        if budget is None:
+            estimate = walk_growth_estimate(t, half)
+        else:
+            estimate = spectral.plan_walk_growth(subtree_plan(t), node_count(t), half, budget)
         assert routes == [route]
         assert estimate == math.exp(math.log(count) * (1.0 / (2 * half)))

@@ -99,14 +99,17 @@ def test_leaning_tree_sizes_and_degrees():
         assert max_degree(leaning_tree(k)) == k
 
 
-def test_leaning_tree_guard():
+def test_leaning_tree_guard(monkeypatch):
     # order k has k(k + 1)/2 child references: 2,001,000 at k = 2000
     assert len(leaning_tree(2000).children) == 2000
     with pytest.raises(LimitError, match="2,001,000 child references"):
         leaning_tree(2001)
-    with pytest.raises(LimitError):
-        leaning_tree(3, max_references=5)
-    assert format_tree(leaning_tree(3, max_references=6)) == "4(3(2(1) 1) 2(1) 1)"
+    # the cap is read on each call
+    monkeypatch.setattr(trees, "LEANING_REFERENCE_LIMIT", 5)
+    with pytest.raises(LimitError, match="limited to 5 child references"):
+        leaning_tree(3)
+    monkeypatch.setattr(trees, "LEANING_REFERENCE_LIMIT", 6)
+    assert format_tree(leaning_tree(3)) == "4(3(2(1) 1) 2(1) 1)"
     with pytest.raises(ValueError):
         leaning_tree(-1)
 

@@ -17,7 +17,7 @@ from planetrees import (
     uh_min_bruteforce,
     uh_ordered,
 )
-from planetrees import verify
+from planetrees import ulam_harris, verify
 from planetrees.ulam_harris import _preorder_labels, unordered_shape_levels
 
 
@@ -150,10 +150,13 @@ def test_greedy_equals_bruteforce_exhaustively():
             assert uh_min(shape).uh == uh_min_bruteforce(shape), format_tree(shape)
 
 
-def test_bruteforce_guard():
-    with pytest.raises(LimitError):
+def test_bruteforce_guard(monkeypatch):
+    assert uh_min_bruteforce(chain(9)) == 9
+    with pytest.raises(LimitError, match="limited to 9 nodes"):
         uh_min_bruteforce(chain(10))
-    assert uh_min_bruteforce(chain(10), max_nodes=10) == 10
+    # the cap is read on each call
+    monkeypatch.setattr(ulam_harris, "BRUTEFORCE_NODE_LIMIT", 10)
+    assert uh_min_bruteforce(chain(10)) == 10
 
 
 def test_exchange_argument_soundness():
