@@ -52,6 +52,7 @@ from .spectral import (
 )
 from .trees import (
     PlaneTree,
+    count_trees_by_enumeration,
     enumerate_decreasing_trees,
     format_tree,
     is_decreasing,
@@ -93,6 +94,7 @@ __all__ = [
     "ck",
     "count_trees",
     "count_trees_by_compositions",
+    "count_trees_by_enumeration",
     "count_with_root_label",
     "enumerate_closed_walks",
     "enumerate_decreasing_trees",

@@ -86,6 +86,12 @@ _ENV_OPTIONS = {
 }
 
 
+def _env_help(dest: str) -> str:
+    """The help text's "default D; env PLANETREES_DEST" for an option of
+    ``_ENV_OPTIONS``."""
+    return f"default {_ENV_OPTIONS[dest][2]}; env {ENV_PREFIX}{dest.upper()}"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It reads no
@@ -95,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=FORMATS,
-        help="output format (default text; env PLANETREES_FORMAT)",
+        help=f"output format ({_env_help('format')})",
     )
     common.add_argument(
         "--tol",
         type=float,
-        help="tolerance for iterative numerics (default 1e-10 for eigen, 1e-12 for "
-        "root and alpha; env PLANETREES_TOL)",
+        help=f"tolerance for iterative numerics (default {spectral.DEFAULT_EIGEN_TOL!r} for "
+        f"eigen, {asymptotics.DEFAULT_ROOT_TOL!r} for root and alpha; env {ENV_PREFIX}TOL)",
     )
     common.add_argument(
         "--unsafe-limits",
@@ -129,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("table", parents=[common], help="grid of counts")
-    p.add_argument("--max-n", type=int, help="largest n (default 8; env PLANETREES_MAX_N)")
-    p.add_argument("--max-k", type=int, help="largest k (default 6; env PLANETREES_MAX_K)")
+    p.add_argument("--max-n", type=int, help=f"largest n ({_env_help('max_n')})")
+    p.add_argument("--max-k", type=int, help=f"largest k ({_env_help('max_k')})")
 
     p = sub.add_parser("series", parents=[common], help="counting series coefficients")
     p.add_argument("k", type=int, help="label bound")
@@ -259,8 +265,8 @@ def cmd_count(args, config: RunConfig) -> int:
     methods = {
         "series": lambda: series.count_trees(args.n, args.k),
         "compositions": lambda: series.count_trees_by_compositions(args.n, args.k),
-        "enumerate": lambda: sum(
-            1 for _ in trees.iter_decreasing_trees(args.n, args.k, **config.lifted("max_trees"))
+        "enumerate": lambda: trees.count_trees_by_enumeration(
+            args.n, args.k, **config.lifted("max_trees")
         ),
     }
     if args.all_methods:
@@ -395,30 +401,31 @@ def enumerate_guarded_walks(args, config: RunConfig) -> Iterator[bijection.Walk]
 def cmd_eigen(args, config: RunConfig) -> int:
     half = max(1, args.trace_n)
     budgets = config.lifted("max_work", "max_growth")
+    tol = config.tol or spectral.DEFAULT_EIGEN_TOL
     if args.leaning is not None:
         # no tree: 2^K nodes, degree K, uh K + 1, the rest off the label chain
         k = args.leaning
         if k:
             growth = spectral.leaning_walk_growth(k, half, **budgets)
-        lam = spectral.leaning_lambda1(k, config.tol or 1e-10)
+        lam = spectral.leaning_lambda1(k, tol)
         source, size, delta, uh = f"leaning:{k}", 2**k, k, k + 1
     else:
         # one subtree plan serves size, degree, eigenvalue, uh and walk growth
         tree, plan = trees.parse_plan(args.tree)
         source = args.tree if _canonical(args.tree) else trees.format_tree(tree)
         size, delta = trees.plan_node_count(plan), trees.plan_max_degree(plan)
-        lam = spectral.plan_lambda1(plan, **config.tolerance())
+        lam = spectral.plan_lambda1(plan, tol)
         uh = ulam_harris.plan_uh_number(plan)
         if size > 1:
             growth = spectral.plan_walk_growth(plan, size, half, **budgets)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
         high = 1.0
-    if args.leaning is not None and (config.tol or 1e-10) <= 1e-10:
+    if args.leaning is not None and tol <= spectral.DEFAULT_EIGEN_TOL:
         # the bound is leaning_lambda1(uh - 1 = K) at the tolerance lam used
         leaning_bound = lam
     else:
-        leaning_bound = spectral.leaning_eigen_bound(uh, **config.tolerance())
+        leaning_bound = spectral.leaning_eigen_bound(uh, tol)
     pairs = [
         ("tree", source),
         ("nodes", int_to_str(size)),

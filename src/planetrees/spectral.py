@@ -45,6 +45,11 @@ from . import asymptotics, series
 from .errors import LimitError
 from .trees import PlaneTree, node_count, plan_max_degree, plan_node_count, subtree_plan
 
+#: default width of a largest-eigenvalue bracket (``lambda1`` and its kin),
+#: and the widest that ``leaning_eigen_bound`` reads its value at
+DEFAULT_EIGEN_TOL = 1e-10
+#: default width of the bracket ``leaning_lambda1`` takes its midpoint of
+DEFAULT_LEANING_TOL = 1e-12
 #: work cap for single-vertex walk counts (node count times half-length)
 WALK_WORK_LIMIT = 5_000_000
 #: cap on node count times half-length squared for single-vertex walk counts:
@@ -248,7 +253,7 @@ def stevanovic_bounds(delta: int) -> tuple[float, float]:
     return (math.sqrt(delta), 2.0 * math.sqrt(delta - 1))
 
 
-def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
+def leaning_lambda1(order: int, tol: float = DEFAULT_LEANING_TOL) -> float:
     """Largest eigenvalue of the order-``order`` leaning tree: the midpoint of
     a bracket of width at most ``tol`` (above order about 3e5 at tol 1e-12,
     the root routine's float floor of 16 ulps in z is wider).
@@ -274,7 +279,7 @@ def leaning_lambda1(order: int, tol: float = 1e-12) -> float:
     return 0.5 * (1.0 / math.sqrt(hi) + 1.0 / math.sqrt(lo))
 
 
-def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
+def lambda1_bracket(t: PlaneTree, tol: float = DEFAULT_EIGEN_TOL) -> tuple[float, float]:
     """Bracket of width at most ``tol`` (or two adjacent floats) around the
     largest adjacency eigenvalue of ``t``: some pivot of xI - A is not
     positive at its lower end, or that end is 0, and every pivot is positive
@@ -289,13 +294,13 @@ def lambda1_bracket(t: PlaneTree, tol: float = 1e-10) -> tuple[float, float]:
     return plan_lambda1_bracket(subtree_plan(t), tol)
 
 
-def lambda1(t: PlaneTree, tol: float = 1e-10) -> float:
+def lambda1(t: PlaneTree, tol: float = DEFAULT_EIGEN_TOL) -> float:
     """Largest adjacency eigenvalue of ``t``: the midpoint of a bracket of
     width at most ``tol``."""
     return plan_lambda1(subtree_plan(t), tol)
 
 
-def plan_lambda1_bracket(plan: list, tol: float = 1e-10) -> tuple[float, float]:
+def plan_lambda1_bracket(plan: list, tol: float = DEFAULT_EIGEN_TOL) -> tuple[float, float]:
     """``lambda1_bracket`` of the tree whose ``subtree_plan`` is ``plan``."""
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -335,13 +340,13 @@ def plan_lambda1_bracket(plan: list, tol: float = 1e-10) -> tuple[float, float]:
     return (lo, hi)
 
 
-def plan_lambda1(plan: list, tol: float = 1e-10) -> float:
+def plan_lambda1(plan: list, tol: float = DEFAULT_EIGEN_TOL) -> float:
     """``lambda1`` of the tree whose ``subtree_plan`` is ``plan``."""
     lo, hi = plan_lambda1_bracket(plan, tol)
     return 0.5 * (lo + hi)
 
 
-def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
+def leaning_eigen_bound(uh: int, tol: float = DEFAULT_EIGEN_TOL) -> float:
     """Largest eigenvalue of the leaning tree of order uh - 1.
 
     Any rooted tree with Ulam-Harris number uh embeds into that leaning
@@ -350,7 +355,7 @@ def leaning_eigen_bound(uh: int, tol: float = 1e-10) -> float:
     """
     if uh < 1:
         raise ValueError("Ulam-Harris number must be positive")
-    return leaning_lambda1(uh - 1, min(tol, 1e-10))
+    return leaning_lambda1(uh - 1, min(tol, DEFAULT_EIGEN_TOL))
 
 
 def _root_pivot(x: float, plan: list) -> float | None:

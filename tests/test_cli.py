@@ -626,6 +626,37 @@ def test_verify_image_match_counts_both_streams(monkeypatch, fault, detail):
     assert result.detail == detail
 
 
+@pytest.mark.parametrize("fault", ["dropped", "repeated"])
+def test_a_lost_or_repeated_child_list_fails_the_count_agreement(monkeypatch, capsys, fault):
+    # the enumeration count visits the stream's child lists one by one, so
+    # one list lost or met twice under a root must show as a disagreement
+    forests = trees._DecreasingTrees._forests
+
+    def broken(self, m, bound):
+        lists = forests(self, m, bound)
+        if m == self._n - 1 and bound == 2:  # the child lists of a root labelled 3
+            first = next(lists)
+            if fault == "repeated":
+                yield first
+                yield first
+        yield from lists
+
+    monkeypatch.setattr(trees._DecreasingTrees, "_forests", broken)
+    wrong = 2 if fault == "dropped" else 4
+    assert verify.check_count_triple_agreement() == (
+        False,
+        f"methods disagree at n=1, k=3: series=3, compositions=3, enumeration={wrong}",
+    )
+    code, out, _ = run_cli(capsys, "count", "6", "5", "--all-methods")
+    right = series.count_trees(6, 5)
+    assert code == 1
+    assert out.splitlines() == [
+        f"series: {right}",
+        f"compositions: {right}",
+        f"enumerate: {right - 1 if fault == 'dropped' else right + 1}",
+    ]
+
+
 def _count_plans(monkeypatch) -> list:
     # every module that builds plans calls its own binding of subtree_plan
     made = []

@@ -84,6 +84,62 @@ def test_the_frontends_call_no_private_name_of_another_module(name):
     assert _private_names_of_package_modules(path) == []
 
 
+#: the tree streams of ``trees``, which a frontend must not drain to count
+TREE_STREAMS = {"iter_decreasing_trees", "enumerate_decreasing_trees"}
+
+
+def _tree_streams_counted(source: str) -> list[str]:
+    """Calls of a tree stream that a ``sum`` or ``len`` call, or a loop
+    whose body only adds to a counter, drains to count the trees."""
+    tree = ast.parse(source)
+
+    def streams_in(node: ast.AST) -> list[str]:
+        return [
+            f"{sub.func.attr} (line {sub.lineno})"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in TREE_STREAMS
+        ]
+
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("sum", "len")
+        ):
+            found += streams_in(node)
+        elif isinstance(node, ast.For) and all(isinstance(s, ast.AugAssign) for s in node.body):
+            found += streams_in(node.iter)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verify.py"])
+def test_the_frontends_count_trees_without_draining_a_stream(name):
+    # trees.count_trees_by_enumeration visits the child lists without
+    # building a root per tree, at about half the cost of a drained stream
+    source = (ROOT / "src" / "planetrees" / name).read_text(encoding="utf-8")
+    assert _tree_streams_counted(source) == []
+
+
+def test_the_drained_stream_rule_sees_a_drained_stream():
+    source = (
+        "a = sum(1 for _ in trees.iter_decreasing_trees(n, k))\n"
+        "b = len(trees.enumerate_decreasing_trees(n, k))\n"
+        "for _ in trees.iter_decreasing_trees(n, k):\n"
+        "    c += 1\n"
+        "d = trees.count_trees_by_enumeration(n, k)\n"
+        "for t in trees.iter_decreasing_trees(n, k):\n"
+        "    check(t)\n"
+    )
+    assert _tree_streams_counted(source) == [
+        "enumerate_decreasing_trees (line 2)",
+        "iter_decreasing_trees (line 1)",
+        "iter_decreasing_trees (line 3)",
+    ]
+
+
 def test_the_exports_are_sorted_and_are_what_the_package_imports():
     # a function deleted from its module cannot linger as an export
     tree = ast.parse((ROOT / "src" / "planetrees" / "__init__.py").read_text(encoding="utf-8"))
