@@ -383,13 +383,7 @@ def iter_decreasing_trees(
     return _DecreasingTrees(n).stream(labels)
 
 
-def count_trees_by_enumeration(
-    n: int,
-    k: int,
-    *,
-    root_label: int | None = None,
-    max_trees: float = ENUMERATION_TREE_LIMIT,
-) -> int:
+def count_trees_by_enumeration(n: int, k: int, *, max_trees: float = ENUMERATION_TREE_LIMIT) -> int:
     """The number of trees ``iter_decreasing_trees`` would yield for the
     same arguments, counted one by one: every child list under each root
     label is built and visited once, in stream order, and only the root node
@@ -399,7 +393,7 @@ def count_trees_by_enumeration(
     the series: no count is read off a pool or list size.  Arguments and
     the guard are those of ``iter_decreasing_trees``.
     """
-    labels = _admitted_labels(n, k, root_label, max_trees)
+    labels = _admitted_labels(n, k, None, max_trees)
     return _DecreasingTrees(n).count(labels)
 
 
