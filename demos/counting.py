@@ -11,9 +11,11 @@ JSON exchange format for coefficient lists.
 from planetrees import (
     count_trees,
     count_trees_by_compositions,
-    enumerate_decreasing_trees,
+    count_trees_by_enumeration,
+    count_trees_by_literal_compositions,
     format_tree,
     gk_series,
+    iter_decreasing_trees,
     series_to_json,
 )
 
@@ -32,15 +34,15 @@ def main():
 
     print()
     print("All six trees with 3 nodes and labels up to 3:")
-    for t in enumerate_decreasing_trees(3, 3):
+    for t in iter_decreasing_trees(3, 3):
         print("  ", format_tree(t))
 
     print()
     print("Three methods, same numbers (n=7, k=5):")
     print("  series       ", count_trees(7, 5))
     print("  compositions ", count_trees_by_compositions(7, 5))
-    print("  enumeration  ", len(enumerate_decreasing_trees(7, 5)))
-    print("  literal sweep", count_trees_by_compositions(7, 5, literal=True))
+    print("  enumeration  ", count_trees_by_enumeration(7, 5))
+    print("  literal sweep", count_trees_by_literal_compositions(7, 5))
 
     print()
     print("Counts grow fast; the series keeps exact integers throughout:")

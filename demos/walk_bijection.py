@@ -14,9 +14,9 @@ from planetrees import (
     build_tree_from_walk,
     build_walk_from_tree,
     count_trees,
-    enumerate_closed_walks,
     format_tree,
     format_walk,
+    iter_closed_walks,
     leaning_tree,
     parse_tree,
     walk_count_table,
@@ -40,7 +40,7 @@ def main():
     print()
 
     print("All closed walks of length 4 at the root of the order-2 tree:")
-    for w in enumerate_closed_walks(2, 4):
+    for w in iter_closed_walks(2, 4):
         print(f"  {format_walk(w):14s} -> {format_tree(build_tree_from_walk(w))}")
     print()
 

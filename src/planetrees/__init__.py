@@ -9,7 +9,6 @@ Ulam-Harris number.
 """
 
 from .asymptotics import (
-    BeyondRoot,
     RootBracket,
     alpha,
     alpha_bounds,
@@ -26,7 +25,6 @@ from .bijection import (
     Walk,
     build_tree_from_walk,
     build_walk_from_tree,
-    enumerate_closed_walks,
     format_walk,
     iter_closed_walks,
     parse_walk,
@@ -37,6 +35,7 @@ from .series import (
     TruncatedSeries,
     count_trees,
     count_trees_by_compositions,
+    count_trees_by_literal_compositions,
     count_with_root_label,
     gk_series,
     series_to_json,
@@ -53,7 +52,6 @@ from .spectral import (
 from .trees import (
     PlaneTree,
     count_trees_by_enumeration,
-    enumerate_decreasing_trees,
     format_tree,
     is_decreasing,
     iter_decreasing_trees,
@@ -67,7 +65,6 @@ from .trees import (
 )
 from .ulam_harris import (
     UhReport,
-    enumerate_unordered_shapes,
     uh_min,
     uh_min_bruteforce,
     uh_number,
@@ -77,7 +74,6 @@ from .ulam_harris import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeyondRoot",
     "LimitError",
     "PlaneTree",
     "RootBracket",
@@ -95,10 +91,8 @@ __all__ = [
     "count_trees",
     "count_trees_by_compositions",
     "count_trees_by_enumeration",
+    "count_trees_by_literal_compositions",
     "count_with_root_label",
-    "enumerate_closed_walks",
-    "enumerate_decreasing_trees",
-    "enumerate_unordered_shapes",
     "eval_gk_with_derivative",
     "eval_sk",
     "format_tree",

@@ -42,13 +42,6 @@ _CERTIFICATE_BITS = 128
 
 
 @dataclass(frozen=True)
-class BeyondRoot:
-    """Sentinel value: the chain became nonpositive first at this index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
 class RootBracket:
     """Certified interval [lo, hi] around the smallest positive root of s_k.
 
@@ -76,32 +69,28 @@ class RootBracket:
         return self.hi - self.lo
 
 
-def eval_sk(z: float, k: int) -> float | BeyondRoot:
-    """Evaluate s_k(z) through the chain, or report where positivity fails.
-
-    Returns the (positive) value when every chain member stays positive,
-    otherwise BeyondRoot(j) for the first index j with s_j(z) <= 0, in which
-    case z is at or beyond the root of s_j and hence of s_k.
+def eval_sk(z: float, k: int) -> float | None:
+    """Evaluate s_k(z) through the chain: the (positive) value when every
+    chain member stays positive, otherwise None, as z is then at or beyond
+    the root of the first nonpositive member and hence of s_k.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
-    j, s = _chain(z, k)
-    return s if s > 0.0 else BeyondRoot(j)
+    s = _chain(z, k)
+    return s if s > 0.0 else None
 
 
-def _chain(z: float, k: int) -> tuple[int, float]:
-    """(j, s_j(z)) for the first index j with s_j(z) <= 0, or (k, s_k(z))
-    when every chain member is positive; the bisection reads only the sign."""
+def _chain(z: float, k: int) -> float:
+    """s_j(z) for the first index j with s_j(z) <= 0, or s_k(z) when every
+    chain member is positive; the callers read only the sign."""
     s = 1.0 - z
-    if s <= 0.0:
-        return 1, s
-    for j in range(2, k + 1):
-        s -= z / s
+    for _ in range(2, k + 1):
         if s <= 0.0:
-            return j, s
-    return k, s
+            return s
+        s -= z / s
+    return s
 
 
 def eval_gk_with_derivative(z: float, k: int) -> tuple[float, float]:
@@ -308,7 +297,7 @@ def _certify(
 
 def _float_chain_positive(z: float, k: int) -> bool:
     """Whether s_1(z), ..., s_k(z) are all positive in the float chain."""
-    return _chain(z, k)[1] > 0.0
+    return _chain(z, k) > 0.0
 
 
 def _chain_positive_certified(z: float, k: int) -> bool:

@@ -252,13 +252,6 @@ def _closed_walks(order: int, length: int) -> Iterator[Walk]:
             move = last + 1
 
 
-def enumerate_closed_walks(
-    order: int, length: int, *, max_walks: float = WALK_LIMIT
-) -> list[Walk]:
-    """The walks of ``iter_closed_walks`` as a list, in its order."""
-    return list(iter_closed_walks(order, length, max_walks=max_walks))
-
-
 def format_walk(walk: Walk) -> str:
     """Token text: ``+i`` per descent, ``-`` per ascent, space separated."""
     return " ".join("-" if m == UP else f"+{m}" for m in walk.moves)

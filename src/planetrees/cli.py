@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -45,24 +44,6 @@ ENV_PREFIX = "PLANETREES_"
 #: cap on the moves a walk listing prints, as many as ``bijection.WALK_LIMIT``
 #: walks of the default --max-len, 12
 LISTING_MOVE_LIMIT = 12 * bijection.WALK_LIMIT
-
-
-@dataclass
-class RunConfig:
-    """Resolved global options shared by all subcommands."""
-
-    format: str = "text"
-    #: None without --tol and PLANETREES_TOL: each command keeps its default
-    tol: float | None = None
-    unsafe_limits: bool = False
-
-    def lifted(self, *guards: str) -> dict[str, float]:
-        """``guard=math.inf`` per named size guard under --unsafe-limits, else nothing."""
-        return dict.fromkeys(guards, math.inf) if self.unsafe_limits else {}
-
-    def tolerance(self) -> dict[str, float]:
-        """``tol=`` for a numerics call if a tolerance was given, else nothing."""
-        return {} if self.tol is None else {"tol": self.tol}
 
 
 FORMATS = ("text", "json", "csv")
@@ -204,6 +185,17 @@ def _resolve_env_defaults(parser: argparse.ArgumentParser, args: argparse.Namesp
         setattr(args, dest, value)
 
 
+def lifted(args: argparse.Namespace, *guards: str) -> dict[str, float]:
+    """``guard=math.inf`` per named size guard under --unsafe-limits, else nothing."""
+    return dict.fromkeys(guards, math.inf) if args.unsafe_limits else {}
+
+
+def tolerance(args: argparse.Namespace) -> dict[str, float]:
+    """``tol=`` for a numerics call if a tolerance was given (--tol or
+    PLANETREES_TOL), else nothing: each command keeps its default."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 # ------------------------------------------------------------- rendering --
 
 
@@ -232,11 +224,11 @@ def _json_objects(columns: list[str], rows: list[list[str]], pad: str) -> list[s
     ]
 
 
-def emit_table(config: RunConfig, columns: list[str], rows: list[list[str]]) -> None:
-    if config.format == "json":
+def emit_table(fmt: str, columns: list[str], rows: list[list[str]]) -> None:
+    if fmt == "json":
         objects = _json_objects(columns, rows, "  ")
         print("[\n  " + ",\n  ".join(objects) + "\n]" if objects else "[]")
-    elif config.format == "csv":
+    elif fmt == "csv":
         _write_csv([columns, *rows])
     else:
         widths = [
@@ -248,10 +240,10 @@ def emit_table(config: RunConfig, columns: list[str], rows: list[list[str]]) -> 
             print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
 
 
-def emit_object(config: RunConfig, pairs: list[tuple[str, str]]) -> None:
-    if config.format == "json":
+def emit_object(fmt: str, pairs: list[tuple[str, str]]) -> None:
+    if fmt == "json":
         print(_json_objects([key for key, _ in pairs], [[value for _, value in pairs]], "")[0])
-    elif config.format == "csv":
+    elif fmt == "csv":
         _write_csv([[key for key, _ in pairs], [value for _, value in pairs]])
     else:
         for key, value in pairs:
@@ -261,12 +253,12 @@ def emit_object(config: RunConfig, pairs: list[tuple[str, str]]) -> None:
 # -------------------------------------------------------------- commands --
 
 
-def cmd_count(args, config: RunConfig) -> int:
+def cmd_count(args) -> int:
     methods = {
         "series": lambda: series.count_trees(args.n, args.k),
         "compositions": lambda: series.count_trees_by_compositions(args.n, args.k),
         "enumerate": lambda: trees.count_trees_by_enumeration(
-            args.n, args.k, **config.lifted("max_trees")
+            args.n, args.k, **lifted(args, "max_trees")
         ),
     }
     if args.all_methods:
@@ -280,17 +272,18 @@ def cmd_count(args, config: RunConfig) -> int:
                 continue
             numbers.add(value)
             values.append((name, int_to_str(value)))
-        emit_object(config, values)
+        emit_object(args.format, values)
         return EXIT_OK if len(numbers) == 1 else EXIT_VERIFY_FAILED
     value = methods[args.method]()
-    if config.format in ("json", "csv"):
-        emit_object(config, [("n", str(args.n)), ("k", str(args.k)), ("count", int_to_str(value))])
+    if args.format in ("json", "csv"):
+        pairs = [("n", str(args.n)), ("k", str(args.k)), ("count", int_to_str(value))]
+        emit_object(args.format, pairs)
     else:
         print(int_to_str(value))
     return EXIT_OK
 
 
-def cmd_table(args, config: RunConfig) -> int:
+def cmd_table(args) -> int:
     max_n, max_k = args.max_n, args.max_k
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
@@ -298,13 +291,13 @@ def cmd_table(args, config: RunConfig) -> int:
     # one chain gives every column: coefficient n of g_k is count_trees(n, k)
     by_k = series.gk_columns(max_k, max_n + 1)
     rows = [[str(n)] + [int_to_str(coeffs[n]) for coeffs in by_k] for n in range(1, max_n + 1)]
-    emit_table(config, columns, rows)
+    emit_table(args.format, columns, rows)
     return EXIT_OK
 
 
-def cmd_series(args, config: RunConfig) -> int:
+def cmd_series(args) -> int:
     s = series.gk_series(args.k, args.order)
-    if config.format == "csv":
+    if args.format == "csv":
         print(",".join(int_to_str(c) for c in s.coeffs))
     else:
         # the canonical exchange format: a JSON array of decimal strings
@@ -312,7 +305,7 @@ def cmd_series(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_root(args, config: RunConfig) -> int:
+def cmd_root(args) -> int:
     """Root brackets of s_1..s_K, each centred on the Newton root and
     certified by the rule of ``asymptotics.RootBracket``: no wider than the
     tolerance or 16 ulps.  A row costs one derivative pass of k steps from
@@ -323,7 +316,7 @@ def cmd_root(args, config: RunConfig) -> int:
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
     rows = []
     for k in range(1, args.k + 1):
-        bracket = asymptotics.zstar(k, **config.tolerance())
+        bracket = asymptotics.zstar(k, **tolerance(args))
         rows.append(
             [
                 str(k),
@@ -334,11 +327,11 @@ def cmd_root(args, config: RunConfig) -> int:
                 _fmt_float(bracket.width),
             ]
         )
-    emit_table(config, columns, rows)
+    emit_table(args.format, columns, rows)
     return EXIT_OK
 
 
-def cmd_alpha(args, config: RunConfig) -> int:
+def cmd_alpha(args) -> int:
     """Growth constants for k = 2..K at float precision, alpha certified
     within the tolerance by a root bracket as in ``cmd_root`` (where the
     rule of ``asymptotics.RootBracket`` rests on the float chain, only to
@@ -350,7 +343,7 @@ def cmd_alpha(args, config: RunConfig) -> int:
     rows = []
     for k in range(2, args.k + 1):
         lower, upper = asymptotics.alpha_bounds(k)
-        growth, constant = asymptotics.growth_constants(k, **config.tolerance())
+        growth, constant = asymptotics.growth_constants(k, **tolerance(args))
         rows.append(
             [
                 str(k),
@@ -360,28 +353,28 @@ def cmd_alpha(args, config: RunConfig) -> int:
                 _fmt_float(upper),
             ]
         )
-    emit_table(config, columns, rows)
+    emit_table(args.format, columns, rows)
     return EXIT_OK
 
 
-def cmd_walks(args, config: RunConfig) -> int:
+def cmd_walks(args) -> int:
     if args.max_len < 0 or args.max_len % 2:
         raise ValueError("--max-len must be even and nonnegative")
     if args.list:
         columns = ["length", "walk"]
-        walks = enumerate_guarded_walks(args, config)
+        walks = enumerate_guarded_walks(args)
         rows = [[str(len(w)), bijection.format_walk(w)] for w in walks]
     else:
         # the coefficients of 1/s_K off the label chain: no tree is built
-        budgets = config.lifted("max_work", "max_growth")
+        budgets = lifted(args, "max_work", "max_growth")
         table = spectral.leaning_walk_counts(args.k, args.max_len, **budgets)
         columns = ["length", "count"]
         rows = [[str(length), int_to_str(count)] for length, count in table.items()]
-    emit_table(config, columns, rows)
+    emit_table(args.format, columns, rows)
     return EXIT_OK
 
 
-def enumerate_guarded_walks(args, config: RunConfig) -> Iterator[bijection.Walk]:
+def enumerate_guarded_walks(args) -> Iterator[bijection.Walk]:
     """The closed walks of every even length up to --max-len, streamed
     shortest first.  Each length's stream checks its exact-count guard when
     called, and they are called longest (most numerous) first, so that a
@@ -389,19 +382,19 @@ def enumerate_guarded_walks(args, config: RunConfig) -> Iterator[bijection.Walk]
     # the order-1 tree has a walk of every length, so the walk count does not
     # bound the moves: from order 1 on, lengths up to 2h hold h(h + 1) or more
     moves = args.max_len // 2 * (args.max_len // 2 + 1)
-    if moves > LISTING_MOVE_LIMIT and not config.unsafe_limits:
+    if moves > LISTING_MOVE_LIMIT and not args.unsafe_limits:
         raise LimitError(f"walk listing limited to {LISTING_MOVE_LIMIT:,} moves ({moves:,} here)")
     streams = [
-        bijection.iter_closed_walks(args.k, length, **config.lifted("max_walks"))
+        bijection.iter_closed_walks(args.k, length, **lifted(args, "max_walks"))
         for length in range(args.max_len, -1, -2)
     ]
     return itertools.chain.from_iterable(reversed(streams))
 
 
-def cmd_eigen(args, config: RunConfig) -> int:
+def cmd_eigen(args) -> int:
     half = max(1, args.trace_n)
-    budgets = config.lifted("max_work", "max_growth")
-    tol = config.tol or spectral.DEFAULT_EIGEN_TOL
+    budgets = lifted(args, "max_work", "max_growth")
+    tol = args.tol or spectral.DEFAULT_EIGEN_TOL
     if args.leaning is not None:
         # no tree: 2^K nodes, degree K, uh K + 1, the rest off the label chain
         k = args.leaning
@@ -439,7 +432,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
     if size > 1:
         pairs.append(("walk_growth", _fmt_float(growth)))
         pairs.append(("walk_growth_halflen", str(half)))
-    emit_object(config, pairs)
+    emit_object(args.format, pairs)
     return EXIT_OK
 
 
@@ -449,12 +442,12 @@ def _canonical(text: str) -> bool:
     return text[0] != "0" and "(0" not in text and " 0" not in text
 
 
-def cmd_uh(args, config: RunConfig) -> int:
+def cmd_uh(args) -> int:
     tree, plan = trees.parse_plan(args.tree)
     report = ulam_harris.plan_uh_min(plan)
     ordered = ulam_harris.uh_ordered(tree)
     emit_object(
-        config,
+        args.format,
         [
             ("uh", str(report.uh)),
             ("uh_as_given", str(ordered.uh)),
@@ -465,33 +458,33 @@ def cmd_uh(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bijection(args, config: RunConfig) -> int:
+def cmd_bijection(args) -> int:
     if args.direction == "p":
         if args.order is None:
             raise ValueError("direction p requires --order")
         walk = bijection.parse_walk(args.input, args.order)
         tree = bijection.build_tree_from_walk(walk)
-        if config.format == "text":
+        if args.format == "text":
             print(trees.format_tree(tree))
         else:
-            emit_object(config, [("tree", trees.format_tree(tree))])
+            emit_object(args.format, [("tree", trees.format_tree(tree))])
     else:
         tree = trees.parse_tree(args.input)
         walk = bijection.build_walk_from_tree(tree)
-        if config.format == "text":
+        if args.format == "text":
             print(bijection.format_walk(walk))
         else:
             emit_object(
-                config,
+                args.format,
                 [("order", str(walk.order)), ("walk", bijection.format_walk(walk))],
             )
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     results = verify.run_checks(args.scope)
     passed = verify.overall_passed(results)
-    if config.format == "text":
+    if args.format == "text":
         for r in results:
             detail = r.detail
             if r.budget is not None:
@@ -501,7 +494,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     else:
         # machine formats stay byte-deterministic: no elapsed times
         rows = [[r.status, r.scope, r.name, r.detail] for r in results]
-        emit_table(config, ["status", "scope", "check", "detail"], rows)
+        emit_table(args.format, ["status", "scope", "check", "detail"], rows)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -523,15 +516,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _resolve_env_defaults(parser, args)
-    config = RunConfig(
-        format=args.format,
-        tol=args.tol,
-        unsafe_limits=args.unsafe_limits,
-    )
-    if config.tol is not None and not config.tol > 0:
+    if args.tol is not None and not args.tol > 0:
         parser.error("--tol must be positive")
     try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

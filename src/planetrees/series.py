@@ -28,8 +28,9 @@ numbers live here:
   closed root walks of length 2h on the leaning tree of order k at z^h;
 
 * ``count_trees_by_compositions`` runs the scalar recurrence over
-  compositions of n-1 (a bottom-up convolution by default, literal
-  composition enumeration behind a flag for small n).
+  compositions of n-1 as a bottom-up convolution, and
+  ``count_trees_by_literal_compositions`` enumerates every composition for
+  small n.
 
 The engines work on plain lists of Python ints, and every truncated
 division goes through the one kernel ``_quotient``: the B/A reads of the
@@ -220,7 +221,7 @@ def count_trees(n: int, k: int) -> int:
     return gk_series(k, n + 1).coeffs[n]
 
 
-def count_trees_by_compositions(n: int, k: int, *, literal: bool = False) -> int:
+def count_trees_by_compositions(n: int, k: int) -> int:
     """Same count via the scalar recurrence over compositions of n-1.
 
     The count with k labels equals the count with k-1 labels (top label
@@ -228,19 +229,11 @@ def count_trees_by_compositions(n: int, k: int, *, literal: bool = False) -> int
     the counts with k-1 labels (top label at the root, parts are the child
     subtree sizes; the empty composition of 0 contributes product 1).
 
-    By default the composition sum is evaluated bottom up, label by label,
-    as the convolution of the sequence-of-subtrees counts, which gives
-    identical values at polynomial cost without recursion.  With
-    ``literal=True`` every composition of n-1 is enumerated explicitly; that
-    route is a third oracle and is guarded at n <= LITERAL_COMPOSITION_LIMIT.
+    The composition sum is evaluated bottom up, label by label, as the
+    convolution of the sequence-of-subtrees counts, which gives identical
+    values at polynomial cost without recursion.
     """
     _require_positive(n=n, k=k)
-    if literal:
-        if n > LITERAL_COMPOSITION_LIMIT:
-            raise LimitError(
-                f"literal composition enumeration is limited to n <= {LITERAL_COMPOSITION_LIMIT}"
-            )
-        return _count_by_literal_compositions(n, k)
     # counts[m] = count(m, j) for the current label bound j, starting at j = 1
     counts = [0, 1] + [0] * (n - 1)
     for _ in range(k - 1):
@@ -253,7 +246,15 @@ def count_trees_by_compositions(n: int, k: int, *, literal: bool = False) -> int
     return counts[n]
 
 
-def _count_by_literal_compositions(n: int, k: int) -> int:
+def count_trees_by_literal_compositions(n: int, k: int) -> int:
+    """The recurrence of ``count_trees_by_compositions`` with every
+    composition of n-1 enumerated explicitly: a third oracle, guarded at
+    n <= LITERAL_COMPOSITION_LIMIT (2^(n-2) compositions)."""
+    _require_positive(n=n, k=k)
+    if n > LITERAL_COMPOSITION_LIMIT:
+        raise LimitError(
+            f"literal composition enumeration is limited to n <= {LITERAL_COMPOSITION_LIMIT}"
+        )
     memo: dict[tuple[int, int], int] = {}
 
     def count(n: int, k: int) -> int:

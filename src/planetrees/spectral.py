@@ -77,26 +77,24 @@ def adjacency_lists(t: PlaneTree) -> list[list[int]]:
     return adj
 
 
-def walk_count_table(t: PlaneTree, max_length: int, vertex: int = 0) -> dict[int, int]:
-    """Closed-walk counts from ``vertex`` for every even length up to ``max_length``.
+def walk_count_table(t: PlaneTree, max_length: int) -> dict[int, int]:
+    """Closed root-walk counts for every even length up to ``max_length``.
 
     One replay serves all lengths: after m applications of the adjacency
-    operator to the indicator vector, the entry at ``vertex`` is the count of
-    closed m-walks.  The work is capped at ``WALK_WORK_LIMIT`` for node
+    operator to the root's indicator vector, the entry at the root is the
+    count of closed m-walks.  The work is capped at ``WALK_WORK_LIMIT`` for node
     count times half-length and at ``WALK_GROWTH_LIMIT`` for node count
     times half-length squared.
     """
-    return _replay(t, node_count(t), max_length, vertex, WALK_WORK_LIMIT, WALK_GROWTH_LIMIT)
+    return _replay(t, node_count(t), max_length, WALK_WORK_LIMIT, WALK_GROWTH_LIMIT)
 
 
 def _replay(
-    t: PlaneTree, size: int, max_length: int, vertex: int, max_work: float, max_growth: float
+    t: PlaneTree, size: int, max_length: int, max_work: float, max_growth: float
 ) -> dict[int, int]:
     """``walk_count_table`` on a tree whose node count ``size`` is known."""
     if max_length < 0 or max_length % 2:
         raise ValueError("max_length must be even and nonnegative")
-    if not 0 <= vertex < size:
-        raise ValueError(f"vertex {vertex} out of range")
     half = max_length // 2
     if size * (half + 1) > max_work:
         raise LimitError("walk-count budget exceeded (node count times half-length)")
@@ -105,12 +103,12 @@ def _replay(
     adj = adjacency_lists(t)
     counts = {0: 1}
     x = [0] * len(adj)
-    x[vertex] = 1
+    x[0] = 1  # the root, first in preorder
     for step in range(1, max_length + 1):
         get = x.__getitem__
         x = [sum(map(get, nbrs)) for nbrs in adj]
         if step % 2 == 0:
-            counts[step] = x[vertex]
+            counts[step] = x[0]
     return counts
 
 
@@ -178,7 +176,7 @@ def plan_walk_growth(
     if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
         count = _root_walk_counts(plan, half_length, depths)[half_length]
     else:
-        count = _replay(plan[-1][0], size, length, 0, max_work, max_growth)[length]
+        count = _replay(plan[-1][0], size, length, max_work, max_growth)[length]
     return _int_root(count, 1.0 / length)
 
 

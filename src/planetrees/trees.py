@@ -34,13 +34,12 @@ root over child subtrees.  It builds each tree as it is yielded and holds
 only memoised pools of subtrees of at most n - 2 nodes, never the whole
 family: a subtree of n - 1 nodes is the single child of a root, met once,
 so it is built when the stream reaches it and dropped.  ``root_label=r``
-generates just the trees with root label r.  ``enumerate_decreasing_trees``
-is the same stream as a list.  ``count_trees_by_enumeration`` counts it
-at about half the cost: it visits every child list the stream builds, one
-by one, without the root node that would wrap it, and reads no count off a
-pool or list size, so it stays an enumeration, independent of the series.
-The one size guard, the exact number of trees the call will yield, is
-checked when any of them is called.
+generates just the trees with root label r.  ``count_trees_by_enumeration``
+counts the stream at about half the cost of draining it: it visits every
+child list the stream builds, one by one, without the root node that would
+wrap it, and reads no count off a pool or list size, so it stays an
+enumeration, independent of the series.  The one size guard, the exact
+number of trees the call will yield, is checked when either is called.
 
 Leaves with labels up to ``SHARED_LEAF_MAX`` = 64 are one object per label
 for the whole process (``_leaf``): every enumerated tree and every tree
@@ -410,14 +409,6 @@ def _admitted_labels(n: int, k: int, root_label: int | None, max_trees: float) -
     if root_label is None:
         return range(1, k + 1)
     return [root_label] if root_label <= k else []
-
-
-def enumerate_decreasing_trees(
-    n: int, k: int, *, max_trees: float = ENUMERATION_TREE_LIMIT
-) -> list[PlaneTree]:
-    """Every n-node decreasing tree with labels in {1..k}, as a list in the
-    canonical order of ``iter_decreasing_trees``."""
-    return list(iter_decreasing_trees(n, k, max_trees=max_trees))
 
 
 def _count_over(limit: float, n: int, k: int, root_label: int | None = None) -> str | None:

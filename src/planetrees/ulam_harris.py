@@ -179,19 +179,15 @@ def uh_min_bruteforce(t: PlaneTree) -> int:
     return minimal(t)
 
 
-def enumerate_unordered_shapes(n: int) -> list[PlaneTree]:
-    """All rooted unordered trees on n nodes, one canonical ordered form each.
+def unordered_shape_levels(n: int) -> list[list[PlaneTree]]:
+    """All rooted unordered trees on m nodes, one canonical ordered form
+    each, for m = 1..n, in that order, from one build: each level is
+    composed from the smaller ones.
 
     Canonical form: children sorted by their own bracket serialisation.  All
-    labels are 1 (shape-only semantics).  Counts follow the rooted-tree
-    sequence 1, 1, 2, 4, 9, 20, 48, 115, ...
+    labels are 1 (shape-only semantics).  The level sizes follow the
+    rooted-tree sequence 1, 1, 2, 4, 9, 20, 48, 115, ...
     """
-    return unordered_shape_levels(n)[-1]
-
-
-def unordered_shape_levels(n: int) -> list[list[PlaneTree]]:
-    """``enumerate_unordered_shapes(m)`` for m = 1..n, in that order, from
-    one build: each level is composed from the smaller ones."""
     if n < 1:
         raise ValueError("n must be positive")
     levels: list[list[PlaneTree]] = [[PlaneTree(1)]]  # level m at index m - 1

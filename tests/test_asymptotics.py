@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from planetrees import (
-    BeyondRoot,
     alpha,
     alpha_bounds,
     ck,
@@ -34,11 +33,8 @@ def test_eval_sk_at_zero_and_small_z():
 
 
 def test_eval_sk_beyond_root_sentinel():
-    out = eval_sk(1.5, 7)
-    assert isinstance(out, BeyondRoot) and out.index == 1
-    out = eval_sk(0.5, 3)
-    assert isinstance(out, BeyondRoot)
-    assert 1 < out.index <= 3
+    assert eval_sk(1.5, 7) is None
+    assert eval_sk(0.5, 3) is None
 
 
 def test_eval_sk_near_quadratic_root():
@@ -48,17 +44,16 @@ def test_eval_sk_near_quadratic_root():
         assert abs(1.0 - z - z / (1.0 - z)) < 1e-8
     # just below the root the chain still certifies positivity
     value = eval_sk(0.3819660112, 2)
-    assert not isinstance(value, BeyondRoot)
+    assert value is not None
     assert 0 < value < 1e-8
     # the rounded-up point lies a hair beyond the root, so the chain reports it
-    beyond = eval_sk(0.3819660113, 2)
-    assert isinstance(beyond, BeyondRoot) and beyond.index == 2
+    assert eval_sk(0.3819660113, 2) is None
 
 
 def test_lemma_value_bound_along_the_chain():
     for k in range(1, 51):
         value = eval_sk(1.0 / (2 * k), k)
-        assert not isinstance(value, BeyondRoot)
+        assert value is not None
         assert value <= (1.0 / (4 * k)) ** 0.25 + 1e-12
 
 
@@ -79,8 +74,8 @@ def test_zstar_quadratic_root():
     assert abs(bracket.midpoint - ROOT2) < 1e-10
     assert bracket.width <= 1e-12
     # the bracket endpoints certify the sign change
-    assert not isinstance(eval_sk(bracket.lo, 2), BeyondRoot)
-    assert isinstance(eval_sk(bracket.hi, 2), BeyondRoot)
+    assert eval_sk(bracket.lo, 2) is not None
+    assert eval_sk(bracket.hi, 2) is None
 
 
 def test_zstar_brackets_inside_proved_bounds():
@@ -102,7 +97,7 @@ def test_zstar_respects_requested_width():
 def test_lower_seed_keeps_the_chain_positive_at_large_k():
     # k - sqrt(k^2 - 1) cancels: from about k = 3.5e5 it lands past the root
     for k in (2, 10, 10**3, 10**4, 10**5, 3 * 10**5, 35 * 10**4, 5 * 10**5, 10**6):
-        assert _chain(zstar_lower_bound(k), k)[1] > 0.0, k
+        assert _chain(zstar_lower_bound(k), k) > 0.0, k
 
 
 def test_zstar_at_a_million_labels():

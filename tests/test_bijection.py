@@ -18,12 +18,11 @@ from planetrees import (
     build_tree_from_walk,
     build_walk_from_tree,
     count_with_root_label,
-    enumerate_closed_walks,
-    enumerate_decreasing_trees,
     format_tree,
     format_walk,
     is_decreasing,
     iter_closed_walks,
+    iter_decreasing_trees,
     node_count,
     parse_tree,
     parse_walk,
@@ -105,34 +104,34 @@ def test_walk_text_roundtrip():
 
 
 def test_enumerate_closed_walks_smallest():
-    assert enumerate_closed_walks(3, 0) == [Walk(3, ())]
-    assert [format_walk(w) for w in enumerate_closed_walks(2, 2)] == ["+1 -", "+2 -"]
+    assert list(iter_closed_walks(3, 0)) == [Walk(3, ())]
+    assert [format_walk(w) for w in iter_closed_walks(2, 2)] == ["+1 -", "+2 -"]
     for k in range(1, 6):
-        assert len(enumerate_closed_walks(k, 2)) == k
+        assert len(list(iter_closed_walks(k, 2))) == k
 
 
 def test_enumerate_closed_walks_guards():
     with pytest.raises(LimitError, match="at least 823,543"):
-        enumerate_closed_walks(7, 14)  # 7^7 walks at least
+        iter_closed_walks(7, 14)  # 7^7 walks at least
     with pytest.raises(LimitError, match="514,229"):
-        enumerate_closed_walks(2, 28)
+        iter_closed_walks(2, 28)
     # the cap compares with the exact count, the trees of the bijection
     count = count_with_root_label(5, 3)
     with pytest.raises(LimitError):
-        enumerate_closed_walks(2, 8, max_walks=count - 1)
-    assert len(enumerate_closed_walks(2, 8, max_walks=count)) == count
-    assert len(enumerate_closed_walks(7, 4)) == count_with_root_label(3, 8)
+        iter_closed_walks(2, 8, max_walks=count - 1)
+    assert len(list(iter_closed_walks(2, 8, max_walks=count))) == count
+    assert len(list(iter_closed_walks(7, 4))) == count_with_root_label(3, 8)
     with pytest.raises(ValueError):
-        enumerate_closed_walks(2, 3)
+        iter_closed_walks(2, 3)
 
 
 def test_walk_stream_is_the_walk_list():
     for order, length in ((0, 0), (0, 4), (1, 8), (3, 0), (3, 6), (4, 10), (6, 6)):
         stream = iter_closed_walks(order, length)
         assert not isinstance(stream, list)
-        assert list(stream) == enumerate_closed_walks(order, length)
+        assert list(stream) == list(iter_closed_walks(order, length))
     assert list(iter_closed_walks(2, 8, max_walks=count_with_root_label(5, 3))) == (
-        enumerate_closed_walks(2, 8)
+        list(iter_closed_walks(2, 8))
     )
 
 
@@ -170,7 +169,7 @@ def test_enumeration_order_is_pinned():
         f"{k} {length} {format_walk(w)}"
         for k in range(6)
         for length in range(0, 13, 2)
-        for w in enumerate_closed_walks(k, length)
+        for w in iter_closed_walks(k, length)
     ]
     assert len(lines) == 191783
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -179,29 +178,29 @@ def test_enumeration_order_is_pinned():
 
 def test_enumeration_reaches_lengths_past_the_recursion_limit():
     length = 3 * sys.getrecursionlimit()
-    walks = enumerate_closed_walks(1, length)
+    walks = list(iter_closed_walks(1, length))
     assert [format_walk(w) for w in walks] == [" ".join(["+1 -"] * (length // 2))]
-    assert len(enumerate_closed_walks(2, 20)) == count_with_root_label(11, 3)
+    assert len(list(iter_closed_walks(2, 20))) == count_with_root_label(11, 3)
 
 
 def test_walk_counts_match_root_label_counts():
     for k in range(1, 6):
         for n in range(0, 5):
-            walks = enumerate_closed_walks(k, 2 * n)
+            walks = list(iter_closed_walks(k, 2 * n))
             assert len(walks) == count_with_root_label(n + 1, k + 1)
 
 
 def test_roundtrip_walk_tree_walk():
     for k in range(0, 5):
         for length in range(0, 9, 2):
-            for w in enumerate_closed_walks(k, length):
+            for w in iter_closed_walks(k, length):
                 assert build_walk_from_tree(build_tree_from_walk(w)) == w
 
 
 def test_roundtrip_tree_walk_tree():
     for k in range(1, 5):
         for n in range(1, 7):
-            for t in enumerate_decreasing_trees(n, k + 1):
+            for t in iter_decreasing_trees(n, k + 1):
                 if t.label != k + 1:
                     continue
                 assert build_tree_from_walk(build_walk_from_tree(t)) == t
@@ -212,12 +211,12 @@ def test_image_of_walks_is_the_tree_family():
         for n in range(0, 5):
             image = [
                 format_tree(build_tree_from_walk(w))
-                for w in enumerate_closed_walks(k, 2 * n)
+                for w in iter_closed_walks(k, 2 * n)
             ]
             assert len(set(image)) == len(image)
             family = {
                 format_tree(t)
-                for t in enumerate_decreasing_trees(n + 1, k + 1)
+                for t in iter_decreasing_trees(n + 1, k + 1)
                 if t.label == k + 1
             }
             assert set(image) == family
@@ -320,5 +319,5 @@ def test_enumerated_and_built_trees_share_leaves():
     built = build_tree_from_walk(Walk(4, (4, UP, 3, UP, 1, 3, UP, UP)))
     assert format_tree(built) == "5(1 2 4(1))"
     assert built.children[0] is built.children[2].children[0]
-    (listed,) = [t for t in enumerate_decreasing_trees(5, 5) if format_tree(t) == "5(1 2 4(1))"]
+    (listed,) = [t for t in iter_decreasing_trees(5, 5) if format_tree(t) == "5(1 2 4(1))"]
     assert listed == built and listed.children[0] is built.children[0]

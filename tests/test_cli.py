@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -730,12 +731,11 @@ TRICKY_CELLS = ['say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f", "été ☃ 
     ],
 )
 def test_json_output_is_the_sorted_indented_dump(capsys, columns, rows):
-    config = cli.RunConfig(format="json")
-    cli.emit_table(config, columns, rows)
+    cli.emit_table("json", columns, rows)
     payload = [dict(zip(columns, row)) for row in rows]
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     for row in rows or [[]]:
-        cli.emit_object(config, list(zip(columns, row)))
+        cli.emit_object("json", list(zip(columns, row)))
         expected = json.dumps(dict(zip(columns, row)), sort_keys=True, indent=2)
         assert capsys.readouterr().out == expected + "\n"
 
@@ -1032,5 +1032,6 @@ def test_enumeration_guard_counts_trees(capsys):
     assert code == 0 and out.strip() == "1261070"
     code, out, _ = run_cli(capsys, "count", "9", "7", "--all-methods")
     assert code == 0 and "enumerate: skipped (guard)" in out
-    assert cli.RunConfig().lifted("max_trees") == {}
-    assert cli.RunConfig(unsafe_limits=True).lifted("max_trees") == {"max_trees": math.inf}
+    assert cli.lifted(argparse.Namespace(unsafe_limits=False), "max_trees") == {}
+    lifted = cli.lifted(argparse.Namespace(unsafe_limits=True), "max_trees")
+    assert lifted == {"max_trees": math.inf}

@@ -13,6 +13,7 @@ from planetrees import (
     TruncatedSeries,
     count_trees,
     count_trees_by_compositions,
+    count_trees_by_literal_compositions,
     count_with_root_label,
     gk_series,
     series_to_json,
@@ -277,12 +278,12 @@ def test_count_methods_agree():
 def test_count_literal_compositions():
     for n in range(1, 11):
         for k in range(1, 6):
-            assert count_trees_by_compositions(n, k, literal=True) == count_trees(n, k)
+            assert count_trees_by_literal_compositions(n, k) == count_trees(n, k)
 
 
 def test_count_literal_guard():
     with pytest.raises(LimitError):
-        count_trees_by_compositions(13, 3, literal=True)
+        count_trees_by_literal_compositions(13, 3)
 
 
 def test_count_with_root_label():

@@ -12,6 +12,7 @@ from planetrees import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "planetrees").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -84,22 +85,27 @@ def test_the_frontends_call_no_private_name_of_another_module(name):
     assert _private_names_of_package_modules(path) == []
 
 
-#: the tree streams of ``trees``, which a frontend must not drain to count
-TREE_STREAMS = {"iter_decreasing_trees", "enumerate_decreasing_trees"}
+#: the tree stream of ``trees``, which a frontend must not drain to count
+TREE_STREAMS = {"iter_decreasing_trees"}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """``f`` of a call ``f(...)`` or ``module.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def _tree_streams_counted(source: str) -> list[str]:
-    """Calls of a tree stream that a ``sum`` or ``len`` call, or a loop
-    whose body only adds to a counter, drains to count the trees."""
+    """Calls of a tree stream, by bare or module-qualified name, that a
+    ``sum`` or ``len`` call, or a loop whose body only adds to a counter,
+    drains to count the trees."""
     tree = ast.parse(source)
 
     def streams_in(node: ast.AST) -> list[str]:
         return [
-            f"{sub.func.attr} (line {sub.lineno})"
+            f"{_called_name(sub)} (line {sub.lineno})"
             for sub in ast.walk(node)
-            if isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in TREE_STREAMS
+            if isinstance(sub, ast.Call) and _called_name(sub) in TREE_STREAMS
         ]
 
     found = []
@@ -115,18 +121,21 @@ def _tree_streams_counted(source: str) -> list[str]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["cli.py", "verify.py"])
-def test_the_frontends_count_trees_without_draining_a_stream(name):
+@pytest.mark.parametrize(
+    "path",
+    [ROOT / "src" / "planetrees" / "cli.py", ROOT / "src" / "planetrees" / "verify.py", *DEMOS],
+    ids=lambda path: path.name,
+)
+def test_the_frontends_count_trees_without_draining_a_stream(path):
     # trees.count_trees_by_enumeration visits the child lists without
     # building a root per tree, at about half the cost of a drained stream
-    source = (ROOT / "src" / "planetrees" / name).read_text(encoding="utf-8")
-    assert _tree_streams_counted(source) == []
+    assert _tree_streams_counted(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_drained_stream_rule_sees_a_drained_stream():
     source = (
         "a = sum(1 for _ in trees.iter_decreasing_trees(n, k))\n"
-        "b = len(trees.enumerate_decreasing_trees(n, k))\n"
+        "b = len(list(iter_decreasing_trees(n, k)))\n"
         "for _ in trees.iter_decreasing_trees(n, k):\n"
         "    c += 1\n"
         "d = trees.count_trees_by_enumeration(n, k)\n"
@@ -134,8 +143,8 @@ def test_the_drained_stream_rule_sees_a_drained_stream():
         "    check(t)\n"
     )
     assert _tree_streams_counted(source) == [
-        "enumerate_decreasing_trees (line 2)",
         "iter_decreasing_trees (line 1)",
+        "iter_decreasing_trees (line 2)",
         "iter_decreasing_trees (line 3)",
     ]
 

@@ -16,7 +16,6 @@ from planetrees import (
     TreeParseError,
     count_trees,
     count_trees_by_enumeration,
-    enumerate_decreasing_trees,
     format_tree,
     is_decreasing,
     iter_decreasing_trees,
@@ -117,12 +116,12 @@ def test_leaning_tree_guard(monkeypatch):
 
 
 def test_enumerate_single_node():
-    ts = enumerate_decreasing_trees(1, 2)
+    ts = list(iter_decreasing_trees(1, 2))
     assert [format_tree(t) for t in ts] == ["1", "2"]
 
 
 def test_enumerate_three_nodes_three_labels():
-    ts = enumerate_decreasing_trees(3, 3)
+    ts = list(iter_decreasing_trees(3, 3))
     assert [format_tree(t) for t in ts] == [
         "2(1 1)",
         "3(1 1)",
@@ -135,7 +134,7 @@ def test_enumerate_three_nodes_three_labels():
 
 def test_enumerate_one_label_dies_out():
     for n in range(2, 8):
-        assert enumerate_decreasing_trees(n, 1) == []
+        assert list(iter_decreasing_trees(n, 1)) == []
 
 
 def _sized_key(t):
@@ -166,7 +165,7 @@ def _before(a, b):
 def test_enumerate_matches_counts():
     for n in range(1, 8):
         for k in range(1, 6):
-            ts = enumerate_decreasing_trees(n, k)
+            ts = list(iter_decreasing_trees(n, k))
             assert len(ts) == count_trees(n, k)
             assert all(is_decreasing(t, k) for t in ts)
             texts = [format_tree(t) for t in ts]
@@ -175,17 +174,17 @@ def test_enumerate_matches_counts():
 
 
 def test_enumerate_roundtrips_through_text():
-    for t in enumerate_decreasing_trees(5, 4):
+    for t in iter_decreasing_trees(5, 4):
         assert parse_tree(format_tree(t)) == t
 
 
 def test_enumerate_guards():
     with pytest.raises(LimitError):
-        enumerate_decreasing_trees(24, 3)
+        iter_decreasing_trees(24, 3)
     with pytest.raises(LimitError):
-        enumerate_decreasing_trees(3, 100_000)
-    assert len(enumerate_decreasing_trees(10, 3)) == count_trees(10, 3)
-    assert len(enumerate_decreasing_trees(3, 8)) == count_trees(3, 8)
+        iter_decreasing_trees(3, 100_000)
+    assert len(list(iter_decreasing_trees(10, 3))) == count_trees(10, 3)
+    assert len(list(iter_decreasing_trees(3, 8))) == count_trees(3, 8)
 
 
 @st.composite
@@ -325,8 +324,8 @@ def test_stream_guard_counts_the_trees():
     iter_decreasing_trees(9, 7, root_label=5)  # 1,155,696 trees: admitted
     # the cap compares with the exact count, with or without a root label
     with pytest.raises(LimitError):
-        enumerate_decreasing_trees(5, 4, max_trees=count_trees(5, 4) - 1)
-    assert len(enumerate_decreasing_trees(5, 4, max_trees=count_trees(5, 4))) == 256
+        iter_decreasing_trees(5, 4, max_trees=count_trees(5, 4) - 1)
+    assert len(list(iter_decreasing_trees(5, 4, max_trees=count_trees(5, 4)))) == 256
     with pytest.raises(LimitError):
         iter_decreasing_trees(5, 4, root_label=4, max_trees=220)
     assert sum(1 for _ in iter_decreasing_trees(5, 4, root_label=4, max_trees=221)) == 221
@@ -392,7 +391,7 @@ def test_lower_bounds_refuse_without_the_series(monkeypatch):
             iter_decreasing_trees(n, k)
     for order, length in [(7, 14), (10**6, 2), (2, 40)]:
         with pytest.raises(LimitError, match="at least"):
-            bijection.enumerate_closed_walks(order, length)
+            bijection.iter_closed_walks(order, length)
 
 
 def test_trees_of_at_most_two_nodes_are_counted_without_the_series(monkeypatch):

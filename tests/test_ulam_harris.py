@@ -7,7 +7,6 @@ import pytest
 from planetrees import (
     LimitError,
     PlaneTree,
-    enumerate_unordered_shapes,
     format_tree,
     leaning_tree,
     max_degree,
@@ -117,10 +116,10 @@ def test_witness_pin_with_nested_ties_and_two_digit_labels():
 
 def test_shape_enumeration_counts():
     # rooted unordered trees on n nodes
-    assert [len(enumerate_unordered_shapes(n)) for n in range(1, 9)] == [
+    assert [len(unordered_shape_levels(n)[-1]) for n in range(1, 9)] == [
         1, 1, 2, 4, 9, 20, 48, 115,
     ]
-    shapes = enumerate_unordered_shapes(5)
+    shapes = unordered_shape_levels(5)[-1]
     assert len({format_tree(s) for s in shapes}) == len(shapes)
 
 
@@ -128,7 +127,7 @@ def test_shape_levels_are_every_catalog_level_from_one_build(monkeypatch):
     levels = unordered_shape_levels(8)
     assert [len(level) for level in levels] == [1, 1, 2, 4, 9, 20, 48, 115]
     for n, level in enumerate(levels, start=1):
-        assert level == enumerate_unordered_shapes(n)
+        assert level == unordered_shape_levels(n)[-1]
     # the verify row takes its 200 shapes from one build of the levels
     calls = []
     original = unordered_shape_levels
@@ -138,15 +137,14 @@ def test_shape_levels_are_every_catalog_level_from_one_build(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(verify.ulam_harris, "unordered_shape_levels", counted)
-    monkeypatch.setattr(verify.ulam_harris, "enumerate_unordered_shapes", None)
     ok, detail = verify.check_uh_exhaustive()
     assert ok and detail == "greedy = brute on all 200 shapes with <= 8 nodes"
     assert calls == [8]
 
 
 def test_greedy_equals_bruteforce_exhaustively():
-    for n in range(1, 9):
-        for shape in enumerate_unordered_shapes(n):
+    for shapes in unordered_shape_levels(8):
+        for shape in shapes:
             assert uh_min(shape).uh == uh_min_bruteforce(shape), format_tree(shape)
 
 
