@@ -6,124 +6,87 @@ bijection between those trees and closed root walks in regular leaning
 trees, locates the dominant singularity of the counting series to extract
 growth constants, and evaluates eigenvalue bounds for trees through the
 Ulam-Harris number.
+
+Importing the package loads none of its modules.  Each exported name, and
+each module as an attribute (``planetrees.spectral``), is imported on first
+use (PEP 562), so a command line that counts never compiles the spectral or
+enumeration code.  An export is read from its module on every access: the
+package holds no binding of its own that a replaced function could outlive.
 """
 
-from .asymptotics import (
-    RootBracket,
-    alpha,
-    alpha_bounds,
-    ck,
-    eval_gk_with_derivative,
-    eval_sk,
-    growth_constants,
-    zstar,
-    zstar_lower_bound,
-    zstar_upper_bound,
-)
-from .bijection import (
-    UP,
-    Walk,
-    build_tree_from_walk,
-    build_walk_from_tree,
-    format_walk,
-    iter_closed_walks,
-    parse_walk,
-    validate_walk,
-)
-from .errors import LimitError, TreeParseError, WalkError
-from .series import (
-    TruncatedSeries,
-    count_trees,
-    count_trees_by_compositions,
-    count_trees_by_literal_compositions,
-    count_with_root_label,
-    gk_series,
-    series_to_json,
-    sk_series,
-)
-from .spectral import (
-    lambda1,
-    leaning_eigen_bound,
-    leaning_lambda1,
-    stevanovic_bounds,
-    walk_count_table,
-    walk_growth_estimate,
-)
-from .trees import (
-    PlaneTree,
-    count_trees_by_enumeration,
-    format_tree,
-    is_decreasing,
-    iter_decreasing_trees,
-    leaning_tree,
-    max_degree,
-    node_count,
-    parse_plan,
-    parse_tree,
-    random_plane_tree,
-    subtree_plan,
-)
-from .ulam_harris import (
-    UhReport,
-    uh_min,
-    uh_min_bruteforce,
-    uh_number,
-    uh_ordered,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LimitError",
-    "PlaneTree",
-    "RootBracket",
-    "TreeParseError",
-    "TruncatedSeries",
-    "UP",
-    "UhReport",
-    "Walk",
-    "WalkError",
-    "alpha",
-    "alpha_bounds",
-    "build_tree_from_walk",
-    "build_walk_from_tree",
-    "ck",
-    "count_trees",
-    "count_trees_by_compositions",
-    "count_trees_by_enumeration",
-    "count_trees_by_literal_compositions",
-    "count_with_root_label",
-    "eval_gk_with_derivative",
-    "eval_sk",
-    "format_tree",
-    "format_walk",
-    "gk_series",
-    "growth_constants",
-    "is_decreasing",
-    "iter_closed_walks",
-    "iter_decreasing_trees",
-    "lambda1",
-    "leaning_eigen_bound",
-    "leaning_lambda1",
-    "leaning_tree",
-    "max_degree",
-    "node_count",
-    "parse_plan",
-    "parse_tree",
-    "parse_walk",
-    "random_plane_tree",
-    "series_to_json",
-    "sk_series",
-    "stevanovic_bounds",
-    "subtree_plan",
-    "uh_min",
-    "uh_min_bruteforce",
-    "uh_number",
-    "uh_ordered",
-    "validate_walk",
-    "walk_count_table",
-    "walk_growth_estimate",
-    "zstar",
-    "zstar_lower_bound",
-    "zstar_upper_bound",
-]
+#: each exported name and the module that defines it
+_EXPORTS = {
+    "LimitError": "errors",
+    "PlaneTree": "trees",
+    "RootBracket": "asymptotics",
+    "TreeParseError": "errors",
+    "TruncatedSeries": "series",
+    "UP": "bijection",
+    "UhReport": "ulam_harris",
+    "Walk": "bijection",
+    "WalkError": "errors",
+    "alpha": "asymptotics",
+    "alpha_bounds": "asymptotics",
+    "build_tree_from_walk": "bijection",
+    "build_walk_from_tree": "bijection",
+    "ck": "asymptotics",
+    "count_trees": "series",
+    "count_trees_by_compositions": "series",
+    "count_trees_by_enumeration": "trees",
+    "count_trees_by_literal_compositions": "series",
+    "count_with_root_label": "series",
+    "eval_gk_with_derivative": "asymptotics",
+    "eval_sk": "asymptotics",
+    "format_tree": "trees",
+    "format_walk": "bijection",
+    "gk_series": "series",
+    "growth_constants": "asymptotics",
+    "is_decreasing": "trees",
+    "iter_closed_walks": "bijection",
+    "iter_decreasing_trees": "trees",
+    "lambda1": "spectral",
+    "leaning_eigen_bound": "spectral",
+    "leaning_lambda1": "spectral",
+    "leaning_tree": "trees",
+    "max_degree": "trees",
+    "node_count": "trees",
+    "parse_plan": "trees",
+    "parse_tree": "trees",
+    "parse_walk": "bijection",
+    "random_plane_tree": "trees",
+    "series_to_json": "series",
+    "sk_series": "series",
+    "stevanovic_bounds": "spectral",
+    "subtree_plan": "trees",
+    "uh_min": "ulam_harris",
+    "uh_min_bruteforce": "ulam_harris",
+    "uh_number": "ulam_harris",
+    "uh_ordered": "ulam_harris",
+    "validate_walk": "bijection",
+    "walk_count_table": "spectral",
+    "walk_growth_estimate": "spectral",
+    "zstar": "asymptotics",
+    "zstar_lower_bound": "asymptotics",
+    "zstar_upper_bound": "asymptotics",
+}
+
+#: the package's modules, each reachable as an attribute of the package
+_MODULES = frozenset(_EXPORTS.values()) | {"cli", "intstr", "verify"}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

@@ -16,6 +16,14 @@ named PLANETREES_<OPTION> (e.g. PLANETREES_MAX_N): --format, --tol, --max-n,
 --max-k, --method, --order and --unsafe-limits, and explicit flags win.  The
 variables are read on each call of ``main``, and a bad value is rejected as
 its flag would be: a usage error naming the variable, exit 2.
+
+Each command imports the layers it calls when it runs, and the module and
+its parser import none, so a process compiles the code of its one command
+alone: ``count``, ``table`` and ``series`` load ``series`` (``count`` adds
+``trees`` to enumerate), ``root`` and ``alpha`` load ``asymptotics``,
+``walks`` loads ``spectral`` (``bijection`` to list the walks), ``eigen``,
+``uh`` and ``bijection`` load their own layers and ``trees``, and
+``verify`` loads every layer.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
-from . import asymptotics, bijection, series, spectral, trees, ulam_harris, verify
 from .errors import LimitError, TreeParseError, WalkError
 from .intstr import int_to_str
 
@@ -41,10 +48,12 @@ EXIT_GUARD = 3
 
 ENV_PREFIX = "PLANETREES_"
 
-#: cap on the moves a walk listing prints, as many as ``bijection.WALK_LIMIT``
-#: walks of the default --max-len, 12
-LISTING_MOVE_LIMIT = 12 * bijection.WALK_LIMIT
-
+#: the parser's copies of ``verify.SCOPES``, ``spectral.DEFAULT_EIGEN_TOL``
+#: and ``asymptotics.DEFAULT_ROOT_TOL``, so that building it loads no layer
+#: (tests pin each to its original)
+SCOPES = ("series", "bijection", "roots", "spectral", "uh")
+DEFAULT_EIGEN_TOL = 1e-10
+DEFAULT_ROOT_TOL = 1e-12
 
 FORMATS = ("text", "json", "csv")
 METHODS = ("series", "compositions", "enumerate")
@@ -87,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        help=f"tolerance for iterative numerics (default {spectral.DEFAULT_EIGEN_TOL!r} for "
-        f"eigen, {asymptotics.DEFAULT_ROOT_TOL!r} for root and alpha; env {ENV_PREFIX}TOL)",
+        help=f"tolerance for iterative numerics (default {DEFAULT_EIGEN_TOL!r} for "
+        f"eigen, {DEFAULT_ROOT_TOL!r} for root and alpha; env {ENV_PREFIX}TOL)",
     )
     common.add_argument(
         "--unsafe-limits",
@@ -157,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scope",
         nargs="?",
         default="all",
-        choices=("all",) + verify.SCOPES,
+        choices=("all",) + SCOPES,
         help="which checks to run",
     )
     return parser
@@ -254,12 +263,17 @@ def emit_object(fmt: str, pairs: list[tuple[str, str]]) -> None:
 
 
 def cmd_count(args) -> int:
+    from . import series
+
+    def enumerated() -> int:
+        from . import trees
+
+        return trees.count_trees_by_enumeration(args.n, args.k, **lifted(args, "max_trees"))
+
     methods = {
         "series": lambda: series.count_trees(args.n, args.k),
         "compositions": lambda: series.count_trees_by_compositions(args.n, args.k),
-        "enumerate": lambda: trees.count_trees_by_enumeration(
-            args.n, args.k, **lifted(args, "max_trees")
-        ),
+        "enumerate": enumerated,
     }
     if args.all_methods:
         values: list[tuple[str, str]] = []
@@ -284,6 +298,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import series
+
     max_n, max_k = args.max_n, args.max_k
     if max_n < 1 or max_k < 1:
         raise ValueError("--max-n and --max-k must be positive")
@@ -296,6 +312,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series
+
     s = series.gk_series(args.k, args.order)
     if args.format == "csv":
         print(",".join(int_to_str(c) for c in s.coeffs))
@@ -311,6 +329,8 @@ def cmd_root(args) -> int:
     tolerance or 16 ulps.  A row costs one derivative pass of k steps from
     the fitted seed (up to three for k < 13) and two chain passes for the
     certificate."""
+    from . import asymptotics
+
     if args.k < 1:
         raise ValueError("k must be positive")
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
@@ -337,6 +357,8 @@ def cmd_alpha(args) -> int:
     rule of ``asymptotics.RootBracket`` rests on the float chain, only to
     about 1e-13 * alpha, see ``asymptotics.growth_constants``); c from one
     more derivative pass at the bracket midpoint."""
+    from . import asymptotics
+
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]
@@ -361,10 +383,14 @@ def cmd_walks(args) -> int:
     if args.max_len < 0 or args.max_len % 2:
         raise ValueError("--max-len must be even and nonnegative")
     if args.list:
+        from . import bijection
+
         columns = ["length", "walk"]
         walks = enumerate_guarded_walks(args)
         rows = [[str(len(w)), bijection.format_walk(w)] for w in walks]
     else:
+        from . import spectral
+
         # the coefficients of 1/s_K off the label chain: no tree is built
         budgets = lifted(args, "max_work", "max_growth")
         table = spectral.leaning_walk_counts(args.k, args.max_len, **budgets)
@@ -374,16 +400,21 @@ def cmd_walks(args) -> int:
     return EXIT_OK
 
 
-def enumerate_guarded_walks(args) -> Iterator[bijection.Walk]:
-    """The closed walks of every even length up to --max-len, streamed
-    shortest first.  Each length's stream checks its exact-count guard when
-    called, and they are called longest (most numerous) first, so that a
-    refusal comes before the work."""
-    # the order-1 tree has a walk of every length, so the walk count does not
-    # bound the moves: from order 1 on, lengths up to 2h hold h(h + 1) or more
+def enumerate_guarded_walks(args) -> Iterator:
+    """The closed walks (``bijection.Walk``) of every even length up to
+    --max-len, streamed shortest first.  Each length's stream checks its
+    exact-count guard when called, and they are called longest (most
+    numerous) first, so that a refusal comes before the work."""
+    from . import bijection
+
+    # the moves printed are capped at as many as WALK_LIMIT walks of the
+    # default --max-len, 12; the order-1 tree has a walk of every length, so
+    # the walk count does not bound the moves: from order 1 on, lengths up to
+    # 2h hold h(h + 1) or more
+    limit = 12 * bijection.WALK_LIMIT
     moves = args.max_len // 2 * (args.max_len // 2 + 1)
-    if moves > LISTING_MOVE_LIMIT and not args.unsafe_limits:
-        raise LimitError(f"walk listing limited to {LISTING_MOVE_LIMIT:,} moves ({moves:,} here)")
+    if moves > limit and not args.unsafe_limits:
+        raise LimitError(f"walk listing limited to {limit:,} moves ({moves:,} here)")
     streams = [
         bijection.iter_closed_walks(args.k, length, **lifted(args, "max_walks"))
         for length in range(args.max_len, -1, -2)
@@ -392,6 +423,8 @@ def enumerate_guarded_walks(args) -> Iterator[bijection.Walk]:
 
 
 def cmd_eigen(args) -> int:
+    from . import spectral, trees, ulam_harris
+
     half = max(1, args.trace_n)
     budgets = lifted(args, "max_work", "max_growth")
     tol = args.tol or spectral.DEFAULT_EIGEN_TOL
@@ -443,6 +476,8 @@ def _canonical(text: str) -> bool:
 
 
 def cmd_uh(args) -> int:
+    from . import trees, ulam_harris
+
     tree, plan = trees.parse_plan(args.tree)
     report = ulam_harris.plan_uh_min(plan)
     ordered = ulam_harris.uh_ordered(tree)
@@ -459,6 +494,8 @@ def cmd_uh(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from . import bijection, trees
+
     if args.direction == "p":
         if args.order is None:
             raise ValueError("direction p requires --order")
@@ -482,6 +519,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_checks(args.scope)
     passed = verify.overall_passed(results)
     if args.format == "text":

@@ -989,6 +989,86 @@ def test_cli_import_and_eigen_leave_numpy_unloaded():
     assert done.returncode == 0 and done.stdout == "False\n"
 
 
+LAYERS = {"series", "asymptotics", "trees", "bijection", "spectral", "ulam_harris", "verify"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        ([], set()),  # building the parser alone
+        (["count", "20", "3"], {"series"}),
+        (["count", "20", "3", "--method", "compositions"], {"series"}),
+        (["count", "8", "3", "--method", "enumerate"], {"series", "trees"}),
+        (["count", "8", "3", "--all-methods"], {"series", "trees"}),
+        (["series", "3", "20"], {"series"}),
+        (["table"], {"series"}),
+        (["root", "5"], {"asymptotics"}),
+        (["alpha", "5"], {"asymptotics"}),
+        (["walks", "2", "--max-len", "6"], {"asymptotics", "series", "spectral", "trees"}),
+        (["walks", "2", "--max-len", "4", "--list"], {"bijection", "series", "trees"}),
+        (["eigen", "1(1 1(1))"], {"asymptotics", "series", "spectral", "trees", "ulam_harris"}),
+        (["eigen", "--leaning", "3"], {"asymptotics", "series", "spectral", "trees", "ulam_harris"}),
+        (["uh", "1(1 1(1))"], {"series", "trees", "ulam_harris"}),
+        (["bijection", "w", "3(2(1))"], {"bijection", "series", "trees"}),
+        (["verify", "roots"], LAYERS),
+    ],
+    ids=lambda value: (" ".join(value) or "parser") if isinstance(value, list) else None,
+)
+def test_each_command_loads_only_the_layers_it_calls(argv, loaded):
+    # a fresh process, so that the layers in sys.modules are the command's own
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import contextlib, io, sys\n"
+        "import planetrees.cli as cli\n"
+        "argv = sys.argv[1:]\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "else:\n"
+        "    cli.build_parser()\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('planetrees.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    layers = {name.partition(".")[2] for name in done.stdout.split()} & LAYERS
+    assert layers == loaded
+
+
+def test_the_parser_copies_are_the_layers_values():
+    # the parser shows these without loading their layers
+    assert cli.SCOPES == verify.SCOPES
+    assert cli.DEFAULT_EIGEN_TOL == spectral.DEFAULT_EIGEN_TOL
+    assert cli.DEFAULT_ROOT_TOL == asymptotics.DEFAULT_ROOT_TOL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "3", "3"],
+        ["root", "300", "--format", "json"],
+        ["table", "--max-n", "200", "--max-k", "10"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write fails
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "planetrees", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and done.stderr == ""
+
+
 def test_root_and_alpha_honour_tol(capsys, monkeypatch):
     for name in list(os.environ):
         if name.startswith("PLANETREES_"):

@@ -2,13 +2,14 @@
 the other modules through public names only."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
 import planetrees
-from planetrees import verify
+from planetrees import series, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "planetrees").glob("*.py"))
@@ -149,14 +150,20 @@ def test_the_drained_stream_rule_sees_a_drained_stream():
     ]
 
 
-def test_the_exports_are_sorted_and_are_what_the_package_imports():
-    # a function deleted from its module cannot linger as an export
-    tree = ast.parse((ROOT / "src" / "planetrees" / "__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert planetrees.__all__ == sorted(planetrees.__all__)
-    assert set(planetrees.__all__) == imported
+def test_the_exports_are_sorted_and_are_what_the_package_imports(monkeypatch):
+    # each export is read from its module, so a function deleted from its
+    # module cannot linger as an export, and a replaced one is not kept
+    assert planetrees.__all__ == sorted(planetrees.__all__) == list(planetrees._EXPORTS)
+    for name, module in planetrees._EXPORTS.items():
+        assert getattr(planetrees, name) is getattr(importlib.import_module(f"planetrees.{module}"), name)
+    assert set(planetrees.__all__) <= set(dir(planetrees))
+    with pytest.raises(AttributeError):
+        planetrees.no_such_export
+    original = series.count_trees
+    monkeypatch.setattr(series, "count_trees", len)
+    assert planetrees.count_trees is len
+    monkeypatch.undo()
+    assert planetrees.count_trees is original
+    monkeypatch.delattr(series, "count_trees")
+    with pytest.raises(AttributeError):
+        planetrees.count_trees
