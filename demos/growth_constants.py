@@ -3,17 +3,16 @@
 
 The complement series s_k = 1 - g_k obeys s_k = s_(k-1) - z/s_(k-1); its
 smallest positive root is a simple pole of the next counting series, so the
-counts with k labels grow like ck * alpha^n with alpha the reciprocal root.
+counts with k labels grow like c * alpha^n with alpha the reciprocal root.
 This script certifies root brackets, evaluates the proved bounds, and shows
 the empirical ratios locking onto alpha.
 """
 
 from planetrees import (
-    alpha,
     alpha_bounds,
-    ck,
     count_trees,
     gk_series,
+    growth_constants,
     zstar,
     zstar_lower_bound,
     zstar_upper_bound,
@@ -39,12 +38,13 @@ def main():
     print("  k    alpha          c           [alpha lower, alpha upper]")
     for k in range(2, 9):
         lo, hi = alpha_bounds(k)
-        print(f"  {k}   {alpha(k):10.6f}   {ck(k):.7f}   [{lo:.4f}, {hi:.4f}]")
+        a, c = growth_constants(k)
+        print(f"  {k}   {a:10.6f}   {c:.7f}   [{lo:.4f}, {hi:.4f}]")
     print()
 
     print("Successive count ratios converge to alpha (k = 4):")
     g = gk_series(4, 82)
-    a = alpha(4)
+    a = growth_constants(4)[0]
     for n in (10, 20, 40, 80):
         ratio = g.coeffs[n + 1] / g.coeffs[n]
         print(f"  n={n:3d}   ratio {ratio:.12f}   alpha {a:.12f}   gap {abs(ratio-a):.2e}")
@@ -52,7 +52,7 @@ def main():
 
     print("And count/alpha^n flattens onto c (k = 3):")
     g = gk_series(3, 61)
-    a, c = alpha(3), ck(3)
+    a, c = growth_constants(3)
     for n in (20, 40, 60):
         print(f"  n={n:3d}   count/alpha^n = {g.coeffs[n]/a**n:.10f}   c = {c:.10f}")
     print()

@@ -29,11 +29,9 @@ _EXPORTS = {
     "UhReport": "ulam_harris",
     "Walk": "bijection",
     "WalkError": "errors",
-    "alpha": "asymptotics",
     "alpha_bounds": "asymptotics",
     "build_tree_from_walk": "bijection",
     "build_walk_from_tree": "bijection",
-    "ck": "asymptotics",
     "count_trees": "series",
     "count_trees_by_compositions": "series",
     "count_trees_by_enumeration": "trees",

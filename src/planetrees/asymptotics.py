@@ -3,27 +3,27 @@
 Write s_k(z) = 1 - g_k(z), where g_k is the counting series for decreasing
 labels from {1..k}.  The chain s_1 = 1 - z, s_k = s_(k-1) - z/s_(k-1) is
 positive on [0, zstar_k), where zstar_k is the smallest positive root of
-s_k; the counts with k+1 labels then grow like ck * alpha^n with
+s_k; the counts with k+1 labels then grow like c * alpha^n with
 alpha = 1/zstar_k (the root is a simple pole of the next counting series).
 
-One routine, ``_root``, locates the root for ``zstar``, ``growth_constants``
-and ``spectral.leaning_lambda1``: a safeguarded Newton iteration ("rtsafe",
-Press et al., Numerical Recipes, section 9.4) on s_k = 1 - g_k with
-s_k' = -g_k' from ``eval_gk_with_derivative``, then a certificate.  Near the
-root the recurrence divides by a vanishing chain member, so a bare Newton
-step can jump past a pole; the iteration keeps a bracket that starts at the
-proved bounds and narrows by the sign of every iterate, and an iterate that
-would leave it, or one past a pole, is replaced by the bracket midpoint.
-Its correctness rests on neither the seed nor concavity.  The seed is a
-fitted large-k expansion of alpha, within 4.1e-11 relative of the root
-from k = 20, so one derivative pass finds the root for k >= 13: Newton
-returns its last iterate plus the step without evaluating there again.
-The certificate is a positivity test of the chain, monotone in z, read at
-the two ends of a bracket centred on the Newton root: one chain pass per
-end.  Which test, and what it proves, is the rule of ``RootBracket``; it
-holds for ``zstar``, ``growth_constants`` and ``leaning_lambda1`` alike.
-c needs g'_(k-1) at the root, one more derivative pass at the bracket
-midpoint.
+One routine, ``_root``, locates the root for ``zstar`` (which
+``spectral.leaning_lambda1`` reads) and ``growth_constants``: a safeguarded
+Newton iteration ("rtsafe", Press et al., Numerical Recipes, section 9.4) on
+s_k = 1 - g_k with s_k' = -g_k' from ``eval_gk_with_derivative``, then a
+certificate.  Near the root the recurrence divides by a vanishing chain
+member, so a bare Newton step can jump past a pole; the iteration keeps a
+bracket that starts at the proved bounds and narrows by the sign of every
+iterate, and an iterate that would leave it, or one past a pole, is replaced
+by the bracket midpoint.  Its correctness rests on neither the seed nor
+concavity.  The seed is a fitted large-k expansion of alpha, within 4.1e-11
+relative of the root from k = 20, so one derivative pass finds the root for
+k >= 13: Newton returns its last iterate plus the step without evaluating
+there again.  The certificate is a positivity test of the chain, monotone in
+z, read at the two ends of a bracket centred on the Newton root: one chain
+pass per end.  Which test, and what it proves, is the rule of
+``RootBracket``; it holds for ``zstar``, ``growth_constants`` and
+``leaning_lambda1`` alike.  c needs g'_(k-1) at the root, one more
+derivative pass at the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -352,7 +352,8 @@ def _chain_positive_exactly(z: float, k: int) -> bool:
 
 
 def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
-    """Growth rate and leading constant with k labels: ``(alpha(k, tol), ck(k, tol))``.
+    """Growth rate and leading constant ``(alpha, c)`` with k labels: the
+    counts grow like c * alpha^n, with alpha = 1/zstar_(k-1).
 
     Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
     precision at every ``tol``, so ``tol`` sets only the width of the
@@ -366,9 +367,14 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     k = 3001 (6.2e-14 relative at most for k <= 10^6), whatever ``tol`` is.
     A smaller ``tol`` is not honoured there until the bracket is certified
     under rounding (the ROADMAP item "One outward-rounded certificate for
-    every root bracket and every lambda1 bracket").  c is 1/g'_(k-1) at the
-    midpoint, from one more derivative pass; of its 17 printed digits only
-    about 12 are right near k = 300 (relative error 6.3e-13 at k = 301
+    every root bracket and every lambda1 bracket").
+
+    The root of s_(k-1) is a simple pole of g_k, and the residue calculus
+    for a simple pole of a rational series gives c = 1/g'_(k-1) at the
+    root, here at the bracket midpoint: one more derivative pass, through
+    the differentiated recurrence of ``eval_gk_with_derivative``.  The tests
+    check c against the empirical series ratio.  Of its 17 printed digits
+    only about 12 are right near k = 300 (relative error 6.3e-13 at k = 301
     against 50-digit references, 7.7e-15 at k = 101).
     """
     if k < 2:
@@ -379,17 +385,6 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     lo, hi = _root(k - 1, tol * lower * lower)
     midpoint = 0.5 * (lo + hi)
     return 1.0 / midpoint, 1.0 / eval_gk_with_derivative(midpoint, k - 1)[1]
-
-
-def alpha(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Exponential growth rate of the counts with k labels: 1/zstar_(k-1).
-
-    The root is found to float precision and certified, by the rule of
-    ``RootBracket``, in a bracket narrow enough to keep the propagated
-    error of the reciprocal below ``tol``; where that rule rests on the
-    float chain, only to about 1e-13 * alpha (see ``growth_constants``).
-    """
-    return growth_constants(k, tol)[0]
 
 
 def alpha_bounds(k: int) -> tuple[float, float]:
@@ -405,15 +400,3 @@ def alpha_bounds(k: int) -> tuple[float, float]:
     lower = max(lower, 0.0)
     upper = 1.0 / (m - math.sqrt(m * m - 1.0))
     return (lower, upper)
-
-
-def ck(k: int, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Leading constant of the growth law: counts ~ ck(k) * alpha(k)^n.
-
-    The root of s_(k-1) is a simple pole of g_k, and the residue calculus
-    for a simple pole of a rational series gives 1/g'_(k-1) evaluated at the
-    root.  The derivative is carried through the differentiated form of the
-    recurrence that defines the series, and the formula is validated against
-    the empirical series ratio in the tests before being trusted.
-    """
-    return growth_constants(k, tol)[1]

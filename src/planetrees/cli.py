@@ -10,12 +10,13 @@ CSV fields that hold a comma, quote or line break are quoted, as the
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 size guard exceeded.  Each size guard compares a count of
 what a command will produce (trees, walks, the moves of a walk listing,
-walk-count work), exact or a lower bound, with a fixed cap, and
---unsafe-limits lifts them all.  Seven options have an environment mirror
-named PLANETREES_<OPTION> (e.g. PLANETREES_MAX_N): --format, --tol, --max-n,
---max-k, --method, --order and --unsafe-limits, and explicit flags win.  The
-variables are read on each call of ``main``, and a bad value is rejected as
-its flag would be: a usage error naming the variable, exit 2.
+walk-count work, the chain steps of ``root`` and ``alpha``), exact or a
+lower bound, with a fixed cap, and --unsafe-limits lifts them all.  Seven
+options have an environment mirror named PLANETREES_<OPTION> (e.g.
+PLANETREES_MAX_N): --format, --tol, --max-n, --max-k, --method, --order
+and --unsafe-limits, and explicit flags win.  The variables are read on
+each call of ``main``, and a bad value is rejected as its flag would be: a
+usage error naming the variable, exit 2.
 
 Each command imports the layers it calls when it runs, and the module and
 its parser import none, so a process compiles the code of its one command
@@ -54,6 +55,11 @@ ENV_PREFIX = "PLANETREES_"
 SCOPES = ("series", "bijection", "roots", "spectral", "uh")
 DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_ROOT_TOL = 1e-12
+
+#: cap on the chain steps K(K + 1)/2 of ``root K`` and ``alpha K``, whose row
+#: k walks a chain of about k steps: at K = 4999, the largest admitted,
+#: ``alpha`` takes 4.6 s and ``root`` 3.3 s on a shared 2-core machine
+CHAIN_STEP_LIMIT = 12_500_000
 
 FORMATS = ("text", "json", "csv")
 METHODS = ("series", "compositions", "enumerate")
@@ -104,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=None,
         help="lift every size guard: the tree and walk counts, the moves of a walk "
-        "listing and the walk-count budgets of walks and eigen",
+        "listing, the walk-count budgets of walks and eigen and the chain steps of "
+        "root and alpha",
     )
 
     parser = argparse.ArgumentParser(
@@ -333,6 +340,7 @@ def cmd_root(args) -> int:
 
     if args.k < 1:
         raise ValueError("k must be positive")
+    _guard_chain_steps(args)
     columns = ["k", "lower_bound", "lo", "hi", "upper_bound", "width"]
     rows = []
     for k in range(1, args.k + 1):
@@ -361,6 +369,7 @@ def cmd_alpha(args) -> int:
 
     if args.k < 2:
         raise ValueError("growth constants are defined for k >= 2")
+    _guard_chain_steps(args)
     columns = ["k", "alpha", "c", "alpha_lower", "alpha_upper"]
     rows = []
     for k in range(2, args.k + 1):
@@ -377,6 +386,16 @@ def cmd_alpha(args) -> int:
         )
     emit_table(args.format, columns, rows)
     return EXIT_OK
+
+
+def _guard_chain_steps(args) -> None:
+    """Refuse ``root K`` or ``alpha K`` before the first row when its chain
+    steps are over ``CHAIN_STEP_LIMIT``, unless --unsafe-limits."""
+    steps = args.k * (args.k + 1) // 2
+    if steps > CHAIN_STEP_LIMIT and not args.unsafe_limits:
+        raise LimitError(
+            f"{args.command} limited to {CHAIN_STEP_LIMIT:,} chain steps ({steps:,} here)"
+        )
 
 
 def cmd_walks(args) -> int:
@@ -425,7 +444,9 @@ def enumerate_guarded_walks(args) -> Iterator:
 def cmd_eigen(args) -> int:
     from . import spectral, trees, ulam_harris
 
-    half = max(1, args.trace_n)
+    if args.trace_n < 1:
+        raise ValueError("--trace-n must be positive")
+    half = args.trace_n
     budgets = lifted(args, "max_work", "max_growth")
     tol = args.tol or spectral.DEFAULT_EIGEN_TOL
     if args.leaning is not None:
@@ -443,7 +464,7 @@ def cmd_eigen(args) -> int:
         lam = spectral.plan_lambda1(plan, tol)
         uh = ulam_harris.plan_uh_number(plan)
         if size > 1:
-            growth = spectral.plan_walk_growth(plan, size, half, **budgets)
+            growth = spectral.plan_walk_growth(plan, half, **budgets)
     low, high = spectral.stevanovic_bounds(delta) if delta >= 1 else (0.0, 0.0)
     if delta == 1:  # the single edge: lambda1 is exactly 1, the formula's 0 is vacuous
         high = 1.0

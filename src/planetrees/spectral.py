@@ -17,13 +17,13 @@ Jarratt, BIT 11 (1971) 168-174), and otherwise the midpoint.  On any tree
 each distinct labelled shape (``trees.subtree_plan``) is eliminated once per
 point, so trees with repeated subtrees, whether shared objects or parsed
 copies, cost their distinct shapes, not their logical size.  The ``plan_*``
-functions take the plan alone, its last entry the root, and
-``lambda1_bracket``, ``lambda1`` and ``walk_growth_estimate`` wrap them over
-``subtree_plan``.  For leaning trees every vertex of order j has the same
-pivot, and under z = 1/x^2 these pivots are the complement chain of
-``asymptotics``, so ``leaning_lambda1`` reads its bracket off that chain's
-root routine (Newton, then a certificate): O(order) per point, at orders no
-tree can be built for.
+functions take the plan alone, its last entry the root, and ``lambda1`` and
+``walk_growth_estimate`` wrap them over ``subtree_plan``.  For leaning trees
+every vertex of order j has the same pivot, and under z = 1/x^2 these
+pivots are the complement chain of ``asymptotics``, so ``leaning_lambda1``
+reads its bracket off that chain's root, ``asymptotics.zstar`` (Newton,
+then a certificate): O(order) per point, at orders no tree can be built
+for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted
@@ -156,21 +156,19 @@ def walk_growth_estimate(t: PlaneTree, half_length: int) -> float:
     with many repeated subtrees takes first return, and stays within the
     budget, at half-lengths where the replay is refused.
     """
-    plan = subtree_plan(t)
-    size = plan_node_count(plan)
-    return plan_walk_growth(plan, size, half_length, WALK_WORK_LIMIT, WALK_GROWTH_LIMIT)
+    return plan_walk_growth(subtree_plan(t), half_length)
 
 
 def plan_walk_growth(
     plan: list,
-    size: int,
     half_length: int,
     max_work: float = WALK_WORK_LIMIT,
     max_growth: float = WALK_GROWTH_LIMIT,
 ) -> float:
     """``walk_growth_estimate`` of the tree whose ``subtree_plan`` is
-    ``plan`` and node count ``size``, the replay under ``max_growth`` too."""
+    ``plan``, the replay under ``max_growth`` too."""
     length = 2 * half_length
+    size = plan_node_count(plan)
     depths = _plan_depths(plan)
     work = sum([(half_length - d + 1) ** 2 for d in depths if d <= half_length])
     if work <= min(FIRST_RETURN_COST_RATIO * size * half_length, max_work):
@@ -259,12 +257,12 @@ def leaning_lambda1(order: int, tol: float = DEFAULT_LEANING_TOL) -> float:
     Every order-j vertex has the pivot d_j = d_(j-1) - 1/d_(j-1), d_0 = x, so
     z = 1/x^2 and s_j = d_j/x give the complement chain s_j = s_(j-1) -
     z/s_(j-1) of ``asymptotics``, and the eigenvalue is 1/sqrt(zstar_order).
-    The root routine of ``asymptotics`` certifies a z-bracket [lo, hi], by
-    the rule of ``asymptotics.RootBracket``, no wider than tol * zlow^(3/2),
-    with zlow the proved lower bound on the root, read as
-    x = [1/sqrt(hi), 1/sqrt(lo)]: since dx/dz = -x^3/2, that is at most
-    tol/2 wide in x.  O(order) per point, so this works for orders far
-    beyond what an explicit 2^order-vertex tree allows.
+    ``asymptotics.zstar`` certifies a z-bracket [lo, hi], by the rule of
+    ``asymptotics.RootBracket``, no wider than tol * zlow^(3/2), with zlow
+    the proved lower bound on the root, read as x = [1/sqrt(hi), 1/sqrt(lo)]:
+    since dx/dz = -x^3/2, that is at most tol/2 wide in x.  O(order) per
+    point, so this works for orders far beyond what an explicit
+    2^order-vertex tree allows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -273,23 +271,9 @@ def leaning_lambda1(order: int, tol: float = DEFAULT_LEANING_TOL) -> float:
     if order == 0:
         return 0.0  # a single vertex
     lower = asymptotics.zstar_lower_bound(order)
-    lo, hi = asymptotics._root(order, tol * lower * math.sqrt(lower))
-    return 0.5 * (1.0 / math.sqrt(hi) + 1.0 / math.sqrt(lo))
-
-
-def lambda1_bracket(t: PlaneTree, tol: float = DEFAULT_EIGEN_TOL) -> tuple[float, float]:
-    """Bracket of width at most ``tol`` (or two adjacent floats) around the
-    largest adjacency eigenvalue of ``t``: some pivot of xI - A is not
-    positive at its lower end, or that end is 0, and every pivot is positive
-    at its upper end.
-
-    From [0, 2 sqrt(delta) + 1], the next point is the Illinois regula-falsi
-    point on the root pivot, at least tol/2 inside the bracket, when that
-    pivot is known at the lower end (every other pivot is positive there),
-    and the midpoint otherwise or when the last two points together did not
-    halve the bracket; so any three points at least halve it.
-    """
-    return plan_lambda1_bracket(subtree_plan(t), tol)
+    # a width that underflows to 0 is below the 16-ulp floor all the same
+    bracket = asymptotics.zstar(order, max(tol * lower * math.sqrt(lower), math.ulp(0.0)))
+    return 0.5 * (1.0 / math.sqrt(bracket.hi) + 1.0 / math.sqrt(bracket.lo))
 
 
 def lambda1(t: PlaneTree, tol: float = DEFAULT_EIGEN_TOL) -> float:
@@ -299,7 +283,17 @@ def lambda1(t: PlaneTree, tol: float = DEFAULT_EIGEN_TOL) -> float:
 
 
 def plan_lambda1_bracket(plan: list, tol: float = DEFAULT_EIGEN_TOL) -> tuple[float, float]:
-    """``lambda1_bracket`` of the tree whose ``subtree_plan`` is ``plan``."""
+    """Bracket of width at most ``tol`` (or two adjacent floats) around the
+    largest adjacency eigenvalue of the tree whose ``subtree_plan`` is
+    ``plan``: some pivot of xI - A is not positive at its lower end, or that
+    end is 0, and every pivot is positive at its upper end.
+
+    From [0, 2 sqrt(delta) + 1], the next point is the Illinois regula-falsi
+    point on the root pivot, at least tol/2 inside the bracket, when that
+    pivot is known at the lower end (every other pivot is positive there),
+    and the midpoint otherwise or when the last two points together did not
+    halve the bracket; so any three points at least halve it.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     delta = plan_max_degree(plan)

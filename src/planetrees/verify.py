@@ -378,7 +378,7 @@ def check_alpha_in_bounds() -> tuple[bool, str]:
     """The computed growth rate sits inside its proved bracket for 2 <= k <= 50."""
     for k in range(2, 51):
         lower, upper = asymptotics.alpha_bounds(k)
-        value = asymptotics.alpha(k)
+        value = asymptotics.growth_constants(k)[0]
         if not lower <= value <= upper:
             return False, f"alpha({k})={value} outside [{lower}, {upper}]"
     return True, "alpha inside bounds for 2 <= k <= 50"
@@ -403,7 +403,7 @@ def check_ratio_convergence() -> tuple[bool, str]:
     for k in (2, 3, 4):
         g = series.gk_series(k, 82)
         ratio = g.coeffs[81] / g.coeffs[80]
-        a = asymptotics.alpha(k)
+        a = asymptotics.growth_constants(k)[0]
         if abs(ratio - a) >= SERIES_RATIO_TOL:
             return False, f"ratio {ratio} vs alpha({k})={a}, off by {abs(ratio - a):.2e}"
     return True, "ratios match alpha to 1e-6 at n=80 for k in {2,3,4}"
@@ -476,7 +476,7 @@ def check_trace_agreement() -> tuple[bool, str]:
     eigenvalue for orders up to 10."""
     for k in range(1, 11):
         plan = trees.subtree_plan(trees.leaning_tree(k))
-        estimate = spectral.plan_walk_growth(plan, trees.plan_node_count(plan), 20)
+        estimate = spectral.plan_walk_growth(plan, 20)
         lam = spectral.plan_lambda1(plan)
         if abs(estimate - lam) > TRACE_REL_TOL * lam:
             return False, f"estimate {estimate} vs lambda1 {lam} at order {k}"

@@ -8,9 +8,7 @@ from fractions import Fraction
 import pytest
 
 from planetrees import (
-    alpha,
     alpha_bounds,
-    ck,
     eval_gk_with_derivative,
     eval_sk,
     gk_series,
@@ -113,8 +111,6 @@ def test_root_bisections_reject_bad_tolerance(tol):
         zstar(5, tol)
     with pytest.raises(ValueError):
         growth_constants(5, tol)
-    with pytest.raises(ValueError):
-        alpha(5, tol)
 
 
 def _chain_positive(z: float, k: int) -> bool:
@@ -263,7 +259,6 @@ def test_growth_constants_match_separate_bisections():
     for k in range(2, 60):
         for tol in (1e-12, 1e-9):
             growth, constant = growth_constants(k, tol)
-            assert (growth, constant) == (alpha(k, tol), ck(k, tol))
             bracket = zstar(k - 1, tol * zstar_lower_bound(k - 1) ** 2)
             assert 1.0 / bracket.hi <= growth <= 1.0 / bracket.lo, (k, tol)
             assert abs(growth - 1.0 / bracket.midpoint) <= tol, (k, tol)
@@ -337,7 +332,7 @@ def _decimal_ck(k: int) -> Decimal:
 def test_ck_matches_decimal_reference():
     for k in (3, 10, 50, 245):
         reference = _decimal_ck(k)
-        assert abs(Decimal(ck(k)) / reference - 1) <= Decimal("1e-12"), k
+        assert abs(Decimal(growth_constants(k)[1]) / reference - 1) <= Decimal("1e-12"), k
 
 
 def test_zstar_brackets_hold_under_a_decimal_chain():
@@ -401,10 +396,10 @@ def test_eval_gk_rejects_pole():
 
 
 def test_alpha_values():
-    assert alpha(2) == pytest.approx(1.0, abs=1e-12)
-    assert alpha(3) == pytest.approx(ALPHA3, abs=1e-9)
+    assert growth_constants(2)[0] == pytest.approx(1.0, abs=1e-12)
+    assert growth_constants(3)[0] == pytest.approx(ALPHA3, abs=1e-9)
     with pytest.raises(ValueError):
-        alpha(1)
+        growth_constants(1)
 
 
 def test_alpha_bounds_values_and_containment():
@@ -416,27 +411,27 @@ def test_alpha_bounds_values_and_containment():
     assert lower <= ALPHA3 <= upper
     for k in range(2, 51):
         lower, upper = alpha_bounds(k)
-        assert lower <= alpha(k) <= upper
+        assert lower <= growth_constants(k)[0] <= upper
 
 
 def test_ck_values():
-    assert ck(2) == pytest.approx(1.0, abs=1e-9)
+    assert growth_constants(2)[1] == pytest.approx(1.0, abs=1e-9)
     closed_form = 1.0 / (1.0 + 1.0 / (1.0 - ROOT2) ** 2)
     assert closed_form == pytest.approx(0.2763932, abs=1e-7)
-    assert ck(3) == pytest.approx(closed_form, abs=1e-9)
+    assert growth_constants(3)[1] == pytest.approx(closed_form, abs=1e-9)
 
 
 def test_ck_matches_series_ratio():
-    a3 = alpha(3)
+    a3, c3 = growth_constants(3)
     ratio = gk_series(3, 61).coeffs[60] / a3**60
-    assert ck(3) == pytest.approx(ratio, abs=1e-6)
+    assert c3 == pytest.approx(ratio, abs=1e-6)
 
 
 def test_ratio_convergence_to_alpha():
     for k in (2, 3, 4):
         g = gk_series(k, 82)
         ratio = g.coeffs[81] / g.coeffs[80]
-        assert abs(ratio - alpha(k)) < 1e-6
+        assert abs(ratio - growth_constants(k)[0]) < 1e-6
 
 
 def test_counts_below_reciprocal_root_power():
@@ -448,9 +443,8 @@ def test_counts_below_reciprocal_root_power():
 
 
 def test_growth_law_numerically():
-    # counts ~ ck * alpha^n: check the ratio flattens out for k = 3
-    c3 = ck(3)
-    a3 = alpha(3)
+    # counts ~ c * alpha^n: check the ratio flattens out for k = 3
+    a3, c3 = growth_constants(3)
     g = gk_series(3, 61)
     for n in (40, 50, 60):
         assert g.coeffs[n] / a3**n == pytest.approx(c3, abs=1e-4)

@@ -474,6 +474,9 @@ OUTSIDE_GUARDS = [
     ["eigen", "--leaning", "100000"],
     ["walks", "3", "--max-len", "100000"],
     ["walks", "1000", "--max-len", "2000"],
+    ["alpha", "100000000"],
+    ["root", "100000000000000"],
+    ["alpha", "5000"],
 ]
 
 
@@ -492,6 +495,27 @@ def test_just_outside_a_guard_exits_3_at_once(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1.0
     assert code == 3 and out == "" and "limited to" in err
+
+
+def test_root_and_alpha_guard_their_chain_steps(capsys, monkeypatch):
+    # K(K + 1)/2 chain steps: the cap admits K = 4999 and refuses K = 5000
+    assert 4999 * 5000 // 2 <= cli.CHAIN_STEP_LIMIT < 5000 * 5001 // 2
+    monkeypatch.setattr(cli, "CHAIN_STEP_LIMIT", 15)
+    for command in ("root", "alpha"):
+        code, out, _ = run_cli(capsys, command, "5", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1].startswith("5,")
+        code, out, err = run_cli(capsys, command, "6")
+        assert (code, out, err) == (3, "", f"error: {command} limited to 15 chain steps (21 here)\n")
+        code, out, _ = run_cli(capsys, command, "6", "--unsafe-limits", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1].startswith("6,")
+
+
+@pytest.mark.parametrize("argv", [["eigen", "--leaning", "3"], ["eigen", "1(1 1)"], ["eigen", "1"]])
+def test_trace_n_below_one_is_a_usage_error(capsys, argv):
+    # it was read as 1 and printed walk_growth_halflen: 1
+    for value in ("0", "-5"):
+        assert run_cli(capsys, *argv, "--trace-n", value) == (2, "", "error: --trace-n must be positive\n")
+    assert run_cli(capsys, *argv, "--trace-n", "1")[0] == 0
 
 
 def test_verify_series_scope_passes(capsys):

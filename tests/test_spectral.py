@@ -29,7 +29,7 @@ from planetrees import (
 )
 from planetrees import spectral
 from planetrees.asymptotics import zstar_lower_bound, zstar_upper_bound
-from planetrees.spectral import adjacency_lists, lambda1_bracket
+from planetrees.spectral import adjacency_lists, plan_lambda1_bracket
 from planetrees.trees import plan_max_degree, subtree_plan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -198,7 +198,7 @@ def test_lambda1_matches_dense_oracle():
         t = random_plane_tree(rng.randint(2, 25), rng)
         exact = dense_eigenvalue(t)
         assert abs(lambda1(t) - exact) < 1e-10
-        lo, hi = lambda1_bracket(t, 1e-10)
+        lo, hi = plan_lambda1_bracket(subtree_plan(t), 1e-10)
         assert hi - lo <= 1e-10 and lo - 1e-12 <= exact <= hi + 1e-12
 
 
@@ -208,7 +208,7 @@ def test_lambda1_matches_dense_oracle():
 def test_lambda1_bracket_is_certified(tol, shape, size, seed):
     t = SHAPES[shape](size, random.Random(seed))
     plan = subtree_plan(t)
-    lo, hi = lambda1_bracket(t, tol)
+    lo, hi = plan_lambda1_bracket(plan, tol)
     # every pivot positive at hi; some pivot not positive at lo, unless lo is 0
     top = spectral._root_pivot(hi, plan)
     assert top is not None and top > 0.0
@@ -237,7 +237,7 @@ def test_regula_falsi_saves_pivot_passes(monkeypatch):
             t = draw(rng.randint(2, 1500), rng)
             base = bisection_passes(subtree_plan(t), 1e-10)
             calls.clear()
-            lambda1_bracket(t, 1e-10)
+            plan_lambda1_bracket(subtree_plan(t), 1e-10)
             assert len(calls) <= base + 2, shape
             ours += len(calls)
             bisection += base
@@ -300,11 +300,17 @@ def test_eigenvalue_bisections_reject_bad_tolerance(tol):
     with pytest.raises(ValueError):
         lambda1(leaning_tree(2), tol)
     with pytest.raises(ValueError):
-        lambda1_bracket(parse_tree("1(1 1)"), tol)
+        plan_lambda1_bracket(subtree_plan(parse_tree("1(1 1)")), tol)
     with pytest.raises(ValueError):
         leaning_lambda1(5, tol)
     with pytest.raises(ValueError):
         leaning_eigen_bound(3, tol)
+
+
+def test_a_tolerance_whose_z_width_underflows_reads_the_float_floor():
+    # tol * zlow^(3/2) is 0.0 here, and asymptotics.zstar rejects a width of 0
+    for order in (1, 7, 4 * 10**5):
+        assert leaning_lambda1(order, 5e-324) == leaning_lambda1(order, 1e-300)
 
 
 def test_lambda1_eliminates_shared_subtrees_once():

@@ -167,3 +167,79 @@ def test_the_exports_are_sorted_and_are_what_the_package_imports(monkeypatch):
     monkeypatch.delattr(series, "count_trees")
     with pytest.raises(AttributeError):
         planetrees.count_trees
+
+
+#: public names with no caller outside the tests that the rule lets stand:
+#: ``is_decreasing`` is the enumeration tests' oracle
+TEST_ONLY_NAMES = ["trees.is_decreasing"]
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    """The names a piece of code reads: bare, attribute and imported names,
+    and whole string constants (a registry row names its function so)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _unnamed_public_definitions(sources: dict[str, str], outside: set[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class in
+    ``sources`` (module name -> source) that no other top-level statement of
+    theirs names, outside the export table ``_EXPORTS``, and that is not in
+    ``outside``."""
+    statements, defined = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_EXPORTS" for target in stmt.targets
+            ):
+                continue
+            statements.append((stmt, _names_in(stmt)))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined.append((module, stmt))
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, stmt in defined
+        if stmt.name not in outside
+        and not any(stmt.name in names for other, names in statements if other is not stmt)
+    )
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public function that only the tests call is a twin or dead code;
+    # callers are the package's other top-level statements, the demos and
+    # the script entry point
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    outside = {entry.rpartition(":")[2] for entry in scripts.values()}
+    for path in DEMOS:
+        outside |= _names_in(ast.parse(path.read_text(encoding="utf-8")))
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _unnamed_public_definitions(sources, outside) == TEST_ONLY_NAMES
+
+
+def test_the_caller_rule_sees_a_test_only_function():
+    sources = {
+        "a": (
+            '"""``unused`` and ``exported`` are named in this docstring only."""\n'
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "def _private(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def exported(): pass\n"
+            "def demo(): pass\n"
+            "class Row: pass\n"
+            "ROWS = [Row('check_row')]\n"
+            "def check_row(): return used()\n"
+        ),
+        "b": "from .a import Row\n_EXPORTS = {'exported': 'a'}\n",
+    }
+    assert _unnamed_public_definitions(sources, {"demo"}) == ["a.exported", "a.recursive", "a.unused"]

@@ -329,11 +329,11 @@ def test_a_one_node_plan_is_its_root():
     report = ulam_harris.plan_uh_min(plan)
     assert report.uh == 1 and format_tree(report.witness) == "4" and report.labels == (1,)
     for half in (1, 10, 40):
-        assert spectral.plan_walk_growth(plan, 1, half) == 0.0
+        assert spectral.plan_walk_growth(plan, half) == 0.0
         assert walk_growth_estimate(t, half) == 0.0
     # the tree-level wrappers read the same plan
     assert (node_count(t), max_degree(t), uh_number(t), uh_min(t).uh) == (1, 0, 1, 1)
-    assert spectral.lambda1_bracket(t) == (0.0, 0.0)
+    assert spectral.lambda1(t) == 0.0
 
 
 def test_leaning_eigen_report_matches_the_counting_series(capsys):
@@ -418,6 +418,6 @@ def test_walk_growth_dispatch_gives_the_replay_value(monkeypatch):
         if budget is None:
             estimate = walk_growth_estimate(t, half)
         else:
-            estimate = spectral.plan_walk_growth(subtree_plan(t), node_count(t), half, budget)
+            estimate = spectral.plan_walk_growth(subtree_plan(t), half, budget)
         assert routes == [route]
         assert estimate == math.exp(math.log(count) * (1.0 / (2 * half)))
