@@ -19,11 +19,12 @@ concavity.  The seed is a fitted large-k expansion of alpha, within 4.1e-11
 relative of the root from k = 20, so one derivative pass finds the root for
 k >= 13: Newton returns its last iterate plus the step without evaluating
 there again.  The certificate is a positivity test of the chain, monotone in
-z, read at the two ends of a bracket centred on the Newton root: one chain
-pass per end.  Which test, and what it proves, is the rule of
-``RootBracket``; it holds for ``zstar``, ``growth_constants`` and
-``leaning_lambda1`` alike.  c needs g'_(k-1) at the root, one more
-derivative pass at the bracket midpoint.
+z, read at the two ends of a bracket centred on the Newton root (on the seed
+where it is wide against the seed's error): one chain pass per end.  Which
+test, and what it proves, is the rule of ``RootBracket``; it holds for
+``zstar``, ``growth_constants`` and ``leaning_lambda1`` alike.  c needs
+g'_(k-1) at the Newton root, one more derivative pass at the bracket
+midpoint.
 """
 
 from __future__ import annotations
@@ -142,14 +143,15 @@ def zstar(k: int, tol: float = DEFAULT_ROOT_TOL) -> RootBracket:
     """Bracket for the smallest positive root of s_k, certified by the rule
     of ``RootBracket`` and no wider than ``tol`` or 16 ulps.
 
-    The bracket is centred on the Newton root of ``_root``, each end tol/4
-    from it but never closer than 8 ulps, both inside the proved bounds;
-    where the chain test cannot tell points that close apart, it is
-    narrowed by bisection.  That usually costs one derivative pass and two
-    chain passes of k steps (from k = 13; up to three derivative passes
-    below).  k = 1 is returned exactly: s_1 = 1 - z has root 1, which
-    coincides with the lower bound, so no strictly-positive certificate to
-    its left exists within the proved bounds.
+    The bracket is centred on the fitted seed of ``_root`` (k >= 74 at the
+    default tol) or on its Newton root, each end tol/4 from the centre but
+    never closer than 8 ulps, both inside the proved bounds; an end the
+    chain test rejects is stepped outward, then bisection narrows.  That
+    usually costs two chain passes of k steps, after one derivative pass
+    if Newton runs (from k = 13; up to three below).  k = 1 is returned
+    exactly: s_1 = 1 - z has root 1, which coincides with the lower bound,
+    so no strictly-positive certificate to its left exists within the
+    proved bounds.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -184,15 +186,21 @@ _ROUNDING_ULPS = 8.0
 #: (k = 10^6), measured at e = +-1e-9 on the 50-digit chain; this bounds
 #: kappa_k/k
 _NEWTON_CURVATURE = 0.6
+#: |seed/root - 1| <= _SEED_ERROR from k = _SEED_ERROR_MIN_K, checked on a
+#: 50-digit ``decimal`` chain at every k = 50..5000 (9e-12 fails at 394)
+_SEED_ERROR = 1.8e-11
+_SEED_ERROR_MIN_K = 50
 
 
-def _root(k: int, width: float) -> tuple[float, float]:
+def _root(k: int, width: float, newton: bool = False) -> tuple[float, float]:
     """(lo, hi) around the smallest positive root of s_k, under the
     certificate rule of ``RootBracket``.
 
-    Newton finds the root to float precision whatever ``width`` is: from
-    the fitted seed that takes one derivative pass for k >= 13, and at most
-    three below.  The chain test is picked once, here:
+    Centred on the seed if k >= _SEED_ERROR_MIN_K and ``_certify``'s offset
+    is at least 2 * _SEED_ERROR * seed, each end then at least offset/2
+    from the root; else, or if ``newton``, on the Newton root, to float
+    precision at any ``width`` (one derivative pass from the seed for
+    k >= 13, at most three below).  The chain test is picked once, here:
     ``_chain_positive_certified`` for k <= EXACT_CERTIFICATE_MAX_K and the
     sign of the float chain above.  ``_certify`` reads every point with it,
     so [lo, hi] passes it at lo, fails it at hi, lies inside the proved
@@ -203,7 +211,11 @@ def _root(k: int, width: float) -> tuple[float, float]:
     lower = zstar_lower_bound(k)
     upper = min(1.0, zstar_upper_bound(k))
     positive = _chain_positive_certified if k <= EXACT_CERTIFICATE_MAX_K else _float_chain_positive
-    return _certify(k, _newton(k, lower, upper), width, lower, upper, positive)
+    centre = min(max(_seed(k), lower), upper)
+    offset = max(0.25 * width, _ROUNDING_ULPS * math.ulp(centre))
+    if newton or k < _SEED_ERROR_MIN_K or offset < 2.0 * _SEED_ERROR * centre:
+        centre = _newton(k, centre, lower, upper)
+    return _certify(k, centre, width, lower, upper, positive)
 
 
 def _seed(k: int) -> float:
@@ -213,9 +225,9 @@ def _seed(k: int) -> float:
     return 1.0 / (2.0 * k - 0.5 * ln - _SEED_C + correction / k)
 
 
-def _newton(k: int, lo: float, hi: float) -> float:
-    """Newton on s_k inside the proved bracket [lo, hi], narrowed by the sign
-    of every iterate.
+def _newton(k: int, z: float, lo: float, hi: float) -> float:
+    """Newton on s_k from ``z`` inside the proved bracket [lo, hi], narrowed
+    by the sign of every iterate.
 
     Returns z + step without evaluating there once the quadratic remainder
     of that step, at most _NEWTON_CURVATURE * k * step^2 / z, is below half
@@ -223,7 +235,6 @@ def _newton(k: int, lo: float, hi: float) -> float:
     the step does.  A limit at the 16-ulp bracket floor would pass real
     errors of that size: at k = 2 it leaves the root two ulps off.
     """
-    z = min(max(_seed(k), lo), hi)
     while True:
         try:
             g, derivative = eval_gk_with_derivative(z, k)
@@ -249,7 +260,7 @@ def _newton(k: int, lo: float, hi: float) -> float:
 
 def _certify(
     k: int,
-    root: float,
+    centre: float,
     width: float,
     lower: float,
     upper: float,
@@ -259,18 +270,18 @@ def _certify(
     2 * _ROUNDING_ULPS ulps, with the chain test ``positive(z, k)`` true at
     lo and false at hi.
 
-    Tries root -/+ max(width/4, _ROUNDING_ULPS ulps) first.  An end the
-    test rejects is stepped outward, doubling its distance from the root,
+    Tries centre -/+ max(width/4, _ROUNDING_ULPS ulps) first.  An end the
+    test rejects is stepped outward, doubling its distance from the centre,
     until it holds; each rejected point then bounds the other side, and
     bisection narrows what is left.  Ends never pass the proved bounds
     ``lower`` and ``upper``.
     """
-    floor = _ROUNDING_ULPS * math.ulp(root)
+    floor = _ROUNDING_ULPS * math.ulp(centre)
     offset = max(0.25 * width, floor)
     lo = hi = None
     reach = offset
     while lo is None:
-        z = max(root - reach, lower)
+        z = max(centre - reach, lower)
         if positive(z, k):
             lo = z
         elif z == lower:
@@ -279,7 +290,7 @@ def _certify(
             hi, reach = z, 2.0 * reach
     reach = offset
     while hi is None:
-        z = min(root + reach, upper)
+        z = min(centre + reach, upper)
         if not positive(z, k):
             hi = z
         elif z == upper:
@@ -355,10 +366,11 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     """Growth rate and leading constant ``(alpha, c)`` with k labels: the
     counts grow like c * alpha^n, with alpha = 1/zstar_(k-1).
 
-    Both come from one run of ``_root`` on s_(k-1).  Newton reaches float
-    precision at every ``tol``, so ``tol`` sets only the width of the
-    bracket, tol * zlow^2 with zlow the proved lower bound, which keeps the
-    propagated error of alpha = 1/midpoint below ``tol``.  The bracket is
+    Both come from one run of ``_root`` on s_(k-1), centred on the Newton
+    root at every ``tol`` (on the seed, c would be off by 5e-9 at k = 301),
+    so ``tol`` sets only the width of the bracket, tol * zlow^2 with zlow
+    the proved lower bound, which keeps the propagated error of alpha =
+    1/midpoint below ``tol``.  The bracket is
     certified by the rule of ``RootBracket``; where that rule rests on the
     float chain (k - 1 > EXACT_CERTIFICATE_MAX_K), alpha holds only to
     about 1e-13 * alpha: rounding in the chain moves the Newton root, and
@@ -382,7 +394,7 @@ def growth_constants(k: int, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, floa
     if not tol > 0:
         raise ValueError("tol must be positive")
     lower = zstar_lower_bound(k - 1)
-    lo, hi = _root(k - 1, tol * lower * lower)
+    lo, hi = _root(k - 1, tol * lower * lower, newton=True)
     midpoint = 0.5 * (lo + hi)
     return 1.0 / midpoint, 1.0 / eval_gk_with_derivative(midpoint, k - 1)[1]
 

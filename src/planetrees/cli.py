@@ -58,7 +58,8 @@ DEFAULT_ROOT_TOL = 1e-12
 
 #: cap on the chain steps K(K + 1)/2 of ``root K`` and ``alpha K``, whose row
 #: k walks a chain of about k steps: at K = 4999, the largest admitted,
-#: ``alpha`` takes 4.6 s and ``root`` 3.3 s on a shared 2-core machine
+#: ``alpha`` takes 4.0-4.8 s and ``root`` 1.0-1.6 s in-process on a shared
+#: 2-core machine
 CHAIN_STEP_LIMIT = 12_500_000
 
 FORMATS = ("text", "json", "csv")
@@ -331,11 +332,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_root(args) -> int:
-    """Root brackets of s_1..s_K, each centred on the Newton root and
-    certified by the rule of ``asymptotics.RootBracket``: no wider than the
-    tolerance or 16 ulps.  A row costs one derivative pass of k steps from
-    the fitted seed (up to three for k < 13) and two chain passes for the
-    certificate."""
+    """Root brackets of s_1..s_K, certified by the rule of
+    ``asymptotics.RootBracket``: no wider than the tolerance or 16 ulps.  A
+    row costs two chain passes of k steps for the certificate.  From k = 74
+    at the default tolerance (k = 50 at a looser one) the bracket is
+    centred on the fitted seed; below, on the Newton root, at one more
+    derivative pass from the seed (up to three for k < 13)."""
     from . import asymptotics
 
     if args.k < 1:
@@ -361,7 +363,7 @@ def cmd_root(args) -> int:
 
 def cmd_alpha(args) -> int:
     """Growth constants for k = 2..K at float precision, alpha certified
-    within the tolerance by a root bracket as in ``cmd_root`` (where the
+    within the tolerance by a root bracket on the Newton root (where the
     rule of ``asymptotics.RootBracket`` rests on the float chain, only to
     about 1e-13 * alpha, see ``asymptotics.growth_constants``); c from one
     more derivative pass at the bracket midpoint."""

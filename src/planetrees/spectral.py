@@ -21,9 +21,9 @@ functions take the plan alone, its last entry the root, and ``lambda1`` and
 ``walk_growth_estimate`` wrap them over ``subtree_plan``.  For leaning trees
 every vertex of order j has the same pivot, and under z = 1/x^2 these
 pivots are the complement chain of ``asymptotics``, so ``leaning_lambda1``
-reads its bracket off that chain's root, ``asymptotics.zstar`` (Newton,
-then a certificate): O(order) per point, at orders no tree can be built
-for.
+reads its bracket off that chain's root, ``asymptotics.zstar`` (Newton or
+the fitted seed, then a certificate): O(order) per point, at orders no tree
+can be built for.
 
 Walk-growth estimates ``W^(1/2n)`` from exact closed-walk counts are a
 second, independent route to the same eigenvalue.  Closed walks are counted

@@ -1,5 +1,6 @@
 """Root brackets, growth constants, and the derivative of the counting series."""
 
+import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -17,7 +18,7 @@ from planetrees import (
     zstar_lower_bound,
     zstar_upper_bound,
 )
-from planetrees import asymptotics, leaning_lambda1
+from planetrees import asymptotics, cli, leaning_lambda1
 from planetrees.asymptotics import DEFAULT_ROOT_TOL, _chain
 
 ROOT2 = (3.0 - math.sqrt(5.0)) / 2.0  # solves (1-z)^2 = z
@@ -234,8 +235,8 @@ def test_small_k_brackets_meet_the_width_rule(monkeypatch):
     brackets = []
     root = asymptotics._root
 
-    def recorded(k, width):
-        brackets.append((k, width, root(k, width)))
+    def recorded(k, width, **options):
+        brackets.append((k, width, root(k, width, **options)))
         return brackets[-1][2]
 
     monkeypatch.setattr(asymptotics, "_root", recorded)
@@ -262,8 +263,7 @@ def test_growth_constants_match_separate_bisections():
             bracket = zstar(k - 1, tol * zstar_lower_bound(k - 1) ** 2)
             assert 1.0 / bracket.hi <= growth <= 1.0 / bracket.lo, (k, tol)
             assert abs(growth - 1.0 / bracket.midpoint) <= tol, (k, tol)
-            root = zstar(k - 1).midpoint
-            derivative = eval_gk_with_derivative(root, k - 1)[1]
+            derivative = eval_gk_with_derivative(bracket.midpoint, k - 1)[1]
             assert constant == pytest.approx(1.0 / derivative, rel=1e-12), (k, tol)
     with pytest.raises(ValueError):
         growth_constants(1)
@@ -373,14 +373,65 @@ def test_root_routine_takes_one_derivative_pass_per_root(monkeypatch):
     # the same, and c from one more derivative pass at the midpoint
     assert calls["derivative"] / len(rows) <= 2.1
     assert calls["chain"] / len(rows) <= 2.1
+    # from k = 74 the default bracket is wide enough to centre on the seed:
+    # no Newton, one certificate check per end
+    for k in range(74, 301):
+        calls.update(derivative=0, chain=0)
+        zstar(k)
+        assert calls == {"derivative": 0, "chain": 2}, k
+    # c is read at the Newton root, and tight or leaning widths miss the gate
+    for run in (
+        lambda: growth_constants(301),
+        lambda: growth_constants(301, 1e-3),
+        lambda: zstar(300, 1e-20),
+        lambda: leaning_lambda1(1500),
+    ):
+        calls.update(derivative=0, chain=0)
+        run()
+        assert calls["derivative"] >= 1
 
 
 def test_newton_seed_is_close_to_a_decimal_root():
-    # the root of s_k lies in seed * (1 -/+ 1e-10) under a 50-digit chain
-    for k in (50, 77, 120, 300, 1000, 2718, 10**4, 31416, 10**5):
+    # the root of s_k lies in seed * (1 -/+ _SEED_ERROR) under a 50-digit
+    # chain: the envelope that lets _root centre a bracket on the seed
+    assert asymptotics._SEED_ERROR == 1.8e-11
+    envelope = Decimal(asymptotics._SEED_ERROR)
+    far = [500, 1000, 2718, 3000, 10**4, 31416, 10**5]
+    for k in [*range(asymptotics._SEED_ERROR_MIN_K, 401), *far]:
         seed = Decimal(asymptotics._seed(k))
-        assert _decimal_chain_positive(seed * (1 - Decimal("1e-10")), k), k
-        assert not _decimal_chain_positive(seed * (1 + Decimal("1e-10")), k), k
+        assert _decimal_chain_positive(seed * (1 - envelope), k), k
+        assert not _decimal_chain_positive(seed * (1 + envelope), k), k
+
+
+@pytest.mark.parametrize("error", [1e-9, -1e-9])
+def test_seed_centred_brackets_survive_a_wrong_seed(monkeypatch, error):
+    # _certify steps a rejected end outward and bisects, so a seed off by
+    # 50 times its envelope still yields correct brackets of the width asked
+    seed = asymptotics._seed
+    monkeypatch.setattr(asymptotics, "_seed", lambda k: seed(k) * (1 + error))
+    for k in range(50, 301):
+        bracket = zstar(k)
+        assert bracket.width <= DEFAULT_ROOT_TOL, k
+        assert _decimal_chain_positive(bracket.lo, k), k
+        assert not _decimal_chain_positive(bracket.hi, k), k
+
+
+#: sha256 of the stdout of commands whose brackets the seed-centred gate must
+#: leave alone: rows below k = 74, tight widths, alpha (c at the Newton
+#: root) and the leaning eigenvalue, as printed before the gate existed
+PINNED_ROOT_REPORTS = {
+    "root 73": "c08e41a5c64677a6d584429d467438c3f7eea588bb72b98f514570df9e073bcb",
+    "root 300 --tol 1e-20": "eaa04971f9b6dcab987393d40534f0095d4e255d2e5ab0645b5029a271f7dab3",
+    "alpha 300": "b278ac617c28c592e52eb692eb2ca6d3d6879e2fea0d8c380b0758bc638dff61",
+    "eigen --leaning 2000": "243de1120f6e364c243bafcd03ce4d74051a62e07939f40c3b2fb88c68aa255a",
+}
+
+
+def test_reports_outside_the_seed_gate_are_pinned(capsys):
+    for command, digest in PINNED_ROOT_REPORTS.items():
+        assert cli.main([*command.split(), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_eval_gk_matches_series_partial_sums():
