@@ -27,6 +27,20 @@ numbers live here:
   inversion, counts the trees with root label k + 1 at z^(n-1) and the
   closed root walks of length 2h on the leaning tree of order k at z^h;
 
+  ``count_trees`` and ``count_with_root_label`` want coefficient n alone,
+  and read it without the whole series where that is cheaper.  Above m,
+  g_(k-1) comes from the engine and [z^(n-1)] 1/(1 - g_(k-1)) from one
+  Newton step on the inverse to half the order (``_inverse_coefficient``),
+  at about n^2 / 4 products against n^2 / 2.  At or below m, past index
+  deg A_k the coefficients of g_k satisfy the recurrence with the monic
+  characteristic polynomial x^d B_k(1/x), d = 2^(k-1) - 1, and
+  ``_nth_by_powering`` reduces x^(n-2) modulo it by square and multiply
+  (Fiduccia, SIAM J. Comput. 14, 1985) in O(d^2 log n) products and
+  O(d n) bits.  It runs when that count, about 2 d^2 log2(n), is below the
+  recurrence's n d; otherwise the engine reads the series.  ``series``, ``table``,
+  ``walks`` and ``_complement_inverse`` print or use every term and keep
+  the engine;
+
 * ``count_trees_by_compositions`` runs the scalar recurrence over
   compositions of n-1 as a bottom-up convolution, and
   ``count_trees_by_literal_compositions`` enumerates every composition for
@@ -34,8 +48,9 @@ numbers live here:
 
 The engines work on plain lists of Python ints, and every truncated
 division goes through the one kernel ``_quotient``: the B/A reads of the
-rational part and of 1/s_k, the inversions above the split label,
-``sk_series`` and the first-return walk series of ``spectral``.  A
+rational part and of 1/s_k, the inversions above the split label and the
+half-order inverse, ``sk_series`` and the first-return walk series of
+``spectral``.  A
 denominator of deg B_m + 1 terms and one as long as the series run the
 same loop.  ``_complement_inverse_products`` prices a read of 1/s_k for
 the walk guard of ``spectral``, so the split rule is read in this module
@@ -216,9 +231,66 @@ def sk_series(k: int, order: int) -> TruncatedSeries:
 
 
 def count_trees(n: int, k: int) -> int:
-    """Number of n-node plane trees with strictly decreasing labels from {1..k}."""
+    """Number of n-node plane trees with strictly decreasing labels from {1..k}.
+
+    Coefficient n of g_k alone, by one of three routes (see the module
+    docstring): above the split label of order n + 1, g_(k-1) and a
+    half-order read of its last inversion; at or below it, g_k's
+    recurrence, or x^(n-2) modulo its characteristic polynomial when d =
+    2^(k-1) - 1 is small against n.
+    """
     _require_positive(n=n, k=k)
-    return gk_series(k, n + 1).coeffs[n]
+    levels = _split_label(n + 1)
+    if k > levels:
+        g = _gk_series(k - 1, n + 1, levels).coeffs
+        return g[n] + _inverse_coefficient(g[1:], n - 1)
+    d = 2 ** (k - 1) - 1
+    # about n d products by the recurrence against 2 d^2 log2(n) by powering
+    if 2 * d * d * n.bit_length() < n * d:
+        return _nth_by_powering(n, k)
+    return _gk_series(k, n + 1, k).coeffs[n]
+
+
+def _inverse_coefficient(tail: Sequence[int], n: int) -> int:
+    """[z^n] 1/f for f = 1 - sum_(j>=1) tail[j-1] z^j, from the inverse v of
+    f modulo z^h, h = n // 2 + 1: then 1/f = v (2 - f v) modulo z^(2h)
+    (Kung, Numer. Math. 22, 1974), and past h, where v stops, coefficient n
+    is that of -f v^2.  About n^2 / 4 products against n^2 / 2 for the
+    full inverse."""
+    h = n // 2 + 1
+    v = _quotient((1,), tail, h)
+    if n < h:
+        return v[n]
+    w = _poly_square(v, n + 1)
+    w += [0] * (n + 1 - len(w))  # v^2 stops at z^(n-1) when n is odd
+    return sum(map(operator.mul, tail[:n], reversed(w[:n]))) - w[n]
+
+
+def _nth_by_powering(n: int, k: int) -> int:
+    """[z^n] g_k for n >= 2^(k-1) + 1, by x^(n-2) modulo the characteristic
+    polynomial x^d B_k(1/x), d = deg B_k = 2^(k-1) - 1.
+
+    g_k = (B_k - A_k)/B_k with B_k(0) = 1 and deg A_k = d + 1, so from
+    index 2 on the coefficients c follow c_m = -sum_(j=1..d) B_j c_(m-j),
+    and if x^(n-2) = sum r_i x^i modulo that polynomial, c_n = sum r_i
+    c_(2+i) (Fiduccia, SIAM J. Comput. 14, 1985).  The d remainder
+    coefficients grow like c_n does, so memory is O(d n) bits, not O(n^2).
+    """
+    order = 2 ** (k - 1) + 1  # A_k and B_k exactly, and c_0 .. c_(d+1)
+    a, b = next(islice(_rational_pairs(order), k, None))
+    first = _quotient(_poly_sub(b, a), [-c for c in b[1:]], order)
+    d = order - 2
+    low = b[:0:-1]  # B_d, ..., B_1: x^d = -(B_1 x^(d-1) + ... + B_d)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(n - 2)[2:]:
+        r = _poly_square(r, 2 * d - 1)
+        if bit == "1":
+            r.insert(0, 0)
+        for top in range(len(r) - 1, d - 1, -1):
+            t = r.pop()
+            if t:
+                r[top - d :] = map(operator.sub, r[top - d :], map(t.__mul__, low))
+    return sum(map(operator.mul, r, first[2:]))
 
 
 def count_trees_by_compositions(n: int, k: int) -> int:
@@ -234,16 +306,18 @@ def count_trees_by_compositions(n: int, k: int) -> int:
     values at polynomial cost without recursion.
     """
     _require_positive(n=n, k=k)
-    # counts[m] = count(m, j) for the current label bound j, starting at j = 1
-    counts = [0, 1] + [0] * (n - 1)
+    # counts[m] = count(m, j) for the current label bound j, starting at j = 1,
+    # whose counts are zero past one node and left off, so that the first
+    # pass takes one product per term
+    counts = [0, 1]
     for _ in range(k - 1):
         # seq[m]: sequences of trees with labels <= j totalling m nodes
         seq = [1]
         tail = counts[1:]
         for _ in range(1, n):
             seq.append(sum(map(operator.mul, tail, reversed(seq))))
-        counts = [0] + [counts[m] + seq[m - 1] for m in range(1, n + 1)]
-    return counts[n]
+        counts = [0, *(c + s for c, s in zip_longest(counts[1:], seq, fillvalue=0))]
+    return counts[n] if n < len(counts) else 0
 
 
 def count_trees_by_literal_compositions(n: int, k: int) -> int:
@@ -282,6 +356,9 @@ def count_with_root_label(n: int, k: int) -> int:
     """Number of n-node decreasing trees whose root label is exactly k:
     G_(n,k) - G_(n,k-1) = [z^n] z/s_(k-1), read off one chain."""
     _require_positive(n=n, k=k)
+    levels = _split_label(n)
+    if k - 1 > levels:
+        return _inverse_coefficient(_gk_series(k - 1, n, levels).coeffs[1:], n - 1)
     return _complement_inverse(k - 1, n)[n - 1]
 
 

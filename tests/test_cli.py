@@ -459,7 +459,12 @@ INSIDE_GUARDS = [
     (["count", "12", "3", "--method", "enumerate"], "28658"),
     (["count", "8", "6", "--method", "enumerate"], "1261070"),
     (["walks", "6", "--list", "--max-len", "12", "--format", "csv"], "12," + "+6 - " * 5 + "+6 -"),
-    (["walks", "1", "--list", "--max-len", "4896", "--format", "csv"], "4896," + "+1 - " * 2447 + "+1 -"),
+    # a short id: the expected walk text is 4,900 characters
+    pytest.param(
+        ["walks", "1", "--list", "--max-len", "4896", "--format", "csv"],
+        "4896," + "+1 - " * 2447 + "+1 -",
+        id="walks-1-max-len-4896",
+    ),
     (["eigen", "--leaning", "1000", "--format", "csv"], "leaning:1000,"),
     (["eigen", "--leaning", "2001", "--format", "csv"], "leaning:2001,"),
 ]

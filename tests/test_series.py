@@ -275,6 +275,72 @@ def test_count_methods_agree():
             assert count_trees(n, k) == count_trees_by_compositions(n, k)
 
 
+def _record_routes(monkeypatch):
+    """Record the route each count_trees call takes: the half-order read
+    above the split, powering, or else the recurrence."""
+    seen = []
+    for name in ("_inverse_coefficient", "_nth_by_powering"):
+
+        def spy(*args, _name=name, _route=getattr(series, name)):
+            seen.append(_name)
+            return _route(*args)
+
+        monkeypatch.setattr(series, name, spy)
+    return seen
+
+
+def _route(n, k):
+    """The route count_trees should take, from the split rule and the cost
+    rule: about n d products by the recurrence against 2 d^2 log2(n) by
+    powering, d = 2^(k-1) - 1."""
+    if k > series._split_label(n + 1):
+        return ["_inverse_coefficient"]
+    d = 2 ** (k - 1) - 1
+    return ["_nth_by_powering"] if 2 * d * d * n.bit_length() < n * d else []
+
+
+def test_count_trees_matches_compositions_on_every_route(monkeypatch):
+    routes = _record_routes(monkeypatch)
+    for k in range(1, 9):
+        # n = 1, 2 and two n, odd and even, on each side of every change of
+        # route up to n = 700 (k = 2 and 3 switch back and forth near 2^j)
+        changes = [n for n in range(2, 701) if _route(n, k) != _route(n - 1, k)]
+        cells = {1, 2} | {m for n in changes for m in range(n - 2, n + 2)} - {0}
+        for n in sorted(cells):
+            del routes[:]
+            assert count_trees(n, k) == count_trees_by_compositions(n, k), (n, k)
+            assert routes == _route(n, k), (n, k)
+        # k = 1 has one route; powering starts past n = 700 from k = 7
+        taken = {tuple(_route(n, k)) for n in cells}
+        assert len(taken) == (1 if k == 1 else 3 if k < 7 else 2), k
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=30),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=45),
+)
+@example([], 0, 0)
+@example([1], 0, 1)
+@example([3, -1], 0, 2)
+@example([2, 5, 0, 0], 0, 7)
+@settings(max_examples=200)
+def test_half_order_read_is_the_full_inverse(tail, zeros, n):
+    tail = tail + [0] * zeros
+    assert series._inverse_coefficient(tail, n) == series._quotient((1,), tail, n + 1)[n]
+
+
+def test_powering_matches_the_recurrence():
+    # from its least n, 2^(k-1) + 1, where the remainder needs no reduction
+    for k in range(1, 9):
+        least = 2 ** (k - 1) + 1
+        expected = series._gk_series(k, least + 40, k).coeffs
+        for n in range(least, least + 40):
+            assert series._nth_by_powering(n, k) == expected[n], (n, k)
+    for n, k in ((40000, 3), (4000, 6)):
+        assert series._nth_by_powering(n, k) == series._gk_series(k, n + 1, k).coeffs[n], (n, k)
+
+
 def test_count_literal_compositions():
     for n in range(1, 11):
         for k in range(1, 6):
@@ -298,7 +364,8 @@ def test_count_with_root_label():
 
 def test_count_with_root_label_on_both_sides_of_the_split():
     # k - 1 labels at or below the split label read B/A, above it invert g
-    for n in range(1, 41):
+    # to half the order
+    for n in [*range(1, 41), 100, 101]:
         split = series._split_label(n)
         for k in range(1, split + 4):
             expected = count_trees(n, k) - (count_trees(n, k - 1) if k > 1 else 0)
